@@ -167,16 +167,11 @@ def beta_matrices(
     if convention not in ("state_form", "gate_form"):
         raise ValueError("convention must be state_form or gate_form")
     u = I4 if u_front is None else require_unitary(u_front, 1e-9, "front gate")
-    mats = []
-    for v in basis.vectors:
-        overlap = np.array(
-            [[np.vdot(v, u[:, 2 * x + y]) for y in range(2)] for x in range(2)]
-        )
-        if convention == "state_form":
-            mats.append(overlap)
-        else:
-            mats.append(_SQ2 * overlap.T)
-    return BetaMatrices(tuple(mats), convention)
+    # overlap[j, x, y] = <b_j|U|xy>
+    overlap = (dag(basis.matrix()) @ u).reshape(4, 2, 2)
+    if convention == "gate_form":
+        overlap = _SQ2 * overlap.transpose(0, 2, 1)
+    return BetaMatrices(tuple(overlap), convention)
 
 
 def vector_entanglement(v: np.ndarray) -> float:

@@ -108,9 +108,22 @@ def write_gate_file(path: str, matrix: np.ndarray, name: str = "") -> None:
         fh.write("\n")
 
 
+def _read_doc(path: str, key: str) -> dict:
+    """The JSON object in `path`, which must hold `key`."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror}")
+    except ValueError as e:
+        raise UsageError(f"{path} is not valid JSON: {e}")
+    if not isinstance(doc, dict) or key not in doc:
+        raise UsageError(f"{path} must hold a JSON object with a {key!r} key")
+    return doc
+
+
 def read_gate_file(path: str) -> tuple[str, np.ndarray]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_doc(path, "matrix")
     return doc.get("name", ""), _doc_to_rows(doc["matrix"], (4, 4))
 
 
@@ -124,8 +137,7 @@ def write_basis_file(path: str, basis: MeasurementBasis) -> None:
 
 
 def read_basis_file(path: str) -> MeasurementBasis:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_doc(path, "vectors")
     rows = _doc_to_rows(doc["vectors"], (4, 4))
     return MeasurementBasis(tuple(rows[i] for i in range(4)), doc.get("name", ""))
 
@@ -140,9 +152,12 @@ def _parse_floats(text: str, n: int, what: str):
     if len(parts) != n:
         raise UsageError(f"{what} takes {n} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"{what}: could not parse numbers in {text!r}")
+    if not all(np.isfinite(values)):
+        raise UsageError(f"{what}: numbers must be finite, got {text!r}")
+    return values
 
 
 def resolve_gate(spec: str, tol: float) -> np.ndarray:
@@ -179,9 +194,7 @@ def _resolve_single_qubit(spec: str) -> np.ndarray:
     if key in _SINGLE_QUBIT_NAMED:
         return _SINGLE_QUBIT_NAMED[key]
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            doc = json.load(fh)
-        return _doc_to_rows(doc["matrix"], (2, 2))
+        return _doc_to_rows(_read_doc(spec[1:], "matrix")["matrix"], (2, 2))
     vals = _parse_floats(spec, 8, "2x2 matrix (re,im x 4 entries)")
     return np.array(
         [[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
@@ -199,9 +212,8 @@ def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
         return m2_basis()
     if key.startswith("beta_ab:"):
         vals = spec[len("beta_ab:"):]
-        nums = vals.split(",")
-        if len(nums) == 1:
-            a = float(nums[0])
+        if "," not in vals:
+            (a,) = _parse_floats(vals, 1, "beta_ab:a")
             bsq = 0.5 - a * a
             if bsq < -1e-12:
                 raise ValidationError(f"beta_ab: |a| must be at most 1/sqrt(2), got {a}")
@@ -247,6 +259,8 @@ def _jsonable(obj):
         return _rows_to_doc(obj)
     if isinstance(obj, complex):
         return _complex_pair(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return _f17(float(obj))
     if isinstance(obj, (np.integer, int)):
@@ -574,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="gateport", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, basis=False, fmt=True):
+    def common(sp, fmt=True):
         sp.add_argument("--tol", type=float, default=default_tol)
         if fmt:
             sp.add_argument("--format", choices=("human", "json"), default="human")

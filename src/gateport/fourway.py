@@ -28,9 +28,9 @@ import numpy as np
 from .linalg import PAULIS, SX, SZ, dag, equal_up_to_global_phase, is_unitary, require_unitary, tensor
 from .kak import is_clifford
 from .bases import MeasurementBasis, beta_matrices, require_orthonormal
-from .separability import SEPARABLE_TOL, tensor_factorize
+from .separability import SEPARABLE_TOL, factorize_all
 from .simulator import register_from
-from .teleport import PAIR_ORDER
+from .teleport import PAIR_ORDER, outcome_operators
 
 _SXX = tensor(SX, SX)
 _SZZ = tensor(SZ, SZ)
@@ -111,29 +111,26 @@ def analyze_fourway(
         raise ValueError("input state must be normalized")
 
     u = u_t @ u1_gate()
-    gate_betas = beta_matrices(basis, None, "gate_form").mats
-    valid = all(is_unitary(b, 1e-8) for b in gate_betas)
+    gate_betas = np.stack(beta_matrices(basis, None, "gate_form").mats)
+    valid = is_unitary(gate_betas, 1e-8)
     pauli_basis = valid and all(_pauli_pair_label_2x2(b) for b in gate_betas)
 
     target = u_t @ psi_ab
     conds = _conditional_states(psi_ab, basis)
 
-    xx_sep, zz_sep, xx_lbl, zz_lbl = [], [], [], []
-    probs, outputs, raw, corrected = [], [], [], []
-    for idx, (j, k) in enumerate(PAIR_ORDER):
-        beta_jk = tensor(gate_betas[j], gate_betas[k])
-        branch_corrections = []
-        for sig, seps, lbls in ((_SXX, xx_sep, xx_lbl), (_SZZ, zz_sep, zz_lbl)):
-            branch = u @ sig @ beta_jk @ dag(u)
-            if valid:
-                f = tensor_factorize(branch, tol)
-                seps.append(f.separable)
-                if f.separable:
-                    branch_corrections.append(dag(tensor(f.factor_a, f.factor_b)))
-            else:
-                seps.append(False)
-            lbls.append(_pauli_pair_label(branch))
+    # Rows 0..15 are the XX-branch operators of the 16 outcomes, rows
+    # 16..31 the ZZ-branch ones.
+    beta_jk = outcome_operators(gate_betas)
+    branches = u @ np.concatenate((_SXX @ beta_jk, _SZZ @ beta_jk)) @ dag(u)
+    factorizations = factorize_all(branches, tol) if valid else ()
+    separable = tuple(f.separable for f in factorizations) or (False,) * 32
+    labels = tuple(_pauli_pair_label(b) for b in branches)
+    undo = {
+        i: dag(tensor(f.factor_a, f.factor_b)) for i, f in enumerate(factorizations) if f.separable
+    }
 
+    probs, outputs, raw, corrected = [], [], [], []
+    for idx in range(16):
         p = float(np.linalg.norm(conds[idx]) ** 2)
         probs.append(p)
         if p <= 1e-12:
@@ -146,15 +143,15 @@ def analyze_fourway(
         fid = float(abs(np.vdot(target, out)) ** 2)
         raw.append(fid)
         best = fid
-        for c in branch_corrections:
+        for c in (undo[i] for i in (idx, idx + 16) if i in undo):
             best = max(best, float(abs(np.vdot(target, c @ out)) ** 2))
         corrected.append(best)
 
     return FourwayReport(
-        branch_xx_separable=tuple(xx_sep),
-        branch_zz_separable=tuple(zz_sep),
-        branch_xx_pauli=tuple(xx_lbl),
-        branch_zz_pauli=tuple(zz_lbl),
+        branch_xx_separable=separable[:16],
+        branch_zz_separable=separable[16:],
+        branch_xx_pauli=labels[:16],
+        branch_zz_pauli=labels[16:],
         clifford_case=bool(is_clifford(u) and pauli_basis),
         probabilities=tuple(probs),
         output_states=tuple(outputs),

@@ -40,8 +40,15 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with result[(2i+k),(2j+l)] = a[i,j] * b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with result[(2i+k),(2j+l)] = a[i,j] * b[k,l].
+
+    Equal to np.kron for 2-D operands, as one outer product and reshape.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
 
 
 def pauli_pairs():
@@ -53,17 +60,20 @@ def pauli_pairs():
 
 def require_finite(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("non-finite entries")
     return m
 
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
-    """True iff ||m^dag m - I||_F <= tol."""
+    """True iff ||m^dag m - I||_F <= tol, for m or for every matrix of
+    a (..., n, n) stack."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return np.linalg.norm(dag(m) @ m - np.eye(m.shape[0])) <= tol
+    residual = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
+    squared = (residual.real**2 + residual.imag**2).sum(axis=(-2, -1))
+    return bool(np.sqrt(squared.max()) <= tol)
 
 
 def require_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, what: str = "matrix") -> np.ndarray:

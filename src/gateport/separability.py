@@ -34,16 +34,18 @@ class TensorFactorization:
 
 
 def _realign(w: np.ndarray) -> np.ndarray:
-    """Regroup w[(2a+b),(2c+d)] into r[(2a+c),(2b+d)]."""
-    return w.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    """Regroup w[..., (2a+b),(2c+d)] into r[..., (2a+c),(2b+d)]."""
+    lead = w.shape[:-2]
+    return w.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*lead, 4, 4)
 
 
 def operator_schmidt(w: np.ndarray) -> np.ndarray:
-    """Operator Schmidt coefficients, descending, unit square sum."""
+    """Operator Schmidt coefficients, descending, unit square sum, of a
+    4x4 matrix or of each matrix of a (..., 4, 4) stack (last axis)."""
     w = require_finite(w)
     s = np.linalg.svd(_realign(w), compute_uv=False)
-    total = np.linalg.norm(s)
-    return s / total if total > 0 else s
+    total = np.linalg.norm(s, axis=-1, keepdims=True)
+    return s / np.where(total > 0, total, 1.0)
 
 
 def tensor_factorize(w: np.ndarray, tol: float = SEPARABLE_TOL) -> TensorFactorization:
@@ -67,6 +69,25 @@ def tensor_factorize(w: np.ndarray, tol: float = SEPARABLE_TOL) -> TensorFactori
         m *= np.conj(top) / abs(top)
     phase = np.angle(np.trace(tensor(a, b).conj().T @ w) / 4.0)
     return TensorFactorization(True, a, b, float(phase), schmidt)
+
+
+def factorize_all(ws: np.ndarray, tol: float = SEPARABLE_TOL) -> tuple[TensorFactorization, ...]:
+    """tensor_factorize for each unitary of a (k, 4, 4) stack.
+
+    The stack is checked for unitarity once and screened with one batched
+    Schmidt decomposition.  A matrix whose second Schmidt coefficient
+    exceeds tol is not a tensor product; it gets a non-separable result
+    carrying its screened coefficients.  Only the remaining candidates go
+    through tensor_factorize, whose verdict and factors are final.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    ws = require_unitary(ws, 1e-9, "factorization input")
+    schmidt = operator_schmidt(ws)
+    return tuple(
+        tensor_factorize(w, tol) if row[1] <= tol else TensorFactorization(False, None, None, 0.0, row)
+        for w, row in zip(ws, schmidt)
+    )
 
 
 def gauge_index(m: np.ndarray) -> int:

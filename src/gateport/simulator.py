@@ -155,7 +155,6 @@ def run_state_teleport(
     u_front: np.ndarray | None,
     basis: MeasurementBasis,
     corrections=None,
-    seed=None,
 ) -> StateSimResult:
     """Force each outcome of the single-qubit circuit and score fidelity.
 
@@ -203,7 +202,6 @@ def run_gate_teleport(
     basis: MeasurementBasis,
     corrections=None,
     u_front: np.ndarray | None = None,
-    seed=None,
 ) -> GateSimResult:
     """Force all 16 outcomes of the two-pair circuit and score fidelity
     of the corrected carrier state against u_t|input>.

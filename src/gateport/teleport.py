@@ -9,7 +9,10 @@ V_j = M_j / sqrt(p_j) and the receiver applies its inverse.
 Two-qubit side: outcome (j,k) acts through W = U_T (b_j (x) b_k) U_T^dag
 (gate_form matrices).  The gate teleports on that outcome iff W is a
 tensor product of single-qubit factors, which are the correction pair.
-Success probability is (number of separable outcomes) / 16.
+All 16 W are built as one stack; one batched operator-Schmidt
+decomposition screens them, and only the candidates that pass the
+screen are factorized (separability.factorize_all).  Success
+probability is (number of separable outcomes) / 16.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from .linalg import (
     is_unitary,
     principal_sqrt,
     require_unitary,
-    tensor,
 )
 from .kak import (
     NonlocalClass,
@@ -48,7 +50,7 @@ from .bases import (
     m2_basis,
     require_orthonormal,
 )
-from .separability import SEPARABLE_TOL, tensor_factorize
+from .separability import SEPARABLE_TOL, factorize_all
 
 # Controlled phase-of-pi/4 gate and the pi/8 phase gate it is built from.
 C_PI8 = np.diag([1, 1, 1, np.exp(1j * np.pi / 4)]).astype(complex)
@@ -56,6 +58,12 @@ PI8 = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
 EXP_YY = nonlocal_gate((0.0, np.pi / 4, 0.0))
 
 PAIR_ORDER = tuple(itertools.product(range(4), repeat=2))
+
+
+def outcome_operators(betas: np.ndarray) -> np.ndarray:
+    """b_j (x) b_k for the 16 outcomes (j, k) in PAIR_ORDER, as a (16, 4, 4)
+    stack, from the (4, 2, 2) stack of gate_form matrices."""
+    return np.einsum("jac,kbd->jkabcd", betas, betas).reshape(16, 4, 4)
 
 
 def t_gate(phi: float, xi: float) -> np.ndarray:
@@ -165,12 +173,11 @@ def analyze_gate_teleport(
     """Separability verdict and corrections for each of the 16 outcomes."""
     u_t = require_unitary(u_t, 1e-9, "teleported gate")
     require_orthonormal(basis)
-    gate_betas = beta_matrices(basis, u_front, "gate_form").mats
+    gate_betas = np.stack(beta_matrices(basis, u_front, "gate_form").mats)
 
-    w_matrices = tuple(
-        u_t @ tensor(gate_betas[j], gate_betas[k]) @ dag(u_t) for j, k in PAIR_ORDER
-    )
-    if not all(is_unitary(b, 1e-8) for b in gate_betas):
+    w_stack = u_t @ outcome_operators(gate_betas) @ dag(u_t)
+    w_matrices = tuple(w_stack)
+    if not is_unitary(gate_betas, 1e-8):
         # A non-unitary beta means a disentangled basis vector: no outcome
         # admits a unitary local correction.
         return GateTeleportReport(
@@ -182,19 +189,17 @@ def analyze_gate_teleport(
             deterministic=False,
         )
 
-    separable, corrections = [], []
-    for w in w_matrices:
-        f = tensor_factorize(w, tol)
-        separable.append(f.separable)
-        if f.separable:
-            corrections.append((np.exp(1j * f.phase) * f.factor_a, f.factor_b))
-        else:
-            corrections.append(None)
+    factorizations = factorize_all(w_stack, tol)
+    separable = tuple(f.separable for f in factorizations)
+    corrections = tuple(
+        (np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None
+        for f in factorizations
+    )
     n = sum(separable)
     return GateTeleportReport(
         w_matrices=w_matrices,
-        separable=tuple(separable),
-        corrections=tuple(corrections),
+        separable=separable,
+        corrections=corrections,
         n_separable=n,
         success_probability=n / 16.0,
         deterministic=(n == 16),

@@ -188,6 +188,71 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert "not unitary" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kak", "--gate", "kak:nan,0,0"),
+        ("kak", "--gate", "t:nan,0"),
+        ("analyze", "--gate", "cnot", "--basis", "beta_ab:x"),
+        ("validate-basis", "--basis", "beta_ab:x"),
+    ],
+)
+def test_malformed_numbers_exit_1_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spec, content, message",
+    [
+        ("gate", '{"name": "no matrix"}', "with a 'matrix' key"),
+        ("gate", '{"matrix": [[[1, 0]', "is not valid JSON"),
+        ("gate", None, "cannot read"),
+        ("basis", '{"name": "no vectors"}', "with a 'vectors' key"),
+        ("basis", "not json", "is not valid JSON"),
+        ("pauli_conj", '{"vectors": []}', "with a 'matrix' key"),
+        ("pauli_conj", "{", "is not valid JSON"),
+    ],
+    ids=[
+        "gate-missing-key",
+        "gate-invalid-json",
+        "gate-missing-file",
+        "basis-missing-key",
+        "basis-invalid-json",
+        "pauli-conj-missing-key",
+        "pauli-conj-invalid-json",
+    ],
+)
+def test_bad_gate_and_basis_files_exit_1_with_one_line(capsys, tmp_path, spec, content, message):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_text(content)
+    argv = {
+        "gate": ("analyze", "--gate", f"@{path}", "--basis", "bell"),
+        "basis": ("analyze", "--gate", "cnot", "--basis", f"@{path}"),
+        "pauli_conj": ("validate-basis", "--basis", f"pauli_conj:@{path}"),
+    }[spec]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("spec", ["bell", "m1", "m2", "beta_ab:0.3", "beta_nl:0.1,0.2,0.3", "pauli_conj:h"])
+def test_validate_basis_json_matches_human_format(capsys, spec):
+    code, out, _ = run(capsys, "validate-basis", "--basis", spec, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    _, human, _ = run(capsys, "validate-basis", "--basis", spec)
+    assert doc["orthonormal"] is True
+    assert f"all beta unitary: {doc['all_beta_unitary']}" in human
+    assert doc["capability_zero"] is (not doc["all_beta_unitary"])
+    assert len(doc["per_vector_entanglement"]) == 4
+
+
 def test_tables_self_check_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_TABLE1_EXPECTED", np.zeros((5, 3)))
     code, _, err = run(capsys, "tables")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gateport import bases
 from gateport import linalg as la
 
 
@@ -42,9 +43,38 @@ def test_kronecker_sum_exponential():
         assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
+def test_tensor_equals_kron_exactly():
+    rng = np.random.default_rng(2)
+    for shape_a, shape_b in (((2, 2), (2, 2)), ((2, 2), (4, 4)), ((1, 3), (2, 1)), ((4, 4), (2, 2))):
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        assert np.array_equal(la.tensor(a, b), np.kron(a, b))
+
+
 def test_is_unitary():
     assert la.is_unitary(la.SX, 1e-9)
     assert not la.is_unitary(np.diag([1.0, 0.0]), 1e-9)
+    assert type(la.is_unitary(la.SX, 1e-9)) is bool
+
+
+def test_require_unitary_accepts_strided_views():
+    la.require_unitary(la.dag(la.H))
+    for m in bases.beta_matrices(bases.m2_basis(), None, "gate_form").mats:
+        la.require_unitary(m)
+    with pytest.raises(ValueError):
+        la.require_unitary(np.array([[1, np.nan], [0, 1]]).T)
+
+
+def test_is_unitary_on_stacks_matches_each_matrix():
+    rng = np.random.default_rng(3)
+    mats = [la.haar_random_unitary(4, rng) for _ in range(6)]
+    assert la.is_unitary(np.stack(mats), 1e-9)
+    assert la.is_unitary(np.stack(mats).reshape(2, 3, 4, 4), 1e-9)
+    for bad in (np.diag([1.0, 1.0, 1.0, 0.5]), mats[0] * (1 + 1e-6)):
+        stack = np.stack(mats[:3] + [bad] + mats[3:])
+        assert la.is_unitary(stack, 1e-9) == all(la.is_unitary(m, 1e-9) for m in stack)
+        assert not la.is_unitary(stack, 1e-9)
+    assert not la.is_unitary(np.zeros((3, 4, 2)), 1e-9)
 
 
 def test_is_unitary_rejects_disentangled_beta():

@@ -15,6 +15,17 @@ def test_operator_schmidt_examples():
     assert np.allclose(s, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=1e-12)
 
 
+def test_operator_schmidt_on_stacks_matches_each_matrix():
+    rng = np.random.default_rng(4)
+    mats = [la.CNOT, la.SWAP, np.zeros((4, 4)), la.tensor(la.H, la.S)]
+    mats += [la.haar_random_unitary(4, rng) for _ in range(4)]
+    stacked = sep.operator_schmidt(np.stack(mats))
+    assert stacked.shape == (8, 4)
+    for row, m in zip(stacked, mats):
+        assert np.allclose(row, sep.operator_schmidt(m), atol=1e-14)
+    assert np.array_equal(stacked[2], np.zeros(4))
+
+
 def test_factorize_simple_product():
     f = sep.tensor_factorize(la.tensor(la.SX, la.SZ))
     assert f.separable
@@ -49,6 +60,31 @@ def test_factorize_rejects_bad_input():
         sep.tensor_factorize(np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
     with pytest.raises(ValueError):
         sep.tensor_factorize(la.SWAP, tol=0.0)
+    stack = np.stack([la.SWAP, la.CNOT, np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)])
+    with pytest.raises(ValueError):
+        sep.factorize_all(stack)
+    with pytest.raises(ValueError):
+        sep.factorize_all(stack[:2], tol=0.0)
+
+
+def test_factorize_all_matches_tensor_factorize():
+    rng = np.random.default_rng(5)
+    products = [
+        np.exp(1j * rng.uniform(-np.pi, np.pi))
+        * la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
+        for _ in range(5)
+    ]
+    stack = np.stack(products + [la.CNOT, la.SWAP] + [la.haar_random_unitary(4, rng) for _ in range(3)])
+    for got, w in zip(sep.factorize_all(stack), stack):
+        ref = sep.tensor_factorize(w)
+        assert got.separable == ref.separable
+        assert np.allclose(got.schmidt_values, ref.schmidt_values, atol=1e-12)
+        if ref.separable:
+            assert np.array_equal(got.factor_a, ref.factor_a)
+            assert np.array_equal(got.factor_b, ref.factor_b)
+            assert got.phase == ref.phase
+        else:
+            assert got.factor_a is None and got.factor_b is None
 
 
 def test_verdict_and_factors_invariant_under_global_phase():

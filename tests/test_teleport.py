@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gateport import linalg as la
 from gateport import bases
+from gateport import separability as sep
 from gateport import teleport as tp
 from gateport.kak import is_clifford, nonlocal_gate
 
@@ -94,6 +96,74 @@ def test_gate_report_shape_and_counts():
             assert np.linalg.norm(la.tensor(a, b) - rep.w_matrices[idx]) < 1e-8
         else:
             assert rep.corrections[idx] is None
+
+
+def _reference_gate_analysis(u, basis):
+    """The per-outcome loop: one tensor_factorize per outcome (j, k)."""
+    betas = bases.beta_matrices(basis, None, "gate_form").mats
+    if not all(la.is_unitary(b, 1e-8) for b in betas):
+        return (False,) * 16, (None,) * 16
+    separable, corrections = [], []
+    for j, k in tp.PAIR_ORDER:
+        f = sep.tensor_factorize(u @ la.tensor(betas[j], betas[k]) @ la.dag(u))
+        separable.append(f.separable)
+        corrections.append((np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None)
+    return tuple(separable), tuple(corrections)
+
+
+_NAMED_GATES = {
+    "cnot": la.CNOT,
+    "c_pi8": tp.C_PI8,
+    "cnot_sqrt": la.principal_sqrt(la.CNOT),
+    "swap_sqrt": la.principal_sqrt(la.SWAP),
+    "exp_yy": tp.EXP_YY,
+    "swap": la.SWAP,
+}
+
+
+def _gate(kind, seed):
+    """A Haar gate, or a named, t or quarter-pi lattice gate behind a Haar
+    local pair (a left local factor keeps every separability verdict)."""
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        return la.haar_random_unitary(4, rng)
+    if kind == "t":
+        core = tp.t_gate(*rng.uniform(-np.pi, np.pi, 2))
+    elif kind == "lattice":
+        core = nonlocal_gate(tuple(np.pi / 4 * rng.integers(-2, 3, 3)))
+    else:
+        core = _NAMED_GATES[kind]
+    return la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng)) @ core
+
+
+_QUARTERS = st.integers(min_value=-4, max_value=4).map(lambda n: n * np.pi / 4)
+_ANGLES = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
+_BASES = st.one_of(
+    _ANGLES.map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
+    st.tuples(_QUARTERS, _QUARTERS, _ANGLES).map(lambda t: bases.beta_nl_basis(*t)),
+    st.integers(min_value=0, max_value=2**32 - 1).map(
+        lambda seed: bases.conjugated_pauli_basis(la.haar_random_unitary(2, seed))
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: _random_basis(np.random.default_rng(seed))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["haar", "t", "lattice", *_NAMED_GATES]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    _BASES,
+)
+def test_batched_analysis_matches_per_outcome_loop(kind, seed, basis):
+    u = _gate(kind, seed)
+    rep = tp.analyze_gate_teleport(u, basis)
+    separable, corrections = _reference_gate_analysis(u, basis)
+    assert rep.separable == separable
+    assert rep.n_separable == sum(separable)
+    for got, ref in zip(rep.corrections, corrections):
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert la.equal_up_to_global_phase(la.tensor(*got), la.tensor(*ref), 1e-9)
 
 
 def test_gate_report_rejects_bad_inputs():
