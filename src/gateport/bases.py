@@ -185,5 +185,5 @@ def validate_basis(basis: MeasurementBasis, tol: float = 1e-9) -> BasisReport:
     ent = tuple(vector_entanglement(v) for v in basis.vectors)
     ortho = basis.is_orthonormal(tol)
     betas = beta_matrices(basis, convention="gate_form")
-    unitary = all(is_unitary(m, max(tol, 1e-9)) for m in betas.mats)
+    unitary = is_unitary(betas.mats, max(tol, 1e-9))
     return BasisReport(ortho, unitary, ent)

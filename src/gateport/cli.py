@@ -44,6 +44,7 @@ from .teleport import (
     C_PI8,
     EXP_YY,
     PAIR_ORDER,
+    TABLE2_LABELS,
     analyze_gate_teleport,
     analyze_state_teleport,
     bell_resource,
@@ -379,26 +380,6 @@ _TABLE1_GATES = ("cnot", "c_pi8", "cnot_sqrt", "swap_sqrt", "exp_yy")
 _TABLE1_EXPECTED = np.array(
     [[1, 0, 0.5], [0.5, 0, 0.5], [0.5, 0, 0.25], [0.25, 0.25, 0.25], [1, 1, 0.25]]
 )
-_TABLE2_LABELS = {
-    (0, 0): ("P", "-P"),
-    (0, 1): ("P.Z", "-V_phi.Z"),
-    (0, 2): ("P.Z", "i V_phi"),
-    (0, 3): ("P", "P.Y.X"),
-    (1, 0): ("-V_xi.Z", "P.Z"),
-    (1, 1): ("V_xi", "V_phi"),
-    (1, 2): ("V_xi", "-V_phi.Z"),
-    (1, 3): ("-V_xi.Z", "i P"),
-    (2, 0): ("V_xi", "i P.Z"),
-    (2, 1): ("-V_xi.Z", "i V_phi"),
-    (2, 2): ("V_xi.Z", "-V_phi.Z"),
-    (2, 3): ("-V_xi", "P"),
-    (3, 0): ("P.Y.X", "P"),
-    (3, 1): ("i P", "-V_phi.Z"),
-    (3, 2): ("P", "-V_phi"),
-    (3, 3): ("P.Z", "P.Z"),
-}
-
-
 def cmd_tables(args) -> int:
     table1 = reproduce_table1()
     ok = np.allclose(table1, _TABLE1_EXPECTED, atol=1e-9)
@@ -418,7 +399,7 @@ def cmd_tables(args) -> int:
     for idx, (j, k) in enumerate(PAIR_ORDER):
         corr = report.corrections[idx]
         sym = symbolic[idx]
-        labels = _TABLE2_LABELS[(j, k)]
+        labels = TABLE2_LABELS[idx]
         if corr is None:
             ok2 = False
             print(f" {j + 1} {k + 1}  NOT SEPARABLE")
@@ -661,6 +642,11 @@ def main(argv=None) -> int:
     except SelfCheckError as e:
         print(f"self-check failed: {e}", file=sys.stderr)
         return 3
+    except ValueError as e:
+        # The library's own checks (unitarity, orthonormality,
+        # normalization) raise ValueError.
+        print(f"validation error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

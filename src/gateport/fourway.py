@@ -20,17 +20,27 @@ acts on resource qubits 1 and 2, in that order.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, SX, SZ, dag, equal_up_to_global_phase, is_unitary, require_unitary, tensor
+from .linalg import (
+    I4,
+    PAULI_PAIR_LABELS,
+    PAULI_PAIRS,
+    SX,
+    SZ,
+    dag,
+    is_unitary,
+    kron_pairs,
+    pauli_coefficients,
+    require_unitary,
+    tensor,
+)
 from .kak import is_clifford
 from .bases import MeasurementBasis, beta_matrices, require_orthonormal
 from .separability import SEPARABLE_TOL, factorize_all
-from .simulator import register_from
-from .teleport import PAIR_ORDER, outcome_operators
+from .simulator import outcome_fidelities, project_outcomes, register_from
 
 _SXX = tensor(SX, SX)
 _SZZ = tensor(SZ, SZ)
@@ -75,26 +85,26 @@ class FourwayReport:
         return max(self.fidelities_corrected)
 
 
-def _pauli_pair_label(m: np.ndarray, tol: float = 1e-8) -> tuple[str, str] | None:
-    for a, b in itertools.product("IXYZ", repeat=2):
-        if equal_up_to_global_phase(m, tensor(PAULIS[a], PAULIS[b]), tol):
-            return (a, b)
-    return None
+def _pauli_pair_labels(ms: np.ndarray, tol: float = 1e-8) -> tuple[tuple[str, str] | None, ...]:
+    """For each matrix of an (n, 4, 4) stack, the labels of the two-qubit
+    Pauli product it equals up to a global phase within tol (Frobenius
+    norm), or None.
+
+    The candidate is the product with the largest |c_i|; the phase of
+    c_i is the one closest to the matrix, so the residual decides.
+    """
+    coeffs = pauli_coefficients(ms)
+    best = np.abs(coeffs).argmax(axis=-1)
+    phases = np.exp(1j * np.angle(np.take_along_axis(coeffs, best[:, None], axis=-1)))
+    residuals = np.linalg.norm(ms - phases[:, :, None] * PAULI_PAIRS[best], axis=(-2, -1))
+    return tuple(PAULI_PAIR_LABELS[i] if r <= tol else None for i, r in zip(best, residuals))
 
 
-def _conditional_states(psi_ab: np.ndarray, basis: MeasurementBasis):
+def _conditional_states(psi_ab: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
     """Unnormalized carrier states of the chi-resource circuit, before
-    the teleported gate, for all 16 forced outcomes."""
+    the teleported gate, for all 16 forced outcomes: a (16, 4) array."""
     reg = register_from([(psi_ab, (0, 1)), (chi_state(), (2, 3, 4, 5))], 6)
-    t6 = reg.state.reshape((2,) * 6)
-    out = []
-    for j, k in PAIR_ORDER:
-        braj = np.conj(basis.vectors[j]).reshape(2, 2)
-        brak = np.conj(basis.vectors[k]).reshape(2, 2)
-        rest = np.tensordot(braj, t6, axes=((0, 1), (0, 2)))  # remaining 1,3,4,5
-        rest = np.tensordot(brak, rest, axes=((0, 1), (0, 3)))  # remaining 3,4
-        out.append(rest.reshape(-1))
-    return out
+    return project_outcomes(reg.state, 6, [(0, 2), (1, 5)], basis)
 
 
 def analyze_fourway(
@@ -113,39 +123,22 @@ def analyze_fourway(
     u = u_t @ u1_gate()
     gate_betas = np.stack(beta_matrices(basis, None, "gate_form").mats)
     valid = is_unitary(gate_betas, 1e-8)
-    pauli_basis = valid and all(_pauli_pair_label_2x2(b) for b in gate_betas)
-
-    target = u_t @ psi_ab
-    conds = _conditional_states(psi_ab, basis)
+    beta_jk = kron_pairs(gate_betas, gate_betas)
+    # Every b_j (x) b_k is a Pauli product iff every b_j is a Pauli matrix.
+    pauli_basis = valid and None not in _pauli_pair_labels(beta_jk)
 
     # Rows 0..15 are the XX-branch operators of the 16 outcomes, rows
     # 16..31 the ZZ-branch ones.
-    beta_jk = outcome_operators(gate_betas)
     branches = u @ np.concatenate((_SXX @ beta_jk, _SZZ @ beta_jk)) @ dag(u)
     factorizations = factorize_all(branches, tol) if valid else ()
     separable = tuple(f.separable for f in factorizations) or (False,) * 32
-    labels = tuple(_pauli_pair_label(b) for b in branches)
-    undo = {
-        i: dag(tensor(f.factor_a, f.factor_b)) for i, f in enumerate(factorizations) if f.separable
-    }
+    labels = _pauli_pair_labels(branches)
 
-    probs, outputs, raw, corrected = [], [], [], []
-    for idx in range(16):
-        p = float(np.linalg.norm(conds[idx]) ** 2)
-        probs.append(p)
-        if p <= 1e-12:
-            outputs.append(None)
-            raw.append(0.0)
-            corrected.append(0.0)
-            continue
-        out = u_t @ (conds[idx] / np.sqrt(p))
-        outputs.append(out)
-        fid = float(abs(np.vdot(target, out)) ** 2)
-        raw.append(fid)
-        best = fid
-        for c in (undo[i] for i in (idx, idx + 16) if i in undo):
-            best = max(best, float(abs(np.vdot(target, c @ out)) ** 2))
-        corrected.append(best)
+    # Each output is scored as it is and after undoing either branch,
+    # where that branch is separable (identity where it is not).
+    undo = [dag(tensor(f.factor_a, f.factor_b)) if f.separable else I4 for f in factorizations]
+    ops = np.stack([I4] * 16 + (undo or [I4] * 32)).reshape(3, 16, 4, 4) @ u_t
+    probs, outs, fids = outcome_fidelities(_conditional_states(psi_ab, basis), ops, u_t @ psi_ab)
 
     return FourwayReport(
         branch_xx_separable=separable[:16],
@@ -153,12 +146,8 @@ def analyze_fourway(
         branch_xx_pauli=labels[:16],
         branch_zz_pauli=labels[16:],
         clifford_case=bool(is_clifford(u) and pauli_basis),
-        probabilities=tuple(probs),
-        output_states=tuple(outputs),
-        fidelities_raw=tuple(raw),
-        fidelities_corrected=tuple(corrected),
+        probabilities=tuple(probs.tolist()),
+        output_states=tuple(out if p > 1e-12 else None for out, p in zip(outs[0], probs)),
+        fidelities_raw=tuple(fids[0].tolist()),
+        fidelities_corrected=tuple(fids.max(axis=0).tolist()),
     )
-
-
-def _pauli_pair_label_2x2(m: np.ndarray, tol: float = 1e-8) -> bool:
-    return any(equal_up_to_global_phase(m, PAULIS[a], tol) for a in "IXYZ")

@@ -23,15 +23,17 @@ import numpy as np
 from .linalg import (
     H,
     I2,
+    PAULI_PAIRS,
     PAULIS,
     SX,
     SY,
     SZ,
     dag,
     kron_split,
-    pauli_pairs,
+    pauli_coefficients,
     require_unitary,
     tensor,
+    unitary_eigenbasis,
 )
 
 MAGIC = np.array(
@@ -117,31 +119,6 @@ def kak_reconstruct(d: KakDecomposition) -> np.ndarray:
     )
 
 
-def _sym_unitary_eigenbasis(s: np.ndarray, gap: float):
-    """Real orthogonal p and phases 2*lam with s = p diag(e^{i 2 lam}) p^T.
-
-    s must be complex symmetric unitary; its real and imaginary parts are
-    then commuting real symmetric matrices, diagonalized simultaneously by
-    grouping nearly-degenerate eigenspaces of the real part and rotating
-    each block into an eigenbasis of the imaginary part.
-    """
-    a = (s.real + s.real.T) / 2
-    b = (s.imag + s.imag.T) / 2
-    wa, p = np.linalg.eigh(a)
-    start = 0
-    for stop in range(1, 5):
-        if stop < 4 and wa[stop] - wa[stop - 1] <= gap:
-            continue
-        if stop - start > 1:
-            block = p[:, start:stop]
-            sub = block.T @ b @ block
-            _, q = np.linalg.eigh((sub + sub.T) / 2)
-            p[:, start:stop] = block @ q
-        start = stop
-    phases = np.angle(np.diag(p.T @ s @ p))
-    return phases, p
-
-
 def kak_decompose(u: np.ndarray, tol: float = 1e-9) -> KakDecomposition:
     """Canonical Weyl-chamber KAK decomposition of a 4x4 unitary."""
     u = require_unitary(u, tol, "input gate")
@@ -149,19 +126,10 @@ def kak_decompose(u: np.ndarray, tol: float = 1e-9) -> KakDecomposition:
         raise ValueError("expected a 4x4 matrix")
 
     m = _MAGIC_DAG @ u @ MAGIC
+    # m^T m is symmetric unitary, so its real and imaginary parts are
+    # commuting real symmetric matrices with a real orthogonal eigenbasis.
     s = m.T @ m
-    # Escalate the degeneracy-grouping width until s is actually
-    # diagonalized; exact gates hit fourfold-degenerate spectra.
-    best = None
-    for gap in (1e-10, 1e-7, 1e-4):
-        phases2, p = _sym_unitary_eigenbasis(s, gap)
-        off = p.T @ s @ p - np.diag(np.exp(1j * phases2))
-        err = np.linalg.norm(off)
-        if best is None or err < best[0]:
-            best = (err, phases2, p)
-        if err <= 1e-10:
-            break
-    _, phases2, p = best
+    phases2, p = unitary_eigenbasis(s.real, s.imag)
 
     if np.linalg.det(p) < 0:
         p[:, -1] *= -1
@@ -310,10 +278,7 @@ def euler_reconstruct(e: LocalEulerAngles) -> np.ndarray:
 def is_clifford(u: np.ndarray, tol: float = 1e-8) -> bool:
     """True iff u maps every two-qubit Pauli product onto one, up to phase."""
     u = require_unitary(u, max(tol, 1e-9), "input gate")
-    paulis = [m for _, m in pauli_pairs()]
-    for sig in paulis:
-        v = u @ sig @ dag(u)
-        best = max(abs(np.trace(dag(p) @ v)) / 4.0 for p in paulis)
-        if best < 1.0 - tol:
-            return False
-    return True
+    # Row j holds the Pauli coefficients of u P_j u^dag: the Pauli
+    # transfer matrix, whose rows are unit vectors.
+    transfer = pauli_coefficients(u @ PAULI_PAIRS @ dag(u))
+    return bool((np.abs(transfer).max(axis=-1) >= 1.0 - tol).all())

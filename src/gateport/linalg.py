@@ -10,7 +10,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_UNITARY_TOL = 1e-9
 
@@ -51,11 +50,25 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def pauli_pairs():
-    """Yield ((label1, label2), matrix) for all 16 two-qubit Pauli products."""
-    for f in PAULI_LABELS:
-        for s in PAULI_LABELS:
-            yield (f, s), tensor(PAULIS[f], PAULIS[s])
+def kron_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """tensor(left[j], right[k]) for every (j, k) in row-major order, as one
+    (len(left) * len(right), 4, 4) stack, from two (n, 2, 2) stacks."""
+    left = np.asarray(left, dtype=complex)
+    right = np.asarray(right, dtype=complex)
+    return np.einsum("jac,kbd->jkabcd", left, right).reshape(-1, 4, 4)
+
+
+# The 16 two-qubit Pauli products P_i and their (first, second) labels,
+# both in row-major label order.
+PAULI_PAIR_LABELS = tuple((f, s) for f in PAULI_LABELS for s in PAULI_LABELS)
+_PAULI_STACK = np.stack([PAULIS[label] for label in PAULI_LABELS])
+PAULI_PAIRS = kron_pairs(_PAULI_STACK, _PAULI_STACK)
+
+
+def pauli_coefficients(m: np.ndarray) -> np.ndarray:
+    """Coefficients c_i = tr(P_i^dag m) / 4 of m = sum_i c_i P_i, along the
+    last axis, for a 4x4 matrix or a (..., 4, 4) stack."""
+    return np.einsum("iab,...ab->...i", PAULI_PAIRS.conj(), m) / 4.0
 
 
 def require_finite(m: np.ndarray) -> np.ndarray:
@@ -114,12 +127,48 @@ def principal_sqrt(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> np.ndarra
     Rejects non-unitary input.
     """
     m = require_unitary(m, tol)
-    # Schur form of a normal matrix is diagonal with orthonormal vectors,
-    # stable also for degenerate eigenvalues.
-    t, z = scipy.linalg.schur(m, output="complex")
-    phases = np.angle(np.diag(t))
-    root = z @ np.diag(np.exp(0.5j * phases)) @ dag(z)
-    return root
+    phases, p = unitary_eigenbasis((m + dag(m)) / 2, (m - dag(m)) / 2j)
+    # Eigenvalue -1 may come out at angle -pi (a signed zero, or rounding);
+    # the principal branch puts it at +pi.
+    phases = np.where(phases < -np.pi + 1e-12, np.pi, phases)
+    return p @ np.diag(np.exp(0.5j * phases)) @ dag(p)
+
+
+def unitary_eigenbasis(a: np.ndarray, b: np.ndarray):
+    """Eigenphases and an orthonormal eigenbasis p of the unitary m = a + i*b,
+    given its commuting Hermitian parts a and b: m = p diag(e^{i*phases}) p^dag.
+
+    p diagonalizes a by eigh, then rotates each block of nearly-degenerate
+    eigenvalues of a into an eigenbasis of b.  The grouping width widens
+    until m is diagonalized; exact gates hit fourfold-degenerate spectra.
+    p is real orthogonal when a and b are real.
+    """
+    a = (a + dag(a)) / 2
+    b = (b + dag(b)) / 2
+    m = a + 1j * b
+    n = m.shape[0]
+    wa, pa = np.linalg.eigh(a)
+    best = None
+    for gap in (1e-10, 1e-7, 1e-4):
+        p = pa.copy()
+        start = 0
+        for stop in range(1, n + 1):
+            if stop < n and wa[stop] - wa[stop - 1] <= gap:
+                continue
+            if stop - start > 1:
+                block = p[:, start:stop]
+                sub = dag(block) @ b @ block
+                _, q = np.linalg.eigh((sub + dag(sub)) / 2)
+                p[:, start:stop] = block @ q
+            start = stop
+        d = dag(p) @ m @ p
+        phases = np.angle(np.diag(d))
+        err = np.linalg.norm(d - np.diag(np.exp(1j * phases)))
+        if best is None or err < best[0]:
+            best = (err, phases, p)
+        if err <= 1e-10:
+            break
+    return best[1], best[2]
 
 
 def haar_random_unitary(dim: int, seed) -> np.ndarray:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_unitary, tensor
+from .linalg import I2, I4, require_unitary, tensor
 from .bases import MeasurementBasis, require_orthonormal
-from .teleport import PAIR_ORDER, ResourceState
+from .teleport import ResourceState
 
 MAX_QUBITS = 8
 
@@ -96,25 +96,51 @@ def apply_gate(reg: Register, gate: np.ndarray, targets) -> Register:
     return Register(t.reshape(-1), reg.n)
 
 
+def project_outcomes(state: np.ndarray, n: int, pairs, basis: MeasurementBasis) -> np.ndarray:
+    """Unnormalized residual amplitudes for every joint outcome of
+    measuring each qubit pair of `pairs` in `basis`.
+
+    Row o of the (4**len(pairs), 2**rest) result is the state of the
+    unmeasured qubits (in increasing order) after outcomes (j1, j2, ...),
+    o = 4*j1 + j2 for two pairs (PAIR_ORDER); its squared norm is the
+    outcome probability.  Each pair lists its qubits in the order of the
+    basis vectors' tensor factors.
+    """
+    measured = [q for pair in pairs for q in pair]
+    if len(set(measured)) != len(measured) or any(not 0 <= q < n for q in measured):
+        raise ValueError("measured qubits must be distinct and in range")
+    bras = basis.matrix().conj().T.reshape(4, 2, 2)  # bras[j, a, b] = <b_j|ab>
+    operands = [np.asarray(state).reshape((2,) * n), list(range(n))]
+    for i, (a, b) in enumerate(pairs):
+        operands += [bras, [n + i, a, b]]
+    rest = [q for q in range(n) if q not in measured]
+    out = np.einsum(*operands, [n + i for i in range(len(pairs))] + rest)
+    return out.reshape(4 ** len(pairs), -1)
+
+
+def _probabilities(rests: np.ndarray) -> np.ndarray:
+    return (rests.real**2 + rests.imag**2).sum(axis=1)
+
+
+def outcome_fidelities(rests: np.ndarray, ops: np.ndarray, target: np.ndarray):
+    """Probabilities of the residuals `rests` (one row per outcome), the
+    normalized residuals after `ops` and their fidelities with `target`.
+
+    `ops` is one operator, a stack with one per outcome, or several such
+    stacks along leading axes, which the outputs and fidelities keep.
+    Outcomes of probability at most 1e-12 get zero rows and fidelity 0.
+    """
+    probs = _probabilities(rests)
+    live = probs > 1e-12
+    norms = np.sqrt(np.where(live, probs, 1.0))
+    outs = np.where(live[:, None], (ops @ rests[:, :, None])[..., 0] / norms[:, None], 0.0)
+    return probs, outs, np.abs(outs @ np.conj(target)) ** 2
+
+
 def pair_probabilities(reg: Register, targets, basis: MeasurementBasis) -> np.ndarray:
     """Outcome distribution of a projective pair measurement."""
     require_orthonormal(basis)
-    t = reg.state.reshape((2,) * reg.n)
-    probs = []
-    for v in basis.vectors:
-        bra = np.conj(v).reshape(2, 2)
-        rest = np.tensordot(bra, t, axes=((0, 1), targets))
-        probs.append(float(np.linalg.norm(rest) ** 2))
-    return np.array(probs)
-
-
-def _project(reg: Register, targets, vector) -> tuple[float, np.ndarray]:
-    """Probability and the renormalized residual tensor (targets removed)."""
-    t = reg.state.reshape((2,) * reg.n)
-    bra = np.conj(np.asarray(vector)).reshape(2, 2)
-    rest = np.tensordot(bra, t, axes=((0, 1), targets))
-    p = float(np.linalg.norm(rest) ** 2)
-    return p, rest
+    return _probabilities(project_outcomes(reg.state, reg.n, [tuple(targets)], basis))
 
 
 def measure_pair(
@@ -133,7 +159,8 @@ def measure_pair(
     """
     require_orthonormal(basis)
     targets = tuple(targets)
-    probs = pair_probabilities(reg, targets, basis)
+    rests = project_outcomes(reg.state, reg.n, [targets], basis)
+    probs = _probabilities(rests)
     if forced_outcome is None:
         rng = np.random.default_rng(seed)
         outcome = int(rng.choice(4, p=probs / probs.sum()))
@@ -141,10 +168,8 @@ def measure_pair(
         outcome = int(forced_outcome)
         if probs[outcome] <= 1e-12:
             raise ValueError(f"outcome {outcome} has zero probability")
-    p, rest = _project(reg, targets, basis.vectors[outcome])
-    post = np.tensordot(
-        np.asarray(basis.vectors[outcome]).reshape(2, 2), rest / np.sqrt(p), axes=0
-    )
+    rest = rests[outcome].reshape((2,) * (reg.n - 2)) / np.sqrt(probs[outcome])
+    post = np.tensordot(np.asarray(basis.vectors[outcome]).reshape(2, 2), rest, axes=0)
     post = np.moveaxis(post, (0, 1), targets)
     return outcome, float(probs[outcome]), Register(post.reshape(-1), reg.n)
 
@@ -168,32 +193,10 @@ def run_state_teleport(
     reg = register_from([(resource.psi.reshape(-1), (0, 1)), (xi, (2,))], 3)
     if u_front is not None:
         reg = apply_gate(reg, u_front, (1, 2))
-    fids, probs = [], []
-    for j in range(4):
-        p, rest = _project(reg, (1, 2), basis.vectors[j])
-        probs.append(p)
-        if p <= 1e-12:
-            fids.append(0.0)
-            continue
-        out = rest / np.sqrt(p)
-        if corrections is not None and corrections[j] is not None:
-            out = corrections[j] @ out
-        fids.append(float(abs(np.vdot(xi, out)) ** 2))
-    return StateSimResult(tuple(fids), tuple(probs))
-
-
-def _gate_circuit(input_ab, u_t, basis, u_front):
-    ab = np.asarray(input_ab, dtype=complex)
-    if abs(np.linalg.norm(ab) - 1) > 1e-9:
-        raise ValueError("input state must be normalized")
-    u_t = require_unitary(u_t, 1e-9, "teleported gate")
-    require_orthonormal(basis)
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    reg = register_from([(ab, (0, 1)), (bell, (2, 3)), (bell, (4, 5))], 6)
-    if u_front is not None:
-        reg = apply_gate(reg, u_front, (0, 3))
-        reg = apply_gate(reg, u_front, (1, 5))
-    return ab, reg
+    rests = project_outcomes(reg.state, 3, [(1, 2)], basis)
+    ops = I2 if corrections is None else np.stack([I2 if c is None else c for c in corrections])
+    probs, _, fids = outcome_fidelities(rests, ops, xi)
+    return StateSimResult(tuple(fids.tolist()), tuple(probs.tolist()))
 
 
 def run_gate_teleport(
@@ -209,28 +212,22 @@ def run_gate_teleport(
     Correction pairs are applied verbatim (first factor on the first
     carrier); pass a report's correction_inverses() to undo outcomes.
     """
-    ab, reg = _gate_circuit(input_ab, u_t, basis, u_front)
-    target = u_t @ ab
-    t6 = reg.state.reshape((2,) * 6)
-    fids, probs = [], []
-    for idx, (j, k) in enumerate(PAIR_ORDER):
-        braj = np.conj(basis.vectors[j]).reshape(2, 2)
-        brak = np.conj(basis.vectors[k]).reshape(2, 2)
-        # Project (0,3) then (1,5); axes shift after the first contraction.
-        rest = np.tensordot(braj, t6, axes=((0, 1), (0, 3)))  # axes now 1,2,4,5
-        rest = np.tensordot(brak, rest, axes=((0, 1), (0, 3)))  # axes now 2,4
-        out = rest.reshape(-1)
-        p = float(np.linalg.norm(out) ** 2)
-        probs.append(p)
-        if p <= 1e-12:
-            fids.append(0.0)
-            continue
-        out = u_t @ (out / np.sqrt(p))
-        if corrections is not None and corrections[idx] is not None:
-            ca, cb = corrections[idx]
-            out = tensor(ca, cb) @ out
-        fids.append(float(abs(np.vdot(target, out)) ** 2))
-    return GateSimResult(tuple(fids), tuple(probs))
+    ab = np.asarray(input_ab, dtype=complex)
+    if abs(np.linalg.norm(ab) - 1) > 1e-9:
+        raise ValueError("input state must be normalized")
+    u_t = require_unitary(u_t, 1e-9, "teleported gate")
+    require_orthonormal(basis)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    reg = register_from([(ab, (0, 1)), (bell, (2, 3)), (bell, (4, 5))], 6)
+    if u_front is not None:
+        reg = apply_gate(reg, u_front, (0, 3))
+        reg = apply_gate(reg, u_front, (1, 5))
+    rests = project_outcomes(reg.state, 6, [(0, 3), (1, 5)], basis)
+    ops = u_t
+    if corrections is not None:
+        ops = np.stack([I4 if c is None else tensor(*c) for c in corrections]) @ u_t
+    probs, _, fids = outcome_fidelities(rests, ops, u_t @ ab)
+    return GateSimResult(tuple(fids.tolist()), tuple(probs.tolist()))
 
 
 def outcome_distribution(

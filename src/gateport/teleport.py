@@ -32,6 +32,7 @@ from .linalg import (
     SZ,
     dag,
     is_unitary,
+    kron_pairs,
     principal_sqrt,
     require_unitary,
 )
@@ -58,12 +59,6 @@ PI8 = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
 EXP_YY = nonlocal_gate((0.0, np.pi / 4, 0.0))
 
 PAIR_ORDER = tuple(itertools.product(range(4), repeat=2))
-
-
-def outcome_operators(betas: np.ndarray) -> np.ndarray:
-    """b_j (x) b_k for the 16 outcomes (j, k) in PAIR_ORDER, as a (16, 4, 4)
-    stack, from the (4, 2, 2) stack of gate_form matrices."""
-    return np.einsum("jac,kbd->jkabcd", betas, betas).reshape(16, 4, 4)
 
 
 def t_gate(phi: float, xi: float) -> np.ndarray:
@@ -175,7 +170,7 @@ def analyze_gate_teleport(
     require_orthonormal(basis)
     gate_betas = np.stack(beta_matrices(basis, u_front, "gate_form").mats)
 
-    w_stack = u_t @ outcome_operators(gate_betas) @ dag(u_t)
+    w_stack = u_t @ kron_pairs(gate_betas, gate_betas) @ dag(u_t)
     w_matrices = tuple(w_stack)
     if not is_unitary(gate_betas, 1e-8):
         # A non-unitary beta means a disentangled basis vector: no outcome
@@ -219,12 +214,22 @@ def reproduce_table1() -> np.ndarray:
     return table
 
 
+# Symbolic names of the table2_factors pairs, in PAIR_ORDER order (one
+# line per j).
+TABLE2_LABELS = (
+    ("P", "-P"), ("P.Z", "-V_phi.Z"), ("P.Z", "i V_phi"), ("P", "P.Y.X"),
+    ("-V_xi.Z", "P.Z"), ("V_xi", "V_phi"), ("V_xi", "-V_phi.Z"), ("-V_xi.Z", "i P"),
+    ("V_xi", "i P.Z"), ("-V_xi.Z", "i V_phi"), ("V_xi.Z", "-V_phi.Z"), ("-V_xi", "P"),
+    ("P.Y.X", "P"), ("i P", "-V_phi.Z"), ("P", "-V_phi"), ("P.Z", "P.Z"),
+)
+
+
 def table2_factors(phi: float, xi: float):
     """Symbolic correction factors for t_gate under the m2 basis.
 
     Returned as 16 (first, second) matrix pairs in row-major (j, k)
-    order; each pair equals the numerically extracted factorization of
-    T (b_j (x) b_k) T^dag up to a global phase.
+    order, named by TABLE2_LABELS; each pair equals the numerically
+    extracted factorization of T (b_j (x) b_k) T^dag up to a global phase.
     """
     P = np.diag([1, 1j]).astype(complex)
     PZ = P @ SZ
@@ -237,25 +242,13 @@ def table2_factors(phi: float, xi: float):
         )
 
     Vp, Vx = V(phi), V(xi)
-    entries = {
-        (0, 0): (P, -P),
-        (0, 1): (PZ, -Vp @ SZ),
-        (0, 2): (PZ, 1j * Vp),
-        (0, 3): (P, PYX),
-        (1, 0): (-Vx @ SZ, PZ),
-        (1, 1): (Vx, Vp),
-        (1, 2): (Vx, -Vp @ SZ),
-        (1, 3): (-Vx @ SZ, 1j * P),
-        (2, 0): (Vx, 1j * PZ),
-        (2, 1): (-Vx @ SZ, 1j * Vp),
-        (2, 2): (Vx @ SZ, -Vp @ SZ),
-        (2, 3): (-Vx, P),
-        (3, 0): (PYX, P),
-        (3, 1): (1j * P, -Vp @ SZ),
-        (3, 2): (P, -Vp),
-        (3, 3): (PZ, PZ),
-    }
-    return tuple(entries[jk] for jk in PAIR_ORDER)
+    # Same layout as TABLE2_LABELS.
+    return (
+        (P, -P), (PZ, -Vp @ SZ), (PZ, 1j * Vp), (P, PYX),
+        (-Vx @ SZ, PZ), (Vx, Vp), (Vx, -Vp @ SZ), (-Vx @ SZ, 1j * P),
+        (Vx, 1j * PZ), (-Vx @ SZ, 1j * Vp), (Vx @ SZ, -Vp @ SZ), (-Vx, P),
+        (PYX, P), (1j * P, -Vp @ SZ), (P, -Vp), (PZ, PZ),
+    )
 
 
 # --- Theorem-style sufficient conditions for deterministic teleportation ---
@@ -309,7 +302,7 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis, tol: float = 1e-8) 
     d = kak_decompose(u_t)
     cls = classify_nonlocal(d.theta, tol)
     gate_betas = beta_matrices(basis, None, "gate_form").mats
-    basis_valid = all(is_unitary(b, 1e-8) for b in gate_betas)
+    basis_valid = is_unitary(gate_betas, 1e-8)
 
     quarter_k = tuple(
         int(np.rint((t / (np.pi / 4) - 1) / 2)) if q else None

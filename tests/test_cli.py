@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,28 @@ def test_validation_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--gate", f"@{path}", "--basis", "bell")
     assert code == 2
     assert "not unitary" in err
+
+
+def test_library_value_error_exits_2_with_one_line(capsys, tmp_path):
+    # Unitary within --tol, so resolve_gate accepts it, but not within the
+    # analysis' own 1e-9.
+    path = tmp_path / "near.json"
+    near = la.CNOT.copy()
+    near[0, 0] += 3e-8
+    cli.write_gate_file(str(path), near)
+    code, out, err = run(capsys, "analyze", "--gate", f"@{path}", "--basis", "bell", "--tol", "1e-6")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("validation error: ")
+    assert "not unitary" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, gateport.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from gateport import bases
 from gateport import linalg as la
@@ -30,6 +29,12 @@ def test_tensor_mixed_product_property():
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
+def _expm_anti_hermitian(a):
+    # a = i*h with h Hermitian, so exp(a) = v diag(e^{i w}) v^dag from eigh(h).
+    w, v = np.linalg.eigh(-1j * a)
+    return v @ np.diag(np.exp(1j * w)) @ v.conj().T
+
+
 def test_kronecker_sum_exponential():
     # exp(A) (x) exp(B) = exp(A (x) I + I (x) B) for anti-Hermitian A, B
     rng = np.random.default_rng(1)
@@ -38,8 +43,8 @@ def test_kronecker_sum_exponential():
         a = g - g.conj().T
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = g - g.conj().T
-        lhs = la.tensor(scipy.linalg.expm(a), scipy.linalg.expm(b))
-        rhs = scipy.linalg.expm(la.tensor(a, la.I2) + la.tensor(la.I2, b))
+        lhs = la.tensor(_expm_anti_hermitian(a), _expm_anti_hermitian(b))
+        rhs = _expm_anti_hermitian(la.tensor(a, la.I2) + la.tensor(la.I2, b))
         assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
@@ -127,6 +132,14 @@ def test_principal_sqrt_branch_and_property():
         assert np.linalg.norm(r @ r - u) < 1e-10
     phases = np.angle(np.linalg.eigvals(la.principal_sqrt(la.haar_random_unitary(4, 9))))
     assert np.all(phases > -np.pi / 2 - 1e-12) and np.all(phases <= np.pi / 2 + 1e-12)
+
+
+def test_principal_sqrt_minus_one_takes_the_principal_branch():
+    # Eigenvalue -1 has phase pi, whose half is +pi/2, whatever the sign
+    # of the zero imaginary part the input happens to carry.
+    for minus_one in (-np.eye(2, dtype=complex), (1j * la.SX) @ (1j * la.SX), -la.I4):
+        root = la.principal_sqrt(minus_one)
+        assert np.allclose(root, 1j * np.eye(len(minus_one)), atol=1e-12)
 
 
 def test_principal_sqrt_rejects_non_unitary():

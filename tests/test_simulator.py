@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gateport import linalg as la
 from gateport import bases
@@ -56,6 +59,48 @@ def test_apply_gate_norm_preserved():
         q = tuple(rng.choice(4, size=2, replace=False))
         reg = sim.apply_gate(reg, la.haar_random_unitary(4, rng), q)
         assert abs(np.linalg.norm(reg.state) - 1) < 1e-12
+
+
+def _projection_loop(state, n, pairs, basis):
+    """Per-outcome reference for project_outcomes: contract one bra per
+    pair with tensordot, tracking the axes each contraction removes."""
+    rows = []
+    for outcome in itertools.product(range(4), repeat=len(pairs)):
+        t = state.reshape((2,) * n)
+        axes = list(range(n))
+        for j, (a, b) in zip(outcome, pairs):
+            bra = np.conj(basis.vectors[j]).reshape(2, 2)
+            t = np.tensordot(bra, t, axes=((0, 1), (axes.index(a), axes.index(b))))
+            axes = [q for q in axes if q not in (a, b)]
+        rows.append(t.reshape(-1))
+    return np.array(rows)
+
+
+# (register width, measured pairs) of the state circuit, the gate circuit
+# and the four-way-resource circuit.
+CIRCUIT_PAIRS = ((3, ((1, 2),)), (6, ((0, 3), (1, 5))), (6, ((0, 2), (1, 5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CIRCUIT_PAIRS), st.integers(0, 2**32 - 1), st.booleans())
+def test_project_outcomes_matches_per_outcome_loop(layout, seed, reverse_pairs):
+    n, pairs = layout
+    if reverse_pairs:
+        pairs = tuple(pair[::-1] for pair in reversed(pairs))
+    rng = np.random.default_rng(seed)
+    state = la.random_state(2**n, rng)
+    basis = _random_basis(rng)
+    got = sim.project_outcomes(state, n, pairs, basis)
+    assert got.shape == (4 ** len(pairs), 2 ** (n - 2 * len(pairs)))
+    assert np.allclose(got, _projection_loop(state, n, pairs, basis), rtol=0, atol=1e-12)
+    assert abs((np.abs(got) ** 2).sum() - 1) < 1e-12
+
+
+def test_project_outcomes_rejects_overlapping_pairs():
+    state = la.random_state(8, 0)
+    for pairs in (((0, 0),), ((0, 1), (1, 2)), ((0, 3),)):
+        with pytest.raises(ValueError):
+            sim.project_outcomes(state, 3, pairs, bases.bell_basis())
 
 
 def test_bell_measurement_of_00():
