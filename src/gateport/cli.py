@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 numerical validation
 failure (non-unitary gate, non-orthonormal basis), 3 table self-check
-mismatch.  GATEPORT_TOL overrides the default tolerance; an explicit
---tol flag wins over the environment.
+mismatch.  GATEPORT_TOL, read on every call, overrides the default
+tolerance (a malformed value exits 1); an explicit --tol flag wins.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,23 +72,16 @@ class SelfCheckError(Exception):
 
 # --- number / file formats -------------------------------------------------
 
-def _f17(x: float) -> float:
-    """Round-trip through 17 significant digits (value-preserving)."""
-    return float(f"{float(x):.17g}")
-
-
-def _complex_pair(z: complex):
-    return [_f17(z.real), _f17(z.imag)]
+def _complex_pairs(a) -> list:
+    """Nested [re, im] lists of a complex array (a scalar gives one pair)."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _pair_complex(p) -> complex:
     if not isinstance(p, (list, tuple)) or len(p) != 2:
         raise UsageError(f"expected [re, im] pair, got {p!r}")
     return complex(float(p[0]), float(p[1]))
-
-
-def _rows_to_doc(m: np.ndarray):
-    return [[_complex_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _doc_to_rows(doc, shape) -> np.ndarray:
@@ -100,13 +94,16 @@ def _doc_to_rows(doc, shape) -> np.ndarray:
     return m
 
 
-def write_gate_file(path: str, matrix: np.ndarray, name: str = "") -> None:
-    doc = {"matrix": _rows_to_doc(matrix)}
+def _write_doc(path: str, doc: dict, name: str) -> None:
     if name:
         doc["name"] = name
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def write_gate_file(path: str, matrix: np.ndarray, name: str = "") -> None:
+    _write_doc(path, {"matrix": _complex_pairs(matrix)}, name)
 
 
 def _read_doc(path: str, key: str) -> dict:
@@ -129,12 +126,7 @@ def read_gate_file(path: str) -> tuple[str, np.ndarray]:
 
 
 def write_basis_file(path: str, basis: MeasurementBasis) -> None:
-    doc = {"vectors": [[_complex_pair(z) for z in v] for v in basis.vectors]}
-    if basis.name:
-        doc["name"] = basis.name
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_doc(path, {"vectors": _complex_pairs(basis.vectors)}, basis.name)
 
 
 def read_basis_file(path: str) -> MeasurementBasis:
@@ -254,16 +246,12 @@ def _fmt_mat(m: np.ndarray, indent: str = "    ") -> str:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1:
-            return [_complex_pair(complex(z)) for z in obj]
-        return _rows_to_doc(obj)
-    if isinstance(obj, complex):
-        return _complex_pair(obj)
+    if isinstance(obj, (np.ndarray, complex)):
+        return _complex_pairs(obj)
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return _f17(float(obj))
+        return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (list, tuple)):
@@ -562,15 +550,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    env_tol = os.environ.get("GATEPORT_TOL")
-    default_tol = float(env_tol) if env_tol else 1e-9
+_TOL_FROM_ENV = "$GATEPORT_TOL"
 
+
+def _tol(text: str) -> float:
+    """--tol's type; each parse passes the default through it, reading GATEPORT_TOL then."""
+    source = "float"
+    if text == _TOL_FROM_ENV:
+        source, text = "GATEPORT_TOL", os.environ.get("GATEPORT_TOL") or "1e-9"
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {source} value: {text!r}") from None
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call (not at import) and reused."""
     p = _Parser(prog="gateport", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, fmt=True):
-        sp.add_argument("--tol", type=float, default=default_tol)
+        sp.add_argument("--tol", type=_tol, default=_TOL_FROM_ENV)
         if fmt:
             sp.add_argument("--format", choices=("human", "json"), default="human")
 
@@ -629,9 +630,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

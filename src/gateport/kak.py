@@ -148,7 +148,7 @@ def kak_decompose(u: np.ndarray, tol: float = 1e-9) -> KakDecomposition:
 
 
 def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
-    eps = 1e-12
+    eps = 1e-12  # also: angles this close to 0 are reported as +0.0, never -0.0
 
     def shift(k, n):
         # Moving theta_k by n*pi/2 costs a factor (-i sigma_k sigma_k)^n,
@@ -203,7 +203,7 @@ def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
         global_phase=float(np.angle(phase)),
         a_local=a,
         b_local=b,
-        theta=(float(theta[0]), float(theta[1]), float(theta[2])),
+        theta=tuple(0.0 if abs(t) <= eps else float(t) for t in theta),
         c_local=c,
         d_local=d,
     )

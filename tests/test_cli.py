@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gateport import linalg as la
 from gateport import bases, cli
@@ -301,3 +303,150 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, "scan", "--gate", "swap", "--family", "beta_ab", "--grid", "6")
     _, out2, _ = run(capsys, "scan", "--gate", "swap", "--family", "beta_ab", "--grid", "6")
     assert out1 == out2
+
+
+def test_bad_env_tolerance_exits_1_with_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("GATEPORT_TOL", "abc")
+    code, out, err = run(capsys, "kak", "--gate", "cnot")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "GATEPORT_TOL" in err
+    # an explicit --tol wins, so the environment is not read
+    code, _, _ = run(capsys, "kak", "--gate", "cnot", "--tol", "1e-9")
+    assert code == 0
+    monkeypatch.delenv("GATEPORT_TOL")
+    code, out, err = run(capsys, "kak", "--gate", "cnot", "--tol", "abc")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --tol: invalid float value: 'abc'\n"
+
+
+def test_parser_reuse_leaks_no_options(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("GATEPORT_TOL", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run(capsys, "analyze", "--gate", "cnot", "--basis", "m2", "--verify")
+    assert code == 0 and "min_fidelity" in out
+    code, out, _ = run(capsys, "analyze", "--gate", "cnot", "--basis", "m2")
+    assert code == 0 and "min_fidelity" not in out
+    code, out, _ = run(capsys, "analyze", "--gate", "cnot", "--basis", "m2", "--format", "json")
+    assert all("min_fidelity" not in o for o in json.loads(out)["outcomes"])
+
+    # Residual ||m^dag m - I||_F of about 4e-9: past the default 1e-9, within
+    # is_clifford's own 1e-8, so GATEPORT_TOL alone decides the verdict.
+    path = tmp_path / "near.json"
+    near = la.CNOT.copy()
+    near[0, 0] *= 1 + 2e-9
+    cli.write_gate_file(str(path), near)
+    argv = ("kak", "--gate", f"@{path}")
+    assert run(capsys, *argv)[0] == 2
+    monkeypatch.setenv("GATEPORT_TOL", "1e-3")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.delenv("GATEPORT_TOL")
+    assert run(capsys, *argv)[0] == 2
+
+
+@pytest.mark.parametrize("gate", ["cnot_sqrt", "t:0.3287,1.6594", "t:3.0598,6.2321"])
+def test_kak_prints_no_negative_zero(capsys, gate):
+    code, out, _ = run(capsys, "kak", "--gate", gate)
+    assert code == 0
+    theta_line = [l for l in out.splitlines() if l.startswith("theta: ")][0]
+    assert "-0.000000" not in theta_line
+    code, out, _ = run(capsys, "kak", "--gate", gate, "--format", "json")
+    assert all(repr(t) == "0.0" for t in json.loads(out)["theta"] if abs(t) <= 1e-12)
+
+
+def _per_entry_pairs(a):
+    """The former conversion: each entry on its own, via 17 significant digits."""
+    def pair(z):
+        return [float(f"{z.real:.17g}"), float(f"{z.imag:.17g}")]
+
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 1:
+        return [pair(z) for z in a]
+    return [[pair(z) for z in row] for row in a]
+
+
+@st.composite
+def _complex_arrays(draw, finite=False, shape=None):
+    if shape is None:
+        shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5))
+    floats = st.floats(allow_nan=not finite, allow_infinity=not finite) | st.sampled_from([0.0, -0.0])
+    # set the parts one by one: re + 1j * im would turn -0.0 and infinite
+    # parts into other values
+    a = np.empty(shape, dtype=complex)
+    a.real = draw(hnp.arrays(np.float64, shape, elements=floats))
+    a.imag = draw(hnp.arrays(np.float64, shape, elements=floats))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_arrays())
+def test_complex_pairs_match_per_entry_conversion(a):
+    # repr tells -0.0 from 0.0 and prints NaN, where == would not
+    assert repr(cli._complex_pairs(a)) == repr(_per_entry_pairs(a))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_complex_arrays(finite=True, shape=(4, 4)))
+def test_gate_and_basis_files_round_trip_bit_for_bit(tmp_path, m):
+    path = str(tmp_path / "doc.json")
+    cli.write_gate_file(path, m)
+    assert cli.read_gate_file(path)[1].tobytes() == m.tobytes()
+    cli.write_basis_file(path, bases.MeasurementBasis(tuple(m), "rows"))
+    back = cli.read_basis_file(path)
+    assert back.name == "rows"
+    assert np.stack(back.vectors).tobytes() == m.tobytes()
+
+
+def _key_paths(doc, prefix=""):
+    """Dotted key paths of a JSON document; "key[]." prefixes the keys that
+    every object of a list of objects holds."""
+    paths = set()
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            paths.add(prefix + key)
+            paths |= _key_paths(value, prefix + key + ".")
+    elif isinstance(doc, list) and doc and all(isinstance(x, dict) for x in doc):
+        per_item = [_key_paths(x, prefix[:-1] + "[].") for x in doc]
+        assert all(p == per_item[0] for p in per_item)
+        paths |= per_item[0]
+    return paths
+
+
+_ANALYZE_KEYS = {
+    "gate", "basis", "n_separable", "success_probability", "deterministic", "outcomes",
+    "outcomes[].j", "outcomes[].k", "outcomes[].separable", "outcomes[].correction_a",
+    "outcomes[].correction_b", "outcomes[].w_matrix", "theorem1", "theorem1.condition1_met",
+    "theorem1.condition2_met", "theorem1.conclusion", "theorem1.branch",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ("kak", "--gate", "cnot"),
+            {"gate", "theta", "global_phase", "a_local", "b_local", "c_local", "d_local", "delta",
+             "odd_quarter_pi", "is_swap_point", "is_clifford"},
+        ),
+        (("analyze", "--gate", "cnot", "--basis", "m2"), _ANALYZE_KEYS),
+        (("analyze", "--gate", "cnot", "--basis", "m2", "--verify"), _ANALYZE_KEYS | {"outcomes[].min_fidelity"}),
+        (
+            ("state-teleport", "--basis", "bell"),
+            {"basis", "front", "probabilities", "teleportable", "corrections", "deterministic", "entanglement"},
+        ),
+        (
+            ("fourway", "--gate", "c_pi8"),
+            {"gate", "basis", "clifford_case", "branch_xx_separable", "branch_zz_separable", "probabilities",
+             "fidelities_raw", "fidelities_corrected", "max_corrected_fidelity"},
+        ),
+        (
+            ("validate-basis", "--basis", "bell"),
+            {"basis", "orthonormal", "all_beta_unitary", "per_vector_entanglement", "capability_zero"},
+        ),
+    ],
+    ids=["kak", "analyze", "analyze-verify", "state-teleport", "fourway", "validate-basis"],
+)
+def test_json_key_sets(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert _key_paths(json.loads(out)) == keys
