@@ -1,9 +1,10 @@
 """Command-line surface: gate/basis specs, file formats, reports, scans.
 
-Exit codes: 0 success, 1 usage or parse error, 2 numerical validation
-failure (non-unitary gate, non-orthonormal basis), 3 table self-check
-mismatch.  GATEPORT_TOL, read on every call, overrides the default
-tolerance (a malformed value exits 1); an explicit --tol flag wins.
+Exit codes: 0 success, 1 usage or parse error or closed output, 2
+numerical validation failure (non-unitary gate, non-orthonormal basis),
+3 table self-check or oracle mismatch.  GATEPORT_TOL, read on every
+call, overrides the default tolerance (a malformed value exits 1); an
+explicit --tol flag wins.
 """
 from __future__ import annotations
 
@@ -245,27 +246,35 @@ def _fmt_mat(m: np.ndarray, indent: str = "    ") -> str:
     return "\n".join(indent + "  ".join(_fmt_c(z) for z in row) for row in np.asarray(m))
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """json.dumps hook for the report values JSON has no type for."""
     if isinstance(obj, (np.ndarray, complex)):
         return _complex_pairs(obj)
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(_jsonable(doc), sort_keys=True, indent=1))
+    # No indent: with one, json falls back to its pure-Python encoder.
+    print(json.dumps(doc, sort_keys=True, default=_json_default))
 
 
 # --- subcommands ------------------------------------------------------------
+
+_FIDELITY_ONE = 1 - 1e-9
+
+
+def _oracle_fidelities(g, basis, report, inputs: int, rng) -> np.ndarray:
+    """(inputs, 16) oracle fidelities of `report`'s corrections on Haar
+    inputs drawn one after another from `rng`, run as one stack."""
+    psis = np.stack([random_state(4, rng) for _ in range(inputs)])
+    return run_gate_teleport(psis, g, basis, report.correction_inverses()).fidelities
+
 
 def cmd_kak(args) -> int:
     g = resolve_gate(args.gate, args.tol)
@@ -308,12 +317,7 @@ def cmd_analyze(args) -> int:
     fidelities = None
     if args.verify:
         rng = np.random.default_rng(args.seed)
-        mins = np.ones(16)
-        for _ in range(args.inputs):
-            psi = random_state(4, rng)
-            r = run_gate_teleport(psi, g, basis, report.correction_inverses())
-            mins = np.minimum(mins, r.fidelities)
-        fidelities = mins
+        fidelities = _oracle_fidelities(g, basis, report, args.inputs, rng).min(axis=0)
     if args.format == "json":
         doc = {
             "gate": args.gate,
@@ -365,9 +369,27 @@ def cmd_analyze(args) -> int:
 
 
 _TABLE1_GATES = ("cnot", "c_pi8", "cnot_sqrt", "swap_sqrt", "exp_yy")
+_TABLE1_BASES = ("bell", "m1", "m2")
 _TABLE1_EXPECTED = np.array(
     [[1, 0, 0.5], [0.5, 0, 0.5], [0.5, 0, 0.25], [0.25, 0.25, 0.25], [1, 1, 0.25]]
 )
+
+
+def _table1_oracle_disagreements(inputs: int, seed: int, tol: float) -> int:
+    """Outcome checks, over every Table-1 cell and `inputs` oracle inputs,
+    whose fidelity-one verdict differs from the analysis' separability."""
+    rng = np.random.default_rng(seed)
+    bad = 0
+    for gate in _TABLE1_GATES:
+        g = resolve_gate(gate, tol)
+        for name in _TABLE1_BASES:
+            basis = resolve_basis(name, tol)
+            report = analyze_gate_teleport(g, basis)
+            reached = _oracle_fidelities(g, basis, report, inputs, rng) >= _FIDELITY_ONE
+            bad += int((reached != np.array(report.separable)).sum())
+    return bad
+
+
 def cmd_tables(args) -> int:
     table1 = reproduce_table1()
     ok = np.allclose(table1, _TABLE1_EXPECTED, atol=1e-9)
@@ -403,8 +425,16 @@ def cmd_tables(args) -> int:
             + ("" if match else "  MISMATCH")
         )
     print(f"table-2 self-check: {'ok' if ok2 else 'MISMATCH'}")
+    bad = 0
+    if args.verify:
+        bad = _table1_oracle_disagreements(args.verify, args.seed, args.tol)
+        print()
+        print(f"statevector oracle: {args.verify} inputs per table-1 cell, seed {args.seed}")
+        print(f"oracle self-check: {'ok' if bad == 0 else f'MISMATCH ({bad} outcome checks disagree)'}")
     if not (ok and ok2):
         raise SelfCheckError("table reproduction mismatch")
+    if bad:
+        raise SelfCheckError(f"{bad} oracle fidelities disagree with the table-1 verdicts")
     return 0
 
 
@@ -545,6 +575,19 @@ def cmd_validate_basis(args) -> int:
 
 # --- driver -----------------------------------------------------------------
 
+def _silence_stdout() -> None:
+    """Point a closed stdout at devnull, so the flush at interpreter exit
+    raises no second BrokenPipeError (the Python docs' SIGPIPE recipe).
+    A stream without a file descriptor, such as StringIO, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # StringIO raises io.UnsupportedOperation, an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -562,6 +605,17 @@ def _tol(text: str) -> float:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {source} value: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """Type of the count options (--inputs, --trials, tables --verify)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 @functools.cache
@@ -584,12 +638,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gate", required=True)
     sp.add_argument("--basis", required=True)
     sp.add_argument("--verify", action="store_true", help="run the statevector oracle")
-    sp.add_argument("--inputs", type=int, default=5, help="oracle inputs per outcome")
+    sp.add_argument("--inputs", type=_count, default=5, help="oracle inputs per outcome")
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("tables", help="reproduce the reference tables (self-checking)")
+    sp.add_argument("--verify", type=_count, metavar="N", help="check table 1 with N oracle inputs per cell")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp, fmt=False)
     sp.set_defaults(func=cmd_tables)
 
@@ -609,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="Monte Carlo gate teleportation")
     sp.add_argument("--gate", required=True)
     sp.add_argument("--basis", required=True)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_count, default=100)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, fmt=False)
     sp.set_defaults(func=cmd_simulate)
@@ -632,7 +688,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return 1
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1,7 +1,9 @@
 """Brute-force statevector oracle for the teleportation circuits.
 
 Registers are immutable snapshots of dense statevectors (at most 8
-qubits).  Qubit 0 is the most significant amplitude-index bit.
+qubits).  Qubit 0 is the most significant amplitude-index bit.  A
+register may hold a stack of statevectors along leading axes of its
+state; gates and projections act on each of them.
 
 Circuit layouts checked against the analytical module:
 
@@ -50,30 +52,40 @@ class StateSimResult:
 
 @dataclass(frozen=True, eq=False)
 class GateSimResult:
-    """Row-major (j, k) outcome order, matching GateTeleportReport."""
+    """Row-major (j, k) outcome order, matching GateTeleportReport.
 
-    fidelities: tuple[float, ...]
-    probabilities: tuple[float, ...]
+    16-tuples for one input; (k, 16) arrays for a stack of k inputs.
+    """
+
+    fidelities: tuple[float, ...] | np.ndarray
+    probabilities: tuple[float, ...] | np.ndarray
 
 
 def register_from(parts, n: int) -> Register:
     """Assemble a register from (amplitudes, qubit positions) fragments
-    covering all n qubits exactly once."""
+    covering all n qubits exactly once.
+
+    Leading axes of a fragment's amplitudes index a stack of inputs; they
+    broadcast against the other fragments' and lead the register's state.
+    """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"register width must be 1..{MAX_QUBITS}")
     covered = [q for _, qs in parts for q in qs]
     if sorted(covered) != list(range(n)):
         raise ValueError("fragments must cover every qubit exactly once")
-    tensor_state = np.array(1.0, dtype=complex)
+    lead = np.broadcast_shapes(*(np.shape(amps)[:-1] for amps, _ in parts))
+    tensor_state = np.ones(lead, dtype=complex)
     order = []
     for amps, qubits in parts:
         amps = np.asarray(amps, dtype=complex)
         k = len(qubits)
-        tensor_state = np.tensordot(tensor_state, amps.reshape((2,) * k), axes=0)
+        # Qubit axes so far get size 1, so the stack axes line up with `lead`.
+        amps = amps.reshape(amps.shape[:-1] + (1,) * len(order) + (2,) * k)
+        tensor_state = tensor_state.reshape(tensor_state.shape + (1,) * k) * amps
         order.extend(qubits)
-    perm = np.argsort(order)
-    state = tensor_state.transpose(perm).reshape(-1)
-    if abs(np.linalg.norm(state) - 1.0) > 1e-9:
+    perm = tuple(range(len(lead))) + tuple(len(lead) + np.argsort(order))
+    state = tensor_state.transpose(perm).reshape(lead + (2**n,))
+    if np.any(np.abs(np.linalg.norm(state, axis=-1) - 1.0) > 1e-9):
         raise ValueError("assembled register is not normalized")
     return Register(state, n)
 
@@ -89,11 +101,13 @@ def apply_gate(reg: Register, gate: np.ndarray, targets) -> Register:
     gate = require_unitary(gate, 1e-9, "gate")
     if gate.shape != (2**k, 2**k):
         raise ValueError("gate dimension does not match target count")
-    t = reg.state.reshape((2,) * reg.n)
+    lead = reg.state.shape[:-1]
+    axes = tuple(len(lead) + q for q in targets)
+    t = reg.state.reshape(lead + (2,) * reg.n)
     gt = gate.reshape((2,) * (2 * k))
-    t = np.tensordot(gt, t, axes=(tuple(range(k, 2 * k)), targets))
-    t = np.moveaxis(t, tuple(range(k)), targets)
-    return Register(t.reshape(-1), reg.n)
+    t = np.tensordot(gt, t, axes=(tuple(range(k, 2 * k)), axes))
+    t = np.moveaxis(t, tuple(range(k)), axes)
+    return Register(t.reshape(reg.state.shape), reg.n)
 
 
 def project_outcomes(state: np.ndarray, n: int, pairs, basis: MeasurementBasis) -> np.ndarray:
@@ -104,37 +118,42 @@ def project_outcomes(state: np.ndarray, n: int, pairs, basis: MeasurementBasis) 
     unmeasured qubits (in increasing order) after outcomes (j1, j2, ...),
     o = 4*j1 + j2 for two pairs (PAIR_ORDER); its squared norm is the
     outcome probability.  Each pair lists its qubits in the order of the
-    basis vectors' tensor factors.
+    basis vectors' tensor factors.  Leading axes of `state` (a stack of
+    inputs) lead the result.
     """
     measured = [q for pair in pairs for q in pair]
     if len(set(measured)) != len(measured) or any(not 0 <= q < n for q in measured):
         raise ValueError("measured qubits must be distinct and in range")
     bras = basis.matrix().conj().T.reshape(4, 2, 2)  # bras[j, a, b] = <b_j|ab>
-    operands = [np.asarray(state).reshape((2,) * n), list(range(n))]
+    state = np.asarray(state)
+    lead = state.shape[:-1]
+    operands = [state.reshape(lead + (2,) * n), [..., *range(n)]]
     for i, (a, b) in enumerate(pairs):
         operands += [bras, [n + i, a, b]]
     rest = [q for q in range(n) if q not in measured]
-    out = np.einsum(*operands, [n + i for i in range(len(pairs))] + rest)
-    return out.reshape(4 ** len(pairs), -1)
+    out = np.einsum(*operands, [..., *(n + i for i in range(len(pairs))), *rest])
+    return out.reshape(lead + (4 ** len(pairs), 2 ** len(rest)))
 
 
 def _probabilities(rests: np.ndarray) -> np.ndarray:
-    return (rests.real**2 + rests.imag**2).sum(axis=1)
+    return (rests.real**2 + rests.imag**2).sum(axis=-1)
 
 
 def outcome_fidelities(rests: np.ndarray, ops: np.ndarray, target: np.ndarray):
     """Probabilities of the residuals `rests` (one row per outcome), the
     normalized residuals after `ops` and their fidelities with `target`.
 
-    `ops` is one operator, a stack with one per outcome, or several such
-    stacks along leading axes, which the outputs and fidelities keep.
-    Outcomes of probability at most 1e-12 get zero rows and fidelity 0.
+    `rests` may carry leading input axes, as `project_outcomes` gives them
+    for a stack of inputs; `target` then has the same leading axes.  `ops`
+    is one operator, a stack with one per outcome, or several such stacks
+    along leading axes, which the outputs and fidelities keep.  Outcomes of
+    probability at most 1e-12 get zero rows and fidelity 0.
     """
     probs = _probabilities(rests)
     live = probs > 1e-12
     norms = np.sqrt(np.where(live, probs, 1.0))
-    outs = np.where(live[:, None], (ops @ rests[:, :, None])[..., 0] / norms[:, None], 0.0)
-    return probs, outs, np.abs(outs @ np.conj(target)) ** 2
+    outs = np.where(live[..., None], (ops @ rests[..., None])[..., 0] / norms[..., None], 0.0)
+    return probs, outs, np.abs((outs @ np.conj(target)[..., None])[..., 0]) ** 2
 
 
 def pair_probabilities(reg: Register, targets, basis: MeasurementBasis) -> np.ndarray:
@@ -209,11 +228,15 @@ def run_gate_teleport(
     """Force all 16 outcomes of the two-pair circuit and score fidelity
     of the corrected carrier state against u_t|input>.
 
-    Correction pairs are applied verbatim (first factor on the first
-    carrier); pass a report's correction_inverses() to undo outcomes.
+    `input_ab` is one input (4,) or a stack (k, 4), run together; a stack
+    gives (k, 16) result arrays.  Correction pairs are applied verbatim
+    (first factor on the first carrier); pass a report's
+    correction_inverses() to undo outcomes.
     """
     ab = np.asarray(input_ab, dtype=complex)
-    if abs(np.linalg.norm(ab) - 1) > 1e-9:
+    if ab.ndim not in (1, 2) or ab.shape[-1] != 4:
+        raise ValueError("input must be a 4-vector or a (k, 4) stack of them")
+    if np.any(np.abs(np.linalg.norm(ab, axis=-1) - 1) > 1e-9):
         raise ValueError("input state must be normalized")
     u_t = require_unitary(u_t, 1e-9, "teleported gate")
     require_orthonormal(basis)
@@ -226,8 +249,10 @@ def run_gate_teleport(
     ops = u_t
     if corrections is not None:
         ops = np.stack([I4 if c is None else tensor(*c) for c in corrections]) @ u_t
-    probs, _, fids = outcome_fidelities(rests, ops, u_t @ ab)
-    return GateSimResult(tuple(fids.tolist()), tuple(probs.tolist()))
+    probs, _, fids = outcome_fidelities(rests, ops, (u_t @ ab[..., None])[..., 0])
+    if ab.ndim == 1:
+        return GateSimResult(tuple(fids.tolist()), tuple(probs.tolist()))
+    return GateSimResult(fids, probs)
 
 
 def outcome_distribution(

@@ -208,12 +208,65 @@ def test_library_value_error_exits_2_with_one_line(capsys, tmp_path):
     assert "not unitary" in err
 
 
-def test_cli_import_leaves_scipy_out():
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_scipy_out():
     probe = "import sys, gateport.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--gate", "cnot", "--basis", "m2", "--format", "json"),
+        ("scan", "--gate", "cnot", "--family", "beta_ab", "--grid", "8"),
+    ],
+    ids=["analyze-json", "scan"],
+)
+def test_closed_stdout_exits_1_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "gateport.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=_src_env(), text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
+
+
+def test_broken_pipe_leaves_a_stream_without_fileno_alone(capsys, monkeypatch):
+    def closed(*args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "kak_decompose", closed)
+    # capsys's stream has no file descriptor, like the StringIO of in-process callers
+    assert run(capsys, "kak", "--gate", "cnot") == (1, "", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--gate", "kak:0.3,0.2,0.1", "--basis", "m1", "--verify", "--inputs", "0"),
+        ("analyze", "--gate", "kak:0.3,0.2,0.1", "--basis", "m1", "--verify", "--inputs", "-3", "--format", "json"),
+        ("simulate", "--gate", "cnot", "--basis", "bell", "--trials", "0"),
+        ("simulate", "--gate", "cnot", "--basis", "bell", "--trials", "-2"),
+        ("tables", "--verify", "0"),
+    ],
+    ids=["inputs-0", "inputs-negative-json", "trials-0", "trials-negative", "tables-verify-0"],
+)
+def test_counts_below_one_exit_1_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "must be at least 1" in err
 
 
 @pytest.mark.parametrize(
@@ -285,6 +338,35 @@ def test_tables_self_check_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_TABLE1_EXPECTED", np.zeros((5, 3)))
     code, _, err = run(capsys, "tables")
     assert code == 3
+
+
+def test_tables_verify_runs_the_oracle_after_the_unchanged_tables(capsys, monkeypatch):
+    from gateport import teleport as tp
+
+    calls = []
+    original = tp.analyze_gate_teleport
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tp, "analyze_gate_teleport", counted)
+    monkeypatch.setattr(cli, "analyze_gate_teleport", counted)
+    code, plain, _ = run(capsys, "tables")
+    assert code == 0 and len(calls) == 16
+    assert plain.endswith("table-2 self-check: ok\n")
+    code, verified, _ = run(capsys, "tables", "--verify", "3", "--seed", "4")
+    assert code == 0
+    assert verified == plain + "\nstatevector oracle: 3 inputs per table-1 cell, seed 4\noracle self-check: ok\n"
+
+
+def test_tables_verify_exits_3_on_oracle_disagreement(capsys, monkeypatch):
+    # No fidelity reaches the threshold, so every separable outcome disagrees.
+    monkeypatch.setattr(cli, "_FIDELITY_ONE", 2.0)
+    code, out, err = run(capsys, "tables", "--verify", "2")
+    assert code == 3
+    assert "oracle self-check: MISMATCH" in out
+    assert len(err.splitlines()) == 1 and err.startswith("self-check failed: ")
 
 
 def test_env_var_tolerance(monkeypatch):
@@ -450,3 +532,73 @@ def test_json_key_sets(capsys, argv, keys):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert _key_paths(json.loads(out)) == keys
+
+
+def _old_jsonable(obj):
+    """The former report conversion, applied before json.dumps(indent=1)."""
+    if isinstance(obj, (np.ndarray, complex)):
+        return cli._complex_pairs(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_old_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _old_jsonable(v) for k, v in obj.items()}
+    return obj
+
+
+def _assert_one_line_like_old_path(out, doc):
+    assert out.endswith("\n") and out.count("\n") == 1
+    old = json.dumps(_old_jsonable(doc), sort_keys=True, indent=1)
+    # repr tells -0.0 from 0.0 and prints NaN, where == would not
+    assert repr(json.loads(out)) == repr(json.loads(old))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kak", "--gate", "cnot_sqrt"),
+        ("analyze", "--gate", "cnot", "--basis", "m2"),
+        ("analyze", "--gate", "kak:0.3,0.2,0.1", "--basis", "m1", "--verify", "--inputs", "3"),
+        ("state-teleport", "--basis", "bell"),
+        ("state-teleport", "--basis", "m2", "--front", "cnot"),
+        ("fourway", "--gate", "c_pi8"),
+        ("validate-basis", "--basis", "beta_nl:0.3,0.1,0"),
+    ],
+    ids=["kak", "analyze", "analyze-verify", "state-teleport", "state-teleport-front", "fourway", "validate-basis"],
+)
+def test_json_reports_are_one_line_equal_to_the_indented_documents(capsys, monkeypatch, argv):
+    docs = []
+    emit = cli._emit_json
+
+    def recording(doc):
+        docs.append(doc)
+        emit(doc)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(docs) == 1
+    _assert_one_line_like_old_path(out, docs[0])
+
+
+def test_emit_json_maps_numpy_and_complex_scalars(capsys):
+    doc = {
+        "flags": [np.bool_(True), np.bool_(False), True],
+        "counts": (np.int64(7), np.int32(-2), 3),
+        "reals": [np.float64(-0.0), np.float32(0.5), float("nan"), np.float64("inf"), -0.0],
+        "complex": [1 - 2j, np.complex128(-0.0 + 1j), complex(float("nan"), 0.0)],
+        "matrix": np.array([[1, 1j], [-1j, -0.0]]),
+        "nested": {"none": None, "text": "x", "tuple": (np.float64(0.25), (np.bool_(True),))},
+    }
+    cli._emit_json(doc)
+    out = capsys.readouterr().out
+    _assert_one_line_like_old_path(out, doc)
+    loaded = json.loads(out)
+    assert loaded["flags"] == [True, False, True] and loaded["counts"] == [7, -2, 3]
+    assert loaded["complex"][0] == [1.0, -2.0]
+    with pytest.raises(TypeError):
+        cli._emit_json({"set": {1, 2}})

@@ -259,3 +259,48 @@ def test_sampling_record():
     assert len(rec.outcome_indices) == 200
     assert all(0 <= p <= 1 for p in rec.probabilities)
     assert all(min(v) > 1 - 1e-9 for v in per.values())
+
+
+_NAMED_GATES = (la.CNOT, la.SWAP, la.CZ, la.Q_GATE, la.R_GATE, tp.C_PI8, tp.EXP_YY, tp.t_gate(np.pi / 8, np.pi / 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.sampled_from(("haar", "named")),
+    st.sampled_from(("bell", "m2", "random")),
+    st.sampled_from((None, "report", "random")),
+    st.booleans(),
+)
+def test_stacked_gate_teleport_equals_single_runs(seed, k, gate_kind, basis_kind, corrections_kind, with_front):
+    rng = np.random.default_rng(seed)
+    gate = la.haar_random_unitary(4, rng) if gate_kind == "haar" else _NAMED_GATES[rng.integers(len(_NAMED_GATES))]
+    if basis_kind == "random":
+        basis = _random_basis(rng)
+    else:
+        basis = bases.bell_basis() if basis_kind == "bell" else bases.m2_basis()
+    corrections = None
+    if corrections_kind == "report":
+        corrections = tp.analyze_gate_teleport(gate, basis).correction_inverses()
+    elif corrections_kind == "random":
+        corrections = tuple(
+            None if rng.random() < 0.25 else (la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
+            for _ in range(16)
+        )
+    front = la.haar_random_unitary(4, rng) if with_front else None
+    inputs = np.stack([la.random_state(4, rng) for _ in range(k)])
+
+    stacked = sim.run_gate_teleport(inputs, gate, basis, corrections, front)
+    singles = [sim.run_gate_teleport(psi, gate, basis, corrections, front) for psi in inputs]
+    assert stacked.fidelities.shape == stacked.probabilities.shape == (k, 16)
+    assert all(isinstance(r.fidelities, tuple) and len(r.fidelities) == 16 for r in singles)
+    assert np.allclose(stacked.fidelities, [r.fidelities for r in singles], rtol=0, atol=1e-12)
+    assert np.allclose(stacked.probabilities, [r.probabilities for r in singles], rtol=0, atol=1e-12)
+
+
+def test_gate_teleport_rejects_bad_input_shapes_and_norms():
+    psi = la.random_state(4, 15)
+    for bad in (psi[:3], np.stack([[psi]]), np.stack([psi, 2 * psi])):
+        with pytest.raises(ValueError):
+            sim.run_gate_teleport(bad, la.CNOT, bases.bell_basis())
