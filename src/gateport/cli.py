@@ -420,8 +420,9 @@ def cmd_tables(args) -> int:
         c = num[idxmax] / ref[idxmax]
         match = np.linalg.norm(num - c * ref) <= 1e-8 and abs(abs(c) - 1) <= 1e-8
         ok2 = ok2 and match
+        phase = np.angle(c)  # a rounding-size phase prints as +0.0, never -0.0, as kak's angles do
         print(
-            f" {j + 1} {k + 1}  {labels[0]:<11} {labels[1]:<12} {np.angle(c):+.6f}"
+            f" {j + 1} {k + 1}  {labels[0]:<11} {labels[1]:<12} {0.0 if abs(phase) <= 1e-12 else phase:+.6f}"
             + ("" if match else "  MISMATCH")
         )
     print(f"table-2 self-check: {'ok' if ok2 else 'MISMATCH'}")

@@ -12,6 +12,11 @@ basis matrices are Pauli, both branch operators U sigma b_jk U^dag are
 Pauli pairs and the (normalized) output collapses to a two-term
 superposition of Pauli-rotated inputs.
 
+The analysis screens all 32 branch operators with one batched
+operator-Schmidt decomposition, whose leading term is the local pair
+a (x) b of each separable branch; its inverse is the correction that
+undoes that branch.  No factors are extracted one branch at a time.
+
 Circuit layout (fixed by the structural identity above, verified in the
 test suite): input pair on qubits (0,1); resource qubits 0..3 on
 register positions 2..5; measurements pair input 0 with resource qubit
@@ -39,7 +44,7 @@ from .linalg import (
 )
 from .kak import is_clifford
 from .bases import MeasurementBasis, beta_matrices, require_orthonormal
-from .separability import SEPARABLE_TOL, factorize_all
+from .separability import SEPARABLE_TOL, leading_products
 from .simulator import outcome_fidelities, project_outcomes, register_from
 
 _SXX = tensor(SX, SX)
@@ -65,9 +70,11 @@ def u1_gate() -> np.ndarray:
 class FourwayReport:
     """Per-outcome results in row-major (j,k) order.
 
-    fidelities_corrected picks the best of the raw output and the two
-    branch-derived local corrections; output states are None for
-    zero-probability outcomes.
+    A branch is separable when its second operator-Schmidt coefficient is
+    at most the separability tolerance (never for an invalid basis).
+    fidelities_corrected picks the best of the raw output and the outputs
+    with either separable branch undone by the inverse of its local pair;
+    output states are None for zero-probability outcomes.
     """
 
     branch_xx_separable: tuple[bool, ...]
@@ -130,19 +137,25 @@ def analyze_fourway(
     # Rows 0..15 are the XX-branch operators of the 16 outcomes, rows
     # 16..31 the ZZ-branch ones.
     branches = u @ np.concatenate((_SXX @ beta_jk, _SZZ @ beta_jk)) @ dag(u)
-    factorizations = factorize_all(branches, tol) if valid else ()
-    separable = tuple(f.separable for f in factorizations) or (False,) * 32
-    labels = _pauli_pair_labels(branches)
-
     # Each output is scored as it is and after undoing either branch,
-    # where that branch is separable (identity where it is not).
-    undo = [dag(tensor(f.factor_a, f.factor_b)) if f.separable else I4 for f in factorizations]
-    ops = np.stack([I4] * 16 + (undo or [I4] * 32)).reshape(3, 16, 4, 4) @ u_t
+    # where that branch is separable (identity where it is not), with the
+    # inverse of its leading Schmidt term a (x) b: the local pair that
+    # tensor_factorize would extract, up to a phase no fidelity sees.
+    separable = np.zeros(32, dtype=bool)
+    undo = np.broadcast_to(I4, (32, 4, 4))
+    if valid:
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        schmidt, products = leading_products(require_unitary(branches, 1e-9, "factorization input"))
+        separable = schmidt[:, 1] <= tol
+        undo = np.where(separable[:, None, None], dag(products), I4)
+    labels = _pauli_pair_labels(branches)
+    ops = np.concatenate((np.broadcast_to(I4, (16, 4, 4)), undo)).reshape(3, 16, 4, 4) @ u_t
     probs, outs, fids = outcome_fidelities(_conditional_states(psi_ab, basis), ops, u_t @ psi_ab)
 
     return FourwayReport(
-        branch_xx_separable=separable[:16],
-        branch_zz_separable=separable[16:],
+        branch_xx_separable=tuple(separable[:16].tolist()),
+        branch_zz_separable=tuple(separable[16:].tolist()),
         branch_xx_pauli=labels[:16],
         branch_zz_pauli=labels[16:],
         clifford_case=bool(is_clifford(u) and pauli_basis),

@@ -229,46 +229,43 @@ def classify_nonlocal(theta, tol: float = 1e-8) -> NonlocalClass:
 def euler_zyz(u: np.ndarray, tol: float = 1e-9) -> LocalEulerAngles:
     """ZYZ angles of a single-qubit unitary, lambda2 in [0, pi].
 
-    At the gauge-degenerate points lambda2 = 0 or pi only the combination
-    lambda1 +/- lambda3 is defined; lambda3 = 0 is reported there.
+    u may also be a (..., 2, 2) stack, checked for unitarity once; the
+    fields are then arrays over the leading axes, where one matrix gives
+    floats.  At the gauge-degenerate points lambda2 = 0 or pi only the
+    combination lambda1 +/- lambda3 is defined; lambda3 = 0 is reported
+    there.
     """
     u = require_unitary(u, tol, "single-qubit gate")
-    lam2 = 2.0 * np.arctan2(abs(u[1, 0]), abs(u[0, 0]))
-    if abs(u[1, 0]) <= 1e-12:
-        lam1 = np.angle(u[1, 1] * np.conj(u[0, 0]))
-        lam3 = 0.0
-        phase = np.angle(u[0, 0] * np.exp(0.5j * lam1))
-        lam2 = 0.0
-    elif abs(u[0, 0]) <= 1e-12:
-        lam1 = np.angle(u[1, 0] * np.conj(-u[0, 1]))
-        lam3 = 0.0
-        phase = np.angle(u[1, 0] * np.exp(-0.5j * lam1))
-        lam2 = np.pi
-    else:
-        plus = np.angle(u[1, 1] * np.conj(u[0, 0]))
-        minus = np.angle(u[1, 0] * np.conj(-u[0, 1]))
-        lam1 = (plus + minus) / 2.0
-        lam3 = (plus - minus) / 2.0
-        phase = np.angle(u[0, 0] * np.exp(0.5j * (lam1 + lam3)))
-        # The principal branches of plus/minus may wrap with odd parity,
-        # which flips the sign of both off-diagonal entries; shifting all
-        # three angles by pi restores them without touching the diagonal.
-        pred10 = np.exp(1j * (phase + 0.5 * minus)) * np.sin(lam2 / 2)
-        if (u[1, 0] * np.conj(pred10)).real < 0:
-            lam1 += np.pi
-            lam3 += np.pi
-            phase += np.pi
-        # Rz(x - 2pi) = -Rz(x), so every 2pi wrap costs pi of global phase.
-        for wrapped, raw in ((_wrap(lam1), lam1), (_wrap(lam3), lam3)):
-            if abs(wrapped - raw) > 1e-9:
-                phase += np.pi
-        lam1, lam3, phase = _wrap(lam1), _wrap(lam3), _wrap(phase)
-    return LocalEulerAngles(float(lam1), float(lam2), float(lam3), float(phase))
+    u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    diagonal = np.abs(u10) <= 1e-12
+    antidiagonal = ~diagonal & (np.abs(u00) <= 1e-12)
+    generic = ~(diagonal | antidiagonal)
+    plus = np.angle(u11 * np.conj(u00))
+    minus = np.angle(u10 * np.conj(-u01))
+
+    lam2 = np.where(diagonal, 0.0, np.where(antidiagonal, np.pi, 2.0 * np.arctan2(np.abs(u10), np.abs(u00))))
+    lam1 = np.where(generic, (plus + minus) / 2.0, np.where(diagonal, plus, minus))
+    lam3 = np.where(generic, (plus - minus) / 2.0, 0.0)
+    phase = np.where(
+        antidiagonal, np.angle(u10 * np.exp(-0.5j * lam1)), np.angle(u00 * np.exp(0.5j * (lam1 + lam3)))
+    )
+    # The principal branches of plus/minus may wrap with odd parity,
+    # which flips the sign of both off-diagonal entries; shifting all
+    # three angles by pi restores them without touching the diagonal.
+    pred10 = np.exp(1j * (phase + 0.5 * minus)) * np.sin(lam2 / 2)
+    flip = np.pi * (generic & ((u10 * np.conj(pred10)).real < 0))
+    lam1, lam3, phase = lam1 + flip, lam3 + flip, phase + flip
+    # Rz(x - 2pi) = -Rz(x), so every 2pi wrap costs pi of global phase.
+    # (Angles of the gauge-degenerate rows are principal already.)
+    jumps = sum(np.abs(_wrap(x) - x) > 1e-9 for x in (lam1, lam3))
+    lam1, lam3, phase = _wrap(lam1), _wrap(lam3), _wrap(phase + np.pi * jumps)
+    fields = (lam1, lam2, lam3, phase)
+    return LocalEulerAngles(*(map(float, fields) if u.ndim == 2 else fields))
 
 
-def _wrap(angle: float) -> float:
+def _wrap(angle):
     """Wrap to (-pi, pi]."""
-    return float(np.angle(np.exp(1j * angle)))
+    return np.angle(np.exp(1j * angle))
 
 
 def euler_reconstruct(e: LocalEulerAngles) -> np.ndarray:

@@ -35,7 +35,8 @@ R_GATE = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]], dtyp
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -48,6 +48,15 @@ def operator_schmidt(w: np.ndarray) -> np.ndarray:
     return s / np.where(total > 0, total, 1.0)
 
 
+def leading_products(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt coefficients (scaled as tensor_factorize scales them) and
+    leading Schmidt term of each unitary of a (..., 4, 4) stack.  For a
+    unitary that passes the separability screen that term is the product
+    of its tensor_factorize factors, up to their phase."""
+    u, s, vh = np.linalg.svd(_realign(ws))
+    return s / 2.0, 2.0 * _realign(u[..., :1] @ vh[..., :1, :])
+
+
 def tensor_factorize(w: np.ndarray, tol: float = SEPARABLE_TOL) -> TensorFactorization:
     """Decide whether a unitary w is a tensor product and extract factors.
 

@@ -254,35 +254,14 @@ def table2_factors(phi: float, xi: float):
 # --- Theorem-style sufficient conditions for deterministic teleportation ---
 
 # Axis-moving conjugators for a single quarter-pi angle: h sigma_x h^dag
-# is the axis named by the key.  Each mode names the Euler-angle lattice
-# the conjugated basis factors must satisfy on that representative.
+# is the axis named by the key.  Each mask names the ZYZ angles (lambda1,
+# lambda2, lambda3) the conjugated basis factors must put on the
+# integer-pi lattice on that representative.
 _AXIS_REPS = (
-    ("x", I2, "all"),  # exp(i(2k+1)pi/4 XX): factors must be Pauli-like
-    ("z", H, "middle"),  # exp(.. ZZ): factors diagonal or antidiagonal
-    ("y", S, "outer"),  # exp(.. YY): factors real up to phase
+    ("x", I2, (True, True, True)),  # exp(i(2k+1)pi/4 XX): factors must be Pauli-like
+    ("z", H, (False, True, False)),  # exp(.. ZZ): factors diagonal or antidiagonal
+    ("y", S, (True, False, True)),  # exp(.. YY): factors real up to phase
 )
-
-
-def _lattice_witness(m: np.ndarray, mode: str, tol: float):
-    """Integer multiples of pi for the constrained ZYZ angles of m, or
-    None if a constrained angle is off-lattice."""
-    e = euler_zyz(m)
-
-    def near(x):
-        r = x % np.pi
-        return (r <= tol or r >= np.pi - tol), int(np.rint(x / np.pi))
-
-    checks = {"all": (True, True, True), "middle": (False, True, False), "outer": (True, False, True)}[mode]
-    out = []
-    for constrained, ang in zip(checks, (e.lambda1, e.lambda2, e.lambda3)):
-        if not constrained:
-            out.append(None)
-            continue
-        ok, n = near(ang)
-        if not ok:
-            return None
-        out.append(n)
-    return tuple(out)
 
 
 def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis, tol: float = 1e-8) -> Theorem1Verdict:
@@ -301,7 +280,7 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis, tol: float = 1e-8) 
     require_orthonormal(basis)
     d = kak_decompose(u_t)
     cls = classify_nonlocal(d.theta, tol)
-    gate_betas = beta_matrices(basis, None, "gate_form").mats
+    gate_betas = np.stack(beta_matrices(basis, None, "gate_form").mats)
     basis_valid = is_unitary(gate_betas, 1e-8)
 
     quarter_k = tuple(
@@ -310,7 +289,6 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis, tol: float = 1e-8) 
     )
     condition2 = cls.is_swap_point and basis_valid
 
-    condition1 = False
     branch = None
     pair_witnesses = None
     on_lattice = all((not dl) or q for dl, q in zip(cls.delta, cls.odd_quarter_pi))
@@ -319,38 +297,37 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis, tol: float = 1e-8) 
         if n_active == 0:
             # Locally trivial non-local part: the conjugated pair is a
             # tensor product of unitaries for every outcome.
-            condition1 = True
             branch = "local"
-            pair_witnesses = None
         else:
             # With several active axes only the Pauli lattice applies;
             # a single active axis may be re-expressed along x, y or z,
             # each with its own (weaker) angle constraint.
             reps = _AXIS_REPS if n_active == 1 else _AXIS_REPS[:1]
-            for axis, h, mode in reps:
-                side_c = [
-                    _lattice_witness(h @ d.c_local @ b @ dag(d.c_local) @ dag(h), mode, tol)
-                    for b in gate_betas
-                ]
-                side_d = [
-                    _lattice_witness(h @ d.d_local @ b @ dag(d.d_local) @ dag(h), mode, tol)
-                    for b in gate_betas
-                ]
-                if all(w is not None for w in side_c) and all(w is not None for w in side_d):
-                    condition1 = True
-                    branch = f"axis_{axis}"
-                    pair_witnesses = tuple(
-                        (side_c[j], side_d[k]) for j, k in PAIR_ORDER
-                    )
-                    break
+            hs = np.stack([h for _, h, _ in reps])[:, None, None]
+            sides = np.stack((d.c_local, d.d_local))[:, None]
+            # Axes (rep, side, j): h c b_j c^dag h^dag for the c and d locals.
+            e = euler_zyz(hs @ sides @ gate_betas @ dag(sides) @ dag(hs))
+            angles = np.stack((e.lambda1, e.lambda2, e.lambda3), axis=-1)
+            r = angles % np.pi
+            free = ~np.array([mask for _, _, mask in reps])[:, None, None]
+            passed = ((r <= tol) | (r >= np.pi - tol) | free).all(axis=(1, 2, 3))
+            if passed.any():
+                i = int(passed.argmax())
+                axis, _, mask = reps[i]
+                ns = np.rint(angles[i] / np.pi).astype(int).tolist()
+                side_c, side_d = (
+                    [tuple(n if c else None for n, c in zip(row, mask)) for row in side] for side in ns
+                )
+                branch = f"axis_{axis}"
+                pair_witnesses = tuple((side_c[j], side_d[k]) for j, k in PAIR_ORDER)
 
-    conclusion = "deterministic" if (condition1 or condition2) else "not_covered"
+    condition1 = branch is not None
     return Theorem1Verdict(
         condition1_met=condition1,
         condition2_met=condition2,
-        conclusion=conclusion,
+        conclusion="deterministic" if (condition1 or condition2) else "not_covered",
         nonlocal_class=cls,
         quarter_k=quarter_k,
-        branch=branch if condition1 else None,
+        branch=branch,
         pair_witnesses=pair_witnesses,
     )

@@ -116,6 +116,7 @@ def test_tables_command_self_checks(capsys):
     assert code == 0
     assert "table-1 self-check: ok" in out
     assert "table-2 self-check: ok" in out
+    assert "-0.000000" not in out  # rounding-size phases print as +0.0, as kak's angles do
 
 
 def test_scan_commands(capsys):

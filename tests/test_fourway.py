@@ -1,8 +1,10 @@
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from gateport import linalg as la
 from gateport import bases
 from gateport import fourway as fw
+from gateport import separability as sep
 from gateport import teleport as tp
 
 SXX = la.tensor(la.SX, la.SX)
@@ -109,3 +111,60 @@ def test_invalid_basis_reports_no_separability():
     rep = fw.analyze_fourway(la.CNOT, basis, la.random_state(4, 4))
     assert not any(rep.branch_xx_separable)
     assert not any(rep.branch_zz_separable)
+
+
+def _fourway_reference(u_t, basis, psi):
+    """Branch verdicts from one tensor_factorize call per branch, and
+    corrected fidelities from undoing each separable branch with the
+    inverse of its extracted factors, one outcome at a time."""
+    u = u_t @ fw.u1_gate()
+    gf = bases.beta_matrices(basis, None, "gate_form").mats
+    valid = la.is_unitary(np.stack(gf), 1e-8)
+    conds = fw._conditional_states(psi, basis)
+    target = u_t @ psi
+    flags, fids = [], []
+    for idx, (j, k) in enumerate(tp.PAIR_ORDER):
+        bjk = la.tensor(gf[j], gf[k])
+        undo = [la.I4]
+        for sig in (SXX, SZZ):
+            f = sep.tensor_factorize(u @ sig @ bjk @ u.conj().T) if valid else None
+            flags.append(f is not None and f.separable)
+            undo.append(la.tensor(f.factor_a, f.factor_b).conj().T if flags[-1] else la.I4)
+        p = np.vdot(conds[idx], conds[idx]).real
+        outs = [m @ u_t @ conds[idx] / np.sqrt(p) for m in undo] if p > 1e-12 else []
+        fids.append(max((abs(np.vdot(target, out)) ** 2 for out in outs), default=0.0))
+    return flags[0::2], flags[1::2], fids
+
+
+FOURWAY_GATES = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
+    st.sampled_from([la.CNOT, la.SWAP, la.CZ, tp.C_PI8, tp.EXP_YY, la.principal_sqrt(la.SWAP)]),
+    st.builds(tp.t_gate, st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    # Clifford gates whose full U = U_T U1 is Clifford
+    st.sampled_from([la.CNOT, la.CZ, la.SWAP]).map(lambda g: g @ fw.u1_gate()),
+)
+FOURWAY_BASES = st.one_of(
+    st.sampled_from([bases.bell_basis(), bases.m1_basis(), bases.m2_basis()]),
+    st.sampled_from([la.I2, la.H, la.S]).map(bases.conjugated_pauli_basis),
+    st.floats(0, 2 * np.pi).map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
+    st.builds(bases.beta_nl_basis, st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    # invalid: product basis vectors
+    st.just(bases.MeasurementBasis(tuple(np.eye(4, dtype=complex)), "computational")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FOURWAY_GATES, FOURWAY_BASES, st.integers(0, 2**32 - 1))
+# Branches separable only within the tolerance (second Schmidt
+# coefficient about 1e-9): their own inverses would miss this reference
+# by about 3e-10.
+@example(la.haar_random_unitary(4, 0), bases.beta_ab_basis(np.cos(5e-9) / np.sqrt(2), np.sin(5e-9) / np.sqrt(2)), 1)
+def test_fourway_matches_per_branch_reference(u_t, basis, seed):
+    psi = la.random_state(4, seed)
+    rep = fw.analyze_fourway(u_t, basis, psi)
+    xx, zz, fids = _fourway_reference(u_t, basis, psi)
+    assert rep.branch_xx_separable == tuple(xx)
+    assert rep.branch_zz_separable == tuple(zz)
+    assert np.allclose(rep.fidelities_corrected, fids, rtol=0, atol=1e-12)
+    if rep.clifford_case:
+        assert all(xx) and all(zz)

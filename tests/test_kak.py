@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +143,49 @@ def test_euler_round_trip_parametrized(l1, l2, l3, phase):
     u = np.exp(1j * phase) * kak.rot("z", l1) @ kak.rot("y", l2) @ kak.rot("z", l3)
     e = kak.euler_zyz(u)
     assert np.linalg.norm(kak.euler_reconstruct(e) - u) < 1e-10
+
+
+def _haar2(seed):
+    return la.haar_random_unitary(2, seed)
+
+
+def _diagonal(a, b):
+    return np.diag([np.exp(1j * a), np.exp(1j * b)])
+
+
+def _antidiagonal(a, b):
+    return np.array([[0, np.exp(1j * a)], [np.exp(1j * b), 0]])
+
+
+def _nearly_diagonal(phase, l1, l3):
+    # |u10| = sin(1e-13): below euler_zyz's 1e-12 gauge threshold
+    return np.exp(1j * phase) * kak.rot("z", l1) @ kak.rot("y", 2e-13) @ kak.rot("z", l3)
+
+
+SINGLE_QUBIT = st.one_of(
+    st.integers(0, 2**32 - 1).map(_haar2),
+    st.builds(_diagonal, ANGLES, ANGLES),
+    st.builds(_antidiagonal, ANGLES, ANGLES),
+    st.sampled_from([la.I2, -la.I2]),
+    st.builds(_nearly_diagonal, ANGLES, ANGLES, ANGLES),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(SINGLE_QUBIT, min_size=1, max_size=12))
+def test_euler_stack_matches_single_matrices(mats):
+    e = kak.euler_zyz(np.stack(mats))
+    for i, u in enumerate(mats):
+        row = kak.LocalEulerAngles(e.lambda1[i], e.lambda2[i], e.lambda3[i], e.phase[i])
+        one = kak.euler_zyz(u)
+        assert np.allclose(astuple(row), astuple(one), rtol=0, atol=1e-12)
+        assert np.linalg.norm(kak.euler_reconstruct(row) - u) < 1e-10
+
+
+def test_euler_stack_keeps_leading_axes():
+    e = kak.euler_zyz(np.stack([[la.I2, la.SX, la.H], [la.SZ, la.S, -la.I2]]))
+    assert e.lambda1.shape == e.lambda2.shape == e.lambda3.shape == e.phase.shape == (2, 3)
+    assert isinstance(kak.euler_zyz(la.H).lambda1, float)
 
 
 def test_is_clifford():

@@ -279,3 +279,86 @@ def test_conjugation_group_preserves_basis_matrices():
                     for n in range(4)
                 )
                 assert hit, (theta, j, k)
+
+
+def _theorem1_reference(u_t, basis, tol=1e-8):
+    """theorem1_check's condition 1 and witnesses, one euler_zyz call per
+    conjugated basis matrix, trying the axis representatives in order."""
+    from gateport.kak import classify_nonlocal, euler_zyz, kak_decompose
+
+    masks = {"x": (True, True, True), "z": (False, True, False), "y": (True, False, True)}
+    d = kak_decompose(u_t)
+    cls = classify_nonlocal(d.theta, tol)
+    quarter_k = tuple(
+        int(np.rint((t / (np.pi / 4) - 1) / 2)) if q else None for t, q in zip(d.theta, cls.odd_quarter_pi)
+    )
+    gate_betas = bases.beta_matrices(basis, None, "gate_form").mats
+    valid = la.is_unitary(np.stack(gate_betas), 1e-8)
+    condition2 = cls.is_swap_point and valid
+
+    def witness(m, mask):
+        e = euler_zyz(m)
+        out = []
+        for constrained, ang in zip(mask, (e.lambda1, e.lambda2, e.lambda3)):
+            r = ang % np.pi
+            if constrained and not (r <= tol or r >= np.pi - tol):
+                return None
+            out.append(int(np.rint(ang / np.pi)) if constrained else None)
+        return tuple(out)
+
+    branch, pairs = None, None
+    on_lattice = all((not dl) or q for dl, q in zip(cls.delta, cls.odd_quarter_pi))
+    if valid and on_lattice:
+        n_active = sum(cls.delta)
+        if n_active == 0:
+            branch = "local"
+        else:
+            reps = (("x", la.I2), ("z", la.H), ("y", la.S))[: 3 if n_active == 1 else 1]
+            for axis, h in reps:
+                sides = [
+                    [witness(h @ loc @ b @ loc.conj().T @ h.conj().T, masks[axis]) for b in gate_betas]
+                    for loc in (d.c_local, d.d_local)
+                ]
+                if None not in sides[0] + sides[1]:
+                    branch = f"axis_{axis}"
+                    pairs = tuple((sides[0][j], sides[1][k]) for j, k in tp.PAIR_ORDER)
+                    break
+    conclusion = "deterministic" if (branch is not None or condition2) else "not_covered"
+    return conclusion, branch, quarter_k, pairs
+
+
+def _quarter_kak(ks, seed):
+    # quarter-pi non-local core between Haar locals
+    rng = np.random.default_rng(seed)
+    locals_ = [la.haar_random_unitary(2, rng) for _ in range(4)]
+    core = nonlocal_gate(tuple(k * np.pi / 4 for k in ks))
+    return la.tensor(locals_[0], locals_[1]) @ core @ la.tensor(locals_[2], locals_[3])
+
+
+THEOREM1_GATES = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
+    st.sampled_from([la.CNOT, la.SWAP, la.CZ, la.Q_GATE, la.R_GATE, tp.C_PI8, tp.EXP_YY,
+                     la.principal_sqrt(la.CNOT), la.principal_sqrt(la.SWAP)]),
+    st.builds(tp.t_gate, st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    st.sampled_from([0, np.pi / 8, np.pi / 4, np.pi / 2]).flatmap(
+        lambda step: st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda ks: tp.t_gate(ks[0] * step, ks[1] * step))
+    ),
+    st.builds(nonlocal_gate, st.tuples(*[st.integers(-4, 4).map(lambda k: k * np.pi / 4)] * 3)),
+    st.builds(_quarter_kak, st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+              st.integers(0, 2**32 - 1)),
+)
+_NL_LATTICE = st.integers(-4, 4).map(lambda k: k * np.pi / 4)
+THEOREM1_BASES = st.one_of(
+    st.sampled_from([bases.bell_basis(), bases.m1_basis(), bases.m2_basis()]),
+    st.floats(0, 2 * np.pi).map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
+    st.sampled_from([la.I2, la.H, la.S, la.H @ la.S]).map(bases.conjugated_pauli_basis),
+    st.integers(0, 2**32 - 1).map(lambda seed: bases.conjugated_pauli_basis(la.haar_random_unitary(2, seed))),
+    st.builds(bases.beta_nl_basis, _NL_LATTICE, _NL_LATTICE, st.floats(-np.pi, np.pi)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(THEOREM1_GATES, THEOREM1_BASES)
+def test_theorem1_check_matches_per_matrix_reference(gate, basis):
+    v = tp.theorem1_check(gate, basis)
+    assert (v.conclusion, v.branch, v.quarter_k, v.pair_witnesses) == _theorem1_reference(gate, basis)
