@@ -96,6 +96,9 @@ def m2_basis() -> MeasurementBasis:
     )
 
 
+NAMED_BASES = {"bell": bell_basis, "m1": m1_basis, "m2": m2_basis}
+
+
 def beta_ab_basis(a: float, b: float) -> MeasurementBasis:
     """Real two-parameter basis on the circle a^2 + b^2 = 1/2."""
     if abs(a * a + b * b - 0.5) > 1e-9:
@@ -127,15 +130,9 @@ def conjugated_pauli_basis(u_r: np.ndarray) -> MeasurementBasis:
     up to a phase on the fourth vector.
     """
     u_r = require_unitary(u_r, 1e-9, "conjugating unitary")
-    vecs = []
-    for label in ("I", "X", "Z", "Y"):
-        m = dag(u_r) @ PAULIS[label] @ u_r
-        v = np.zeros(4, dtype=complex)
-        for x in range(2):
-            for y in range(2):
-                v[2 * x + y] = np.conj(m[y, x]) / _SQ2
-        vecs.append(v)
-    return _basis(vecs, "pauli_conj")
+    # Vector entry 2x + y is conj(m[y, x]) / sqrt(2) (gate_form inverted).
+    mats = (dag(u_r) @ PAULIS[label] @ u_r for label in ("I", "X", "Z", "Y"))
+    return _basis([dag(m).reshape(4) / _SQ2 for m in mats], "pauli_conj")
 
 
 def phase_paired_basis(u: np.ndarray, diag_phase: complex, off_phase: complex) -> MeasurementBasis:

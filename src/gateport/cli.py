@@ -9,6 +9,7 @@ explicit --tol flag wins.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -17,41 +18,37 @@ import sys
 import numpy as np
 
 from .linalg import (
-    CNOT,
-    CZ,
     H,
     I2,
     PAULIS,
-    Q_GATE,
-    R_GATE,
     S,
-    SWAP,
     is_unitary,
-    principal_sqrt,
     random_state,
     tensor,
 )
 from .kak import classify_nonlocal, is_clifford, kak_decompose, nonlocal_gate
 from .bases import (
+    NAMED_BASES,
     MeasurementBasis,
-    bell_basis,
     beta_ab_basis,
     beta_nl_basis,
     conjugated_pauli_basis,
-    m1_basis,
     m2_basis,
     validate_basis,
 )
 from .teleport import (
-    C_PI8,
-    EXP_YY,
+    NAMED_GATES,
     PAIR_ORDER,
+    TABLE1_BASES,
+    TABLE1_EXPECTED,
+    TABLE1_GATES,
     TABLE2_LABELS,
     analyze_gate_teleport,
     analyze_state_teleport,
     bell_resource,
-    reproduce_table1,
     t_gate,
+    table1_cells,
+    table1_probabilities,
     table2_factors,
     theorem1_check,
 )
@@ -155,20 +152,9 @@ def _parse_floats(text: str, n: int, what: str):
 
 
 def resolve_gate(spec: str, tol: float) -> np.ndarray:
-    named = {
-        "cnot": lambda: CNOT,
-        "swap": lambda: SWAP,
-        "q": lambda: Q_GATE,
-        "r": lambda: R_GATE,
-        "cz": lambda: CZ,
-        "c_pi8": lambda: C_PI8,
-        "cnot_sqrt": lambda: principal_sqrt(CNOT),
-        "swap_sqrt": lambda: principal_sqrt(SWAP),
-        "exp_yy": lambda: EXP_YY,
-    }
     key = spec.strip().lower()
-    if key in named:
-        return named[key]()
+    if key in NAMED_GATES:
+        return NAMED_GATES[key]()
     if key.startswith("t:"):
         phi, xi = _parse_floats(spec[2:], 2, "t:phi,xi")
         return t_gate(phi, xi)
@@ -198,12 +184,8 @@ def _resolve_single_qubit(spec: str) -> np.ndarray:
 
 def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
     key = spec.strip().lower()
-    if key == "bell":
-        return bell_basis()
-    if key == "m1":
-        return m1_basis()
-    if key == "m2":
-        return m2_basis()
+    if key in NAMED_BASES:
+        return NAMED_BASES[key]()
     if key.startswith("beta_ab:"):
         vals = spec[len("beta_ab:"):]
         if "," not in vals:
@@ -259,6 +241,11 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _fields(report, skip=()) -> dict:
+    """The report dataclass's fields by name, less those named in `skip`."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name not in skip}
+
+
 def _emit_json(doc) -> None:
     # No indent: with one, json falls back to its pure-Python encoder.
     print(json.dumps(doc, sort_keys=True, default=_json_default))
@@ -280,23 +267,11 @@ def cmd_kak(args) -> int:
     g = resolve_gate(args.gate, args.tol)
     d = kak_decompose(g, args.tol)
     cls = classify_nonlocal(d.theta)
-    clifford = is_clifford(g)
+    # g passed at --tol; judge its nearest unitary at the default Clifford threshold.
+    u, _, vh = np.linalg.svd(g)
+    clifford = is_clifford(u @ vh)
     if args.format == "json":
-        _emit_json(
-            {
-                "gate": args.gate,
-                "theta": list(d.theta),
-                "global_phase": d.global_phase,
-                "a_local": d.a_local,
-                "b_local": d.b_local,
-                "c_local": d.c_local,
-                "d_local": d.d_local,
-                "delta": list(cls.delta),
-                "odd_quarter_pi": list(cls.odd_quarter_pi),
-                "is_swap_point": cls.is_swap_point,
-                "is_clifford": clifford,
-            }
-        )
+        _emit_json({"gate": args.gate, **_fields(d), **_fields(cls), "is_clifford": clifford})
         return 0
     print(f"gate: {args.gate}")
     print(f"theta: ({d.theta[0]:.6f}, {d.theta[1]:.6f}, {d.theta[2]:.6f})")
@@ -337,12 +312,7 @@ def cmd_analyze(args) -> int:
                 }
                 for idx, (j, k) in enumerate(PAIR_ORDER)
             ],
-            "theorem1": {
-                "condition1_met": verdict.condition1_met,
-                "condition2_met": verdict.condition2_met,
-                "conclusion": verdict.conclusion,
-                "branch": verdict.branch,
-            },
+            "theorem1": _fields(verdict, skip=("nonlocal_class", "quarter_k", "pair_witnesses")),
         }
         _emit_json(doc)
         return 0
@@ -368,35 +338,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_TABLE1_GATES = ("cnot", "c_pi8", "cnot_sqrt", "swap_sqrt", "exp_yy")
-_TABLE1_BASES = ("bell", "m1", "m2")
-_TABLE1_EXPECTED = np.array(
-    [[1, 0, 0.5], [0.5, 0, 0.5], [0.5, 0, 0.25], [0.25, 0.25, 0.25], [1, 1, 0.25]]
-)
-
-
-def _table1_oracle_disagreements(inputs: int, seed: int, tol: float) -> int:
-    """Outcome checks, over every Table-1 cell and `inputs` oracle inputs,
-    whose fidelity-one verdict differs from the analysis' separability."""
+def _table1_oracle_disagreements(cells, inputs: int, seed: int) -> int:
+    """Outcome checks, over the Table-1 cells and `inputs` oracle inputs
+    each, whose fidelity-one verdict differs from the analysis' separability."""
     rng = np.random.default_rng(seed)
     bad = 0
-    for gate in _TABLE1_GATES:
-        g = resolve_gate(gate, tol)
-        for name in _TABLE1_BASES:
-            basis = resolve_basis(name, tol)
-            report = analyze_gate_teleport(g, basis)
-            reached = _oracle_fidelities(g, basis, report, inputs, rng) >= _FIDELITY_ONE
-            bad += int((reached != np.array(report.separable)).sum())
+    for g, basis, report in cells:
+        reached = _oracle_fidelities(g, basis, report, inputs, rng) >= _FIDELITY_ONE
+        bad += int((reached != np.array(report.separable)).sum())
     return bad
 
 
 def cmd_tables(args) -> int:
-    table1 = reproduce_table1()
-    ok = np.allclose(table1, _TABLE1_EXPECTED, atol=1e-9)
-    print("success probabilities (rows: cnot, c_pi8, cnot_sqrt, swap_sqrt, exp_yy)")
-    print(f"{'gate':<10} {'bell':>6} {'m1':>6} {'m2':>6}")
-    for name, row in zip(_TABLE1_GATES, table1):
-        print(f"{name:<10} {row[0]:>6.3f} {row[1]:>6.3f} {row[2]:>6.3f}")
+    cells = table1_cells()
+    table1 = table1_probabilities(cells)
+    ok = np.allclose(table1, TABLE1_EXPECTED, atol=1e-9)
+    print(f"success probabilities (rows: {', '.join(TABLE1_GATES)})")
+    print(f"{'gate':<10} " + " ".join(f"{name:>6}" for name in TABLE1_BASES))
+    for name, row in zip(TABLE1_GATES, table1):
+        print(f"{name:<10} " + " ".join(f"{p:>6.3f}" for p in row))
     print(f"table-1 self-check: {'ok' if ok else 'MISMATCH'}")
 
     phi, xi = np.pi / 8, np.pi / 8
@@ -428,7 +388,7 @@ def cmd_tables(args) -> int:
     print(f"table-2 self-check: {'ok' if ok2 else 'MISMATCH'}")
     bad = 0
     if args.verify:
-        bad = _table1_oracle_disagreements(args.verify, args.seed, args.tol)
+        bad = _table1_oracle_disagreements(cells, args.verify, args.seed)
         print()
         print(f"statevector oracle: {args.verify} inputs per table-1 cell, seed {args.seed}")
         print(f"oracle self-check: {'ok' if bad == 0 else f'MISMATCH ({bad} outcome checks disagree)'}")
@@ -471,17 +431,7 @@ def cmd_state_teleport(args) -> int:
     u_front = resolve_gate(args.front, args.tol) if args.front else None
     report = analyze_state_teleport(bell_resource(), u_front, basis)
     if args.format == "json":
-        _emit_json(
-            {
-                "basis": args.basis,
-                "front": args.front,
-                "probabilities": list(report.probabilities),
-                "teleportable": list(report.teleportable),
-                "corrections": [c for c in report.corrections],
-                "deterministic": report.deterministic,
-                "entanglement": report.entanglement,
-            }
-        )
+        _emit_json({"basis": args.basis, "front": args.front, **_fields(report, skip=("m_matrices",))})
         return 0
     print(f"basis: {args.basis}   front gate: {args.front or 'none'}")
     print(f"resource entanglement |det psi|: {report.entanglement:.6f}")
@@ -522,16 +472,12 @@ def cmd_fourway(args) -> int:
     psi = random_state(4, rng)
     report = analyze_fourway(g, basis, psi)
     if args.format == "json":
+        skip = ("branch_xx_pauli", "branch_zz_pauli", "output_states")
         _emit_json(
             {
                 "gate": args.gate,
                 "basis": args.basis,
-                "clifford_case": report.clifford_case,
-                "branch_xx_separable": list(report.branch_xx_separable),
-                "branch_zz_separable": list(report.branch_zz_separable),
-                "probabilities": list(report.probabilities),
-                "fidelities_raw": list(report.fidelities_raw),
-                "fidelities_corrected": list(report.fidelities_corrected),
+                **_fields(report, skip),
                 "max_corrected_fidelity": report.max_corrected_fidelity,
             }
         )
@@ -554,15 +500,7 @@ def cmd_validate_basis(args) -> int:
     report = validate_basis(basis, args.tol)
     capability_zero = not report.all_beta_unitary
     if args.format == "json":
-        _emit_json(
-            {
-                "basis": args.basis,
-                "orthonormal": report.orthonormal,
-                "all_beta_unitary": report.all_beta_unitary,
-                "per_vector_entanglement": list(report.per_vector_entanglement),
-                "capability_zero": capability_zero,
-            }
-        )
+        _emit_json({"basis": args.basis, **_fields(report), "capability_zero": capability_zero})
         return 0
     print(f"basis: {args.basis}")
     print(f"orthonormal: {report.orthonormal}")

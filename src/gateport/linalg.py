@@ -113,13 +113,6 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) ->
     return np.linalg.norm(a - c * b) <= tol
 
 
-def svd(m: np.ndarray):
-    """SVD of a 4x4 matrix: (u, singular values descending, v^dag)."""
-    m = require_finite(m)
-    u, s, vh = np.linalg.svd(m)
-    return u, s, vh
-
-
 def principal_sqrt(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> np.ndarray:
     """Unitary square root with eigenphases on the principal branch.
 

@@ -23,9 +23,12 @@ import numpy as np
 
 from .linalg import (
     CNOT,
+    CZ,
     H,
     I2,
     S,
+    Q_GATE,
+    R_GATE,
     SWAP,
     SX,
     SY,
@@ -44,11 +47,9 @@ from .kak import (
     nonlocal_gate,
 )
 from .bases import (
+    NAMED_BASES,
     MeasurementBasis,
-    bell_basis,
     beta_matrices,
-    m1_basis,
-    m2_basis,
     require_orthonormal,
 )
 from .separability import SEPARABLE_TOL, factorize_all
@@ -57,6 +58,20 @@ from .separability import SEPARABLE_TOL, factorize_all
 C_PI8 = np.diag([1, 1, 1, np.exp(1j * np.pi / 4)]).astype(complex)
 PI8 = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
 EXP_YY = nonlocal_gate((0.0, np.pi / 4, 0.0))
+
+# The named two-qubit gates, by CLI spec name.  Each is built on lookup,
+# so the square roots are taken anew on every call.
+NAMED_GATES = {
+    "cnot": lambda: CNOT,
+    "swap": lambda: SWAP,
+    "q": lambda: Q_GATE,
+    "r": lambda: R_GATE,
+    "cz": lambda: CZ,
+    "c_pi8": lambda: C_PI8,
+    "cnot_sqrt": lambda: principal_sqrt(CNOT),
+    "swap_sqrt": lambda: principal_sqrt(SWAP),
+    "exp_yy": lambda: EXP_YY,
+}
 
 PAIR_ORDER = tuple(itertools.product(range(4), repeat=2))
 
@@ -201,17 +216,31 @@ def analyze_gate_teleport(
     )
 
 
+# Table 1: success probabilities of the named gates (rows) under the
+# named bases (columns).
+TABLE1_GATES = ("cnot", "c_pi8", "cnot_sqrt", "swap_sqrt", "exp_yy")
+TABLE1_BASES = ("bell", "m1", "m2")
+TABLE1_EXPECTED = np.array(
+    [[1, 0, 0.5], [0.5, 0, 0.5], [0.5, 0, 0.25], [0.25, 0.25, 0.25], [1, 1, 0.25]]
+)
+
+
+def table1_cells() -> list[tuple[np.ndarray, MeasurementBasis, GateTeleportReport]]:
+    """(gate, basis, report) of each Table-1 cell, in row-major order."""
+    gates = [NAMED_GATES[name]() for name in TABLE1_GATES]
+    bases_ = [NAMED_BASES[name]() for name in TABLE1_BASES]
+    return [(g, b, analyze_gate_teleport(g, b)) for g in gates for b in bases_]
+
+
+def table1_probabilities(cells) -> np.ndarray:
+    """The success probabilities of `table1_cells()` as Table 1's array."""
+    return np.array([report.success_probability for _, _, report in cells]).reshape(TABLE1_EXPECTED.shape)
+
+
 def reproduce_table1() -> np.ndarray:
-    """Success probabilities of the five reference gates under the three
-    reference bases (rows CNOT, controlled-pi/4, CNOT^1/2, SWAP^1/2,
-    exp(i pi/4 YY); columns Bell, M1, M2)."""
-    gates = [CNOT, C_PI8, principal_sqrt(CNOT), principal_sqrt(SWAP), EXP_YY]
-    bases_ = [bell_basis(), m1_basis(), m2_basis()]
-    table = np.zeros((5, 3))
-    for i, g in enumerate(gates):
-        for j, b in enumerate(bases_):
-            table[i, j] = analyze_gate_teleport(g, b).success_probability
-    return table
+    """Table 1: success probabilities of TABLE1_GATES (rows) under
+    TABLE1_BASES (columns)."""
+    return table1_probabilities(table1_cells())
 
 
 # Symbolic names of the table2_factors pairs, in PAIR_ORDER order (one

@@ -179,6 +179,22 @@ def test_conjugated_pauli_round_trip():
             assert np.linalg.norm(m - target) < 1e-10
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_conjugated_pauli_vectors_equal_the_per_entry_loop(seed):
+    u_r = la.haar_random_unitary(2, seed)
+    expected = []
+    for label in ("I", "X", "Z", "Y"):
+        m = u_r.conj().T @ la.PAULIS[label] @ u_r
+        v = np.zeros(4, dtype=complex)
+        for x in range(2):
+            for y in range(2):
+                v[2 * x + y] = np.conj(m[y, x]) / np.sqrt(2.0)
+        expected.append(v)
+    got = np.stack(bases.conjugated_pauli_basis(u_r).vectors)
+    assert got.tobytes() == np.stack(expected).tobytes()  # bit for bit, signed zeros included
+
+
 def test_conjugated_pauli_identity_gives_bell_up_to_phase():
     basis = bases.conjugated_pauli_basis(la.I2)
     bell = bases.bell_basis()

@@ -336,7 +336,7 @@ def test_validate_basis_json_matches_human_format(capsys, spec):
 
 
 def test_tables_self_check_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_TABLE1_EXPECTED", np.zeros((5, 3)))
+    monkeypatch.setattr(cli, "TABLE1_EXPECTED", np.zeros((5, 3)))
     code, _, err = run(capsys, "tables")
     assert code == 3
 
@@ -356,8 +356,9 @@ def test_tables_verify_runs_the_oracle_after_the_unchanged_tables(capsys, monkey
     code, plain, _ = run(capsys, "tables")
     assert code == 0 and len(calls) == 16
     assert plain.endswith("table-2 self-check: ok\n")
+    calls.clear()
     code, verified, _ = run(capsys, "tables", "--verify", "3", "--seed", "4")
-    assert code == 0
+    assert code == 0 and len(calls) == 16  # the oracle reuses the Table-1 analyses
     assert verified == plain + "\nstatevector oracle: 3 inputs per table-1 cell, seed 4\noracle self-check: ok\n"
 
 
@@ -425,6 +426,36 @@ def test_parser_reuse_leaks_no_options(capsys, monkeypatch, tmp_path):
     assert run(capsys, *argv)[0] == 0
     monkeypatch.delenv("GATEPORT_TOL")
     assert run(capsys, *argv)[0] == 2
+
+
+def test_kak_tol_reaches_the_clifford_check(capsys, monkeypatch, tmp_path):
+    # Residual ||m^dag m - I||_F of about 1.6e-5: past is_clifford's default
+    # 1e-8, within the --tol that resolve_gate and kak_decompose accept.
+    path = tmp_path / "near.json"
+    near = la.CNOT.copy()
+    near[0, 0] *= 1 + 8e-6
+    cli.write_gate_file(str(path), near)
+    code, out, err = run(capsys, "kak", "--gate", f"@{path}", "--tol", "1e-3")
+    assert (code, err) == (0, "")
+    assert out.endswith("clifford: True\n")
+    monkeypatch.setenv("GATEPORT_TOL", "1e-3")
+    code, out, err = run(capsys, "kak", "--gate", f"@{path}", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["is_clifford"] is True
+
+
+@pytest.mark.parametrize("env", [False, True])
+def test_kak_tol_leaves_the_clifford_threshold(capsys, monkeypatch, env):
+    # A unitary 5e-4 off the Clifford point pi/4 is not Clifford at any --tol.
+    argv = ["kak", "--gate", "kak:0.7954,0,0"]
+    if env:
+        monkeypatch.setenv("GATEPORT_TOL", "1e-3")
+    else:
+        argv += ["--tol", "1e-3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "odd_quarter_pi: (False, False, False)" in out
+    assert out.endswith("clifford: False\n")
 
 
 @pytest.mark.parametrize("gate", ["cnot_sqrt", "t:0.3287,1.6594", "t:3.0598,6.2321"])

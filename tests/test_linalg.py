@@ -95,27 +95,6 @@ def test_equal_up_to_global_phase():
     assert la.equal_up_to_global_phase(-1j * la.SY, np.array([[0, -1], [1, 0]]), 1e-12)
 
 
-def test_svd_examples():
-    _, s, _ = la.svd(np.eye(4, dtype=complex))
-    assert np.allclose(s, 1.0)
-    v = la.random_state(4, 3)
-    w = la.random_state(4, 4)
-    _, s, _ = la.svd(np.outer(v, w.conj()))
-    assert np.allclose(s, [1, 0, 0, 0], atol=1e-12)
-    _, s, _ = la.svd(np.diag([2.0, 1.0, 0.0, 0.0]).astype(complex))
-    assert np.allclose(s, [2, 1, 0, 0])
-
-
-def test_svd_reconstruction_property():
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        u, s, vh = la.svd(m)
-        err = np.linalg.norm(u @ np.diag(s) @ vh - m)
-        assert err <= 1e-12 * np.linalg.norm(m)
-        assert np.all(np.diff(s) <= 1e-12)
-
-
 def test_principal_sqrt_examples():
     assert np.allclose(la.principal_sqrt(np.eye(4, dtype=complex)), np.eye(4))
     r = la.principal_sqrt(np.diag([1, 1, 1, -1]).astype(complex))
