@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage or parse error or closed output, 2
 numerical validation failure (non-unitary gate, non-orthonormal basis),
 3 table self-check or oracle mismatch.  GATEPORT_TOL, read on every
 call, overrides the default tolerance (a malformed value exits 1); an
-explicit --tol flag wins.
+explicit --tol flag wins.  Either must be a positive finite number.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -537,13 +538,17 @@ _TOL_FROM_ENV = "$GATEPORT_TOL"
 
 def _tol(text: str) -> float:
     """--tol's type; each parse passes the default through it, reading GATEPORT_TOL then."""
-    source = "float"
+    source, name = "float", "tolerance"
     if text == _TOL_FROM_ENV:
-        source, text = "GATEPORT_TOL", os.environ.get("GATEPORT_TOL") or "1e-9"
+        source = name = "GATEPORT_TOL"
+        text = os.environ.get("GATEPORT_TOL") or "1e-9"
     try:
-        return float(text)
+        tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {source} value: {text!r}") from None
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"{name} must be a positive finite number, got {text!r}")
+    return tol
 
 
 def _count(text: str) -> int:

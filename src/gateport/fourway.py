@@ -144,7 +144,7 @@ def analyze_fourway(
     separable = np.zeros(32, dtype=bool)
     undo = np.broadcast_to(I4, (32, 4, 4))
     if valid:
-        if tol <= 0:
+        if not tol > 0:
             raise ValueError("tol must be positive")
         schmidt, products = leading_products(require_unitary(branches, 1e-9, "factorization input"))
         separable = schmidt[:, 1] <= tol

@@ -9,6 +9,8 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_UNITARY_TOL = 1e-9
@@ -85,9 +87,9 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    residual = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
-    squared = (residual.real**2 + residual.imag**2).sum(axis=(-2, -1))
-    return bool(np.sqrt(squared.max()) <= tol)
+    residual = (dag(m) @ m - np.eye(m.shape[-1])).view(float)
+    # A NaN sum, or a negative or NaN tol, fails the comparison.
+    return math.sqrt((residual * residual).sum(axis=(-2, -1)).max()) <= tol
 
 
 def require_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, what: str = "matrix") -> np.ndarray:

@@ -8,6 +8,7 @@ indices and whose columns collect the B-side indices.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,11 +16,13 @@ import numpy as np
 from .linalg import I2, PAULIS, require_finite, require_unitary, tensor
 from .kak import rot
 
-# Second Schmidt coefficient below this (coefficients normalized to unit
-# square sum) counts as separable: an order of magnitude above the 1e-9
-# arithmetic noise floor, far below the smallest genuine coefficient in
-# the gate families analyzed here (~0.38).
+# Second Schmidt coefficient (half a singular value of the realigned
+# matrix; unit square sum for a unitary) below this counts as separable:
+# an order of magnitude above the 1e-9 arithmetic noise floor, far below
+# the smallest genuine coefficient in the gate families analyzed here (~0.38).
 SEPARABLE_TOL = 1e-7
+
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,42 +63,42 @@ def leading_products(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def tensor_factorize(w: np.ndarray, tol: float = SEPARABLE_TOL) -> TensorFactorization:
     """Decide whether a unitary w is a tensor product and extract factors.
 
-    factor_a is gauged so its largest-magnitude entry is real positive;
-    the residual phase lands in `phase` with
-    e^{i*phase} kron(factor_a, factor_b) = w.
+    Each factor, sqrt(2) times a leading singular vector of the realigned
+    w, is gauged so its gauge_index entry is real positive; the residual
+    phase lands in `phase` with e^{i*phase} kron(factor_a, factor_b) = w.
+    Realignment keeps the Frobenius inner product, so that phase is the
+    argument of the product of the two entries before gauging.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     w = require_unitary(w, 1e-9, "factorization input")
     u, s, vh = np.linalg.svd(_realign(w))
     schmidt = s / 2.0
     if schmidt[1] > tol:
         return TensorFactorization(False, None, None, 0.0, schmidt)
-    a = np.sqrt(2.0) * u[:, 0].reshape(2, 2)
-    b = np.sqrt(2.0) * vh[0, :].reshape(2, 2)
-    for m in (a, b):
-        top = m.flat[gauge_index(m)]
-        m *= np.conj(top) / abs(top)
-    phase = np.angle(np.trace(tensor(a, b).conj().T @ w) / 4.0)
-    return TensorFactorization(True, a, b, float(phase), schmidt)
+    a, b = _SQRT2 * u[:, 0], _SQRT2 * vh[0]
+    top_a, top_b = complex(a[gauge_index(a)]), complex(b[gauge_index(b)])
+    a = (a * (top_a.conjugate() / abs(top_a))).reshape(2, 2)
+    b = (b * (top_b.conjugate() / abs(top_b))).reshape(2, 2)
+    return TensorFactorization(True, a, b, cmath.phase(top_a * top_b), schmidt)
 
 
 def factorize_all(ws: np.ndarray, tol: float = SEPARABLE_TOL) -> tuple[TensorFactorization, ...]:
     """tensor_factorize for each unitary of a (k, 4, 4) stack.
 
     The stack is checked for unitarity once and screened with one batched
-    Schmidt decomposition.  A matrix whose second Schmidt coefficient
-    exceeds tol is not a tensor product; it gets a non-separable result
-    carrying its screened coefficients.  Only the remaining candidates go
-    through tensor_factorize, whose verdict and factors are final.
+    SVD at tensor_factorize's scale.  A matrix whose second Schmidt
+    coefficient exceeds tol gets a non-separable result carrying its
+    screened coefficients; only the remaining candidates go through
+    tensor_factorize, whose verdict and factors are final.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     ws = require_unitary(ws, 1e-9, "factorization input")
-    schmidt = operator_schmidt(ws)
+    schmidt = np.linalg.svd(_realign(ws), compute_uv=False) / 2.0
     return tuple(
-        tensor_factorize(w, tol) if row[1] <= tol else TensorFactorization(False, None, None, 0.0, row)
-        for w, row in zip(ws, schmidt)
+        tensor_factorize(w, tol) if candidate else TensorFactorization(False, None, None, 0.0, row)
+        for w, row, candidate in zip(ws, schmidt, (schmidt[:, 1] <= tol).tolist())
     )
 
 
@@ -105,8 +108,9 @@ def gauge_index(m: np.ndarray) -> int:
     A 2x2 unitary always carries tied magnitudes (|m00| = |m11| and
     |m01| = |m10|), so a plain argmax would be unstable under rounding.
     """
-    mags = np.abs(np.asarray(m)).ravel()
-    return int(np.argmax(mags > mags.max() - 1e-9))
+    mags = [abs(z) for z in np.ravel(m).tolist()]
+    cut = max(mags) - 1e-9
+    return next((i for i, mag in enumerate(mags) if mag > cut), 0)
 
 
 _W_AXES = {1: ("z", 0), 2: ("z", 1), 3: ("y", 0), 4: ("y", 1)}

@@ -262,9 +262,7 @@ def outcome_distribution(
     u_front: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact joint probabilities of the 16 measurement outcomes."""
-    return np.array(
-        run_gate_teleport(input_ab, u_t, basis, corrections=None, u_front=u_front).probabilities
-    )
+    return np.array(run_gate_teleport(input_ab, u_t, basis, u_front=u_front).probabilities)
 
 
 def sample_gate_teleport(

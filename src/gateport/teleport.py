@@ -9,9 +9,9 @@ V_j = M_j / sqrt(p_j) and the receiver applies its inverse.
 Two-qubit side: outcome (j,k) acts through W = U_T (b_j (x) b_k) U_T^dag
 (gate_form matrices).  The gate teleports on that outcome iff W is a
 tensor product of single-qubit factors, which are the correction pair.
-All 16 W are built as one stack; one batched operator-Schmidt
-decomposition screens them, and only the candidates that pass the
-screen are factorized (separability.factorize_all).  Success
+All 16 W are built as one stack; one batched SVD, at the scale
+tensor_factorize uses, screens them, and only the candidates that pass
+the screen are factorized (separability.factorize_all).  Success
 probability is (number of separable outcomes) / 16.
 """
 from __future__ import annotations
@@ -185,29 +185,20 @@ def analyze_gate_teleport(
     require_orthonormal(basis)
     gate_betas = np.stack(beta_matrices(basis, u_front, "gate_form").mats)
 
-    w_stack = u_t @ kron_pairs(gate_betas, gate_betas) @ dag(u_t)
-    w_matrices = tuple(w_stack)
-    if not is_unitary(gate_betas, 1e-8):
+    w_stack = ((u_t @ kron_pairs(gate_betas, gate_betas)).reshape(64, 4) @ dag(u_t)).reshape(16, 4, 4)
+    if is_unitary(gate_betas, 1e-8):
+        corrections = tuple(
+            (np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None
+            for f in factorize_all(w_stack, tol)
+        )
+    else:
         # A non-unitary beta means a disentangled basis vector: no outcome
         # admits a unitary local correction.
-        return GateTeleportReport(
-            w_matrices=w_matrices,
-            separable=(False,) * 16,
-            corrections=(None,) * 16,
-            n_separable=0,
-            success_probability=0.0,
-            deterministic=False,
-        )
-
-    factorizations = factorize_all(w_stack, tol)
-    separable = tuple(f.separable for f in factorizations)
-    corrections = tuple(
-        (np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None
-        for f in factorizations
-    )
+        corrections = (None,) * 16
+    separable = tuple(c is not None for c in corrections)
     n = sum(separable)
     return GateTeleportReport(
-        w_matrices=w_matrices,
+        w_matrices=tuple(w_stack),
         separable=separable,
         corrections=corrections,
         n_separable=n,

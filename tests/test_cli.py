@@ -404,6 +404,25 @@ def test_bad_env_tolerance_exits_1_with_one_line(capsys, monkeypatch):
     assert err == "error: argument --tol: invalid float value: 'abc'\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("env", [False, True])
+def test_tol_must_be_a_positive_finite_number(capsys, monkeypatch, tmp_path, value, env):
+    # A projector: no tolerance that is a positive finite number accepts it.
+    path = tmp_path / "p.json"
+    cli.write_gate_file(str(path), np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
+    argv = ["kak", "--gate", f"@{path}"]
+    if env:
+        monkeypatch.setenv("GATEPORT_TOL", value)
+    else:
+        monkeypatch.delenv("GATEPORT_TOL", raising=False)
+        argv += ["--tol", value]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: argument --tol: ")
+    assert ("GATEPORT_TOL" in err) == env
+    assert f"must be a positive finite number, got '{value}'" in err
+
+
 def test_parser_reuse_leaks_no_options(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("GATEPORT_TOL", raising=False)
     assert cli._build_parser() is cli._build_parser()

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gateport import linalg as la
@@ -111,6 +112,13 @@ def test_invalid_basis_reports_no_separability():
     rep = fw.analyze_fourway(la.CNOT, basis, la.random_state(4, 4))
     assert not any(rep.branch_xx_separable)
     assert not any(rep.branch_zz_separable)
+
+
+def test_fourway_rejects_a_tol_that_is_not_positive():
+    psi = la.random_state(4, 4)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fw.analyze_fourway(la.CNOT, bases.m2_basis(), psi, tol)
 
 
 def _fourway_reference(u_t, basis, psi):

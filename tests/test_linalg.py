@@ -82,6 +82,33 @@ def test_is_unitary_on_stacks_matches_each_matrix():
     assert not la.is_unitary(np.zeros((3, 4, 2)), 1e-9)
 
 
+def test_is_unitary_reads_the_residual_frobenius_norm():
+    tol = 1e-6
+
+    def off_by(r):
+        # m^dag m - I = diag(r, 0, 0, 0): residual Frobenius norm r.
+        return np.diag([np.sqrt(1 + r), 1, 1, 1]).astype(complex)
+
+    rng = np.random.default_rng(8)
+    others = [la.I4, la.haar_random_unitary(4, rng), la.CNOT]
+    assert la.is_unitary(off_by(0.5 * tol), tol)
+    assert not la.is_unitary(off_by(2 * tol), tol)
+    assert la.is_unitary(np.stack(others + [off_by(0.5 * tol)]), tol)
+    assert not la.is_unitary(np.stack(others + [off_by(2 * tol)]), tol)
+
+
+def test_is_unitary_rejects_nan_entries_bad_tol_and_non_square_input():
+    nan = la.I4.copy()
+    nan[1, 2] = np.nan
+    assert not la.is_unitary(nan, 1e-9)
+    assert not la.is_unitary(np.stack([la.I4, nan]), 1e-9)
+    assert not la.is_unitary(la.I4, -1.0)
+    assert not la.is_unitary(la.I4, float("nan"))
+    assert not la.is_unitary(np.stack([la.I4, la.SWAP]), -1.0)
+    assert not la.is_unitary(np.ones((4, 2)), 1e-9)
+    assert not la.is_unitary(np.ones(4), 1e-9)
+
+
 def test_is_unitary_rejects_disentangled_beta():
     # gate_form matrix of a product basis vector is singular
     v = np.array([1, 0, 0, 0], dtype=complex)  # |00>

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gateport import kak
 from gateport import linalg as la
 from gateport import separability as sep
 
@@ -55,6 +56,31 @@ def test_factorize_reconstruction_of_random_products():
         assert abs(top.imag) < 1e-9 and top.real > 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=0.0, max_value=1e-8),
+)
+def test_closed_form_phase_and_gauge(seed, phi, eps):
+    # A product of Haar factors, times a global phase and a non-local
+    # part small enough to pass the separability screen.
+    rng = np.random.default_rng(seed)
+    a = la.haar_random_unitary(2, rng)
+    b = la.haar_random_unitary(2, rng)
+    w = np.exp(1j * phi) * la.tensor(a, b) @ kak.nonlocal_gate((eps, 0.0, 0.0))
+    f = sep.tensor_factorize(w)
+    assert f.separable
+    product = la.tensor(f.factor_a, f.factor_b)
+    expected = np.angle(np.trace(product.conj().T @ w) / 4.0)
+    assert abs((f.phase - expected + np.pi) % (2 * np.pi) - np.pi) <= 1e-12
+    for m in (f.factor_a, f.factor_b):
+        top = m.flat[sep.gauge_index(m)]
+        assert abs(top.imag) <= 1e-12 and top.real > 0
+    # The unitary product misses w by ||(1 - e^{i eps X (x) X})||_F = 4 sin(eps / 2) <= 2 eps.
+    assert np.linalg.norm(np.exp(1j * f.phase) * product - w) <= 1e-9 + 2 * eps
+
+
 def test_factorize_rejects_bad_input():
     with pytest.raises(ValueError):
         sep.tensor_factorize(np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
@@ -65,6 +91,12 @@ def test_factorize_rejects_bad_input():
         sep.factorize_all(stack)
     with pytest.raises(ValueError):
         sep.factorize_all(stack[:2], tol=0.0)
+    # A NaN tol is rejected, not read as "nothing is separable" (or
+    # "everything is").
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sep.tensor_factorize(la.CNOT, tol=float("nan"))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        sep.factorize_all(stack[:2], tol=float("nan"))
 
 
 def test_factorize_all_matches_tensor_factorize():
