@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I4, PAULIS, dag, is_unitary, require_unitary
+from .linalg import DEFAULT_UNITARY_TOL, I4, PAULIS, dag, is_unitary, require_unitary
 from .kak import nonlocal_gate
 
 _SQ2 = np.sqrt(2.0)
@@ -37,9 +37,8 @@ class MeasurementBasis:
         """Vectors as columns."""
         return np.column_stack(self.vectors)
 
-    def is_orthonormal(self, tol: float = 1e-9) -> bool:
-        m = self.matrix()
-        return np.linalg.norm(dag(m) @ m - np.eye(4)) <= tol
+    def is_orthonormal(self, tol: float = DEFAULT_UNITARY_TOL) -> bool:
+        return is_unitary(self.matrix(), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +49,9 @@ class BetaMatrices:
 
 @dataclass(frozen=True)
 class BasisReport:
+    """all_beta_unitary is the teleportation capability that capable
+    decides (False: capability zero); orthonormal is within 1e-9."""
+
     orthonormal: bool
     all_beta_unitary: bool
     per_vector_entanglement: tuple[float, float, float, float]
@@ -59,9 +61,9 @@ def _basis(rows, name: str) -> MeasurementBasis:
     return MeasurementBasis(tuple(np.asarray(v, dtype=complex) for v in rows), name)
 
 
-def require_orthonormal(basis: MeasurementBasis, tol: float = 1e-9) -> MeasurementBasis:
-    if not basis.is_orthonormal(tol):
-        raise ValueError(f"basis {basis.name or '<anonymous>'} is not orthonormal within {tol}")
+def require_orthonormal(basis: MeasurementBasis) -> MeasurementBasis:
+    if not basis.is_orthonormal():
+        raise ValueError(f"basis {basis.name or '<anonymous>'} is not orthonormal within {DEFAULT_UNITARY_TOL}")
     return basis
 
 
@@ -129,7 +131,7 @@ def conjugated_pauli_basis(u_r: np.ndarray) -> MeasurementBasis:
     The sigma order (I, X, Z, Y) makes u_r = I reproduce the Bell basis
     up to a phase on the fourth vector.
     """
-    u_r = require_unitary(u_r, 1e-9, "conjugating unitary")
+    u_r = require_unitary(u_r, what="conjugating unitary")
     # Vector entry 2x + y is conj(m[y, x]) / sqrt(2) (gate_form inverted).
     mats = (dag(u_r) @ PAULIS[label] @ u_r for label in ("I", "X", "Z", "Y"))
     return _basis([dag(m).reshape(4) / _SQ2 for m in mats], "pauli_conj")
@@ -142,7 +144,7 @@ def phase_paired_basis(u: np.ndarray, diag_phase: complex, off_phase: complex) -
     (minus combinations first); p1 = p2 = 1 on U = I gives the Bell
     basis up to ordering.
     """
-    u = require_unitary(u, 1e-9, "front gate")
+    u = require_unitary(u, what="front gate")
     c = [u[:, k] for k in range(4)]
     return _basis(
         [
@@ -163,12 +165,31 @@ def beta_matrices(
     """Overlap matrices <b_j|U|xy> in the requested entry layout."""
     if convention not in ("state_form", "gate_form"):
         raise ValueError("convention must be state_form or gate_form")
-    u = I4 if u_front is None else require_unitary(u_front, 1e-9, "front gate")
+    u = I4 if u_front is None else require_unitary(u_front, what="front gate")
     # overlap[j, x, y] = <b_j|U|xy>
     overlap = (dag(basis.matrix()) @ u).reshape(4, 2, 2)
     if convention == "gate_form":
         overlap = _SQ2 * overlap.transpose(0, 2, 1)
     return BetaMatrices(tuple(overlap), convention)
+
+
+def gate_betas(basis: MeasurementBasis, u_front: np.ndarray | None = None) -> np.ndarray:
+    """The gate_form betas b_j behind u_front as one (4, 2, 2) stack."""
+    return np.stack(beta_matrices(basis, u_front, "gate_form").mats)
+
+
+def capable(betas: np.ndarray) -> bool:
+    """A basis' teleportation capability from its gate_form betas: True iff
+    every product b_j (x) b_k is unitary within DEFAULT_UNITARY_TOL (every
+    vector maximally entangled).  W matrices and four-way branches
+    conjugate these products by unitaries, so they pass the same check.
+
+    Only the four b_j (x) b_j are formed: with b_j^dag b_j = I + E_j, the
+    residual of b_j (x) b_k is E_j (x) I + I (x) E_k + E_j (x) E_k, whose
+    squared norm is at most the mean of those of b_j (x) b_j and b_k (x) b_k
+    up to fourth order in E, far below rounding at this bound.
+    """
+    return is_unitary(np.einsum("jac,jbd->jabcd", betas, betas).reshape(4, 4, 4))
 
 
 def vector_entanglement(v: np.ndarray) -> float:
@@ -177,10 +198,8 @@ def vector_entanglement(v: np.ndarray) -> float:
     return float(abs(np.linalg.det(np.asarray(v).reshape(2, 2))))
 
 
-def validate_basis(basis: MeasurementBasis, tol: float = 1e-9) -> BasisReport:
-    """Orthonormality, beta unitarity, and per-vector entanglement."""
+def validate_basis(basis: MeasurementBasis) -> BasisReport:
+    """Orthonormality within DEFAULT_UNITARY_TOL, capability (the verdict of
+    capable, which the analyses use too) and per-vector entanglement."""
     ent = tuple(vector_entanglement(v) for v in basis.vectors)
-    ortho = basis.is_orthonormal(tol)
-    betas = beta_matrices(basis, convention="gate_form")
-    unitary = is_unitary(betas.mats, max(tol, 1e-9))
-    return BasisReport(ortho, unitary, ent)
+    return BasisReport(basis.is_orthonormal(), capable(gate_betas(basis)), ent)

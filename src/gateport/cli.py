@@ -2,9 +2,19 @@
 
 Exit codes: 0 success, 1 usage or parse error or closed output, 2
 numerical validation failure (non-unitary gate, non-orthonormal basis),
-3 table self-check or oracle mismatch.  GATEPORT_TOL, read on every
-call, overrides the default tolerance (a malformed value exits 1); an
-explicit --tol flag wins.  Either must be a positive finite number.
+3 table self-check or oracle mismatch.
+
+--tol (default 1e-9) judges only the matrices a user types or loads: an
+@file gate (also --front), an @file basis and a pauli_conj matrix.  Each
+must be unitary within it and is replaced by its nearest unitary; an
+@file basis whose gate-form betas are unitary within it also gets
+maximally entangled vectors.  Named gates and bases are exact and pass
+untouched.  GATEPORT_TOL, read on every call, sets the default (a
+malformed value exits 1); an explicit --tol wins.  Either must be a
+positive finite number.  The library's bounds are fixed: unitarity
+1e-9, separability 1e-7, lattice and Clifford 1e-8, probability floor
+1e-12.  A basis has capability zero when a product b_j (x) b_k of its
+gate-form betas is not unitary.
 """
 from __future__ import annotations
 
@@ -23,7 +33,9 @@ from .linalg import (
     I2,
     PAULIS,
     S,
+    dag,
     is_unitary,
+    nearest_unitary,
     random_state,
     tensor,
 )
@@ -34,6 +46,7 @@ from .bases import (
     beta_ab_basis,
     beta_nl_basis,
     conjugated_pauli_basis,
+    gate_betas,
     m2_basis,
     validate_basis,
 )
@@ -86,7 +99,7 @@ def _pair_complex(p) -> complex:
 def _doc_to_rows(doc, shape) -> np.ndarray:
     try:
         m = np.array([[_pair_complex(p) for p in row] for row in doc], dtype=complex)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an integer past float range
         raise UsageError(f"malformed complex matrix: {e}")
     if m.shape != shape:
         raise UsageError(f"expected shape {shape}, got {m.shape}")
@@ -152,6 +165,29 @@ def _parse_floats(text: str, n: int, what: str):
     return values
 
 
+def _accept(m: np.ndarray, tol: float, message: str) -> np.ndarray:
+    """The nearest unitary to m, a matrix the user gave, if m is unitary within tol."""
+    if not is_unitary(m, tol):
+        raise ValidationError(message)
+    return nearest_unitary(m)
+
+
+def _accept_basis(basis: MeasurementBasis, tol: float, message: str) -> MeasurementBasis:
+    """The nearest orthonormal basis to basis, a basis the user gave, if it
+    is orthonormal within tol.  When its gate-form betas are also unitary
+    within tol, each is first replaced by its nearest unitary e^{i phi_j}
+    q_j (q_j in SU(2)), which makes every vector maximally entangled; the
+    final nearest unitary keeps them so, because with the q_j read as real
+    unit 4-vectors it only mixes them by a real orthogonal matrix."""
+    rows = np.stack(basis.vectors)  # unitary iff its transpose basis.matrix() is
+    if not is_unitary(rows, tol):
+        raise ValidationError(message)
+    betas = gate_betas(basis)
+    if is_unitary(betas, tol):
+        rows = dag(nearest_unitary(betas)).reshape(4, 4) / np.sqrt(2)
+    return MeasurementBasis(tuple(nearest_unitary(rows)), basis.name)
+
+
 def resolve_gate(spec: str, tol: float) -> np.ndarray:
     key = spec.strip().lower()
     if key in NAMED_GATES:
@@ -164,23 +200,23 @@ def resolve_gate(spec: str, tol: float) -> np.ndarray:
         return nonlocal_gate((t1, t2, t3))
     if spec.startswith("@"):
         _, m = read_gate_file(spec[1:])
-        if not is_unitary(m, tol):
-            raise ValidationError(f"gate from {spec[1:]} is not unitary within {tol}")
-        return m
+        return _accept(m, tol, f"gate from {spec[1:]} is not unitary within {tol}")
     raise UsageError(f"unknown gate spec {spec!r}")
 
 
-def _resolve_single_qubit(spec: str) -> np.ndarray:
+def _resolve_single_qubit(spec: str, tol: float) -> np.ndarray:
     key = spec.strip().lower()
     if key in _SINGLE_QUBIT_NAMED:
         return _SINGLE_QUBIT_NAMED[key]
     if spec.startswith("@"):
-        return _doc_to_rows(_read_doc(spec[1:], "matrix")["matrix"], (2, 2))
-    vals = _parse_floats(spec, 8, "2x2 matrix (re,im x 4 entries)")
-    return np.array(
-        [[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
-         [complex(vals[4], vals[5]), complex(vals[6], vals[7])]]
-    )
+        m = _doc_to_rows(_read_doc(spec[1:], "matrix")["matrix"], (2, 2))
+    else:
+        vals = _parse_floats(spec, 8, "2x2 matrix (re,im x 4 entries)")
+        m = np.array(
+            [[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
+             [complex(vals[4], vals[5]), complex(vals[6], vals[7])]]
+        )
+    return _accept(m, tol, "pauli_conj matrix is not unitary")
 
 
 def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
@@ -205,15 +241,9 @@ def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
         t1, t2, t3 = _parse_floats(spec[len("beta_nl:"):], 3, "beta_nl:t1,t2,t3")
         return beta_nl_basis(t1, t2, t3)
     if key.startswith("pauli_conj:"):
-        u_r = _resolve_single_qubit(spec[len("pauli_conj:"):])
-        if not is_unitary(u_r, tol):
-            raise ValidationError("pauli_conj matrix is not unitary")
-        return conjugated_pauli_basis(u_r)
+        return conjugated_pauli_basis(_resolve_single_qubit(spec[len("pauli_conj:"):], tol))
     if spec.startswith("@"):
-        basis = read_basis_file(spec[1:])
-        if not basis.is_orthonormal(tol):
-            raise ValidationError(f"basis from {spec[1:]} is not orthonormal within {tol}")
-        return basis
+        return _accept_basis(read_basis_file(spec[1:]), tol, f"basis from {spec[1:]} is not orthonormal within {tol}")
     raise UsageError(f"unknown basis spec {spec!r}")
 
 
@@ -266,11 +296,9 @@ def _oracle_fidelities(g, basis, report, inputs: int, rng) -> np.ndarray:
 
 def cmd_kak(args) -> int:
     g = resolve_gate(args.gate, args.tol)
-    d = kak_decompose(g, args.tol)
+    d = kak_decompose(g)
     cls = classify_nonlocal(d.theta)
-    # g passed at --tol; judge its nearest unitary at the default Clifford threshold.
-    u, _, vh = np.linalg.svd(g)
-    clifford = is_clifford(u @ vh)
+    clifford = is_clifford(g)
     if args.format == "json":
         _emit_json({"gate": args.gate, **_fields(d), **_fields(cls), "is_clifford": clifford})
         return 0
@@ -498,7 +526,7 @@ def cmd_fourway(args) -> int:
 
 def cmd_validate_basis(args) -> int:
     basis = resolve_basis(args.basis, args.tol)
-    report = validate_basis(basis, args.tol)
+    report = validate_basis(basis)
     capability_zero = not report.all_beta_unitary
     if args.format == "json":
         _emit_json({"basis": args.basis, **_fields(report), "capability_zero": capability_zero})

@@ -33,17 +33,17 @@ from .linalg import (
     I4,
     PAULI_PAIR_LABELS,
     PAULI_PAIRS,
+    PROBABILITY_FLOOR,
     SX,
     SZ,
     dag,
-    is_unitary,
     kron_pairs,
     pauli_coefficients,
     require_unitary,
     tensor,
 )
 from .kak import is_clifford
-from .bases import MeasurementBasis, beta_matrices, require_orthonormal
+from .bases import MeasurementBasis, capable, gate_betas, require_orthonormal
 from .separability import SEPARABLE_TOL, leading_products
 from .simulator import outcome_fidelities, project_outcomes, register_from
 
@@ -71,7 +71,8 @@ class FourwayReport:
     """Per-outcome results in row-major (j,k) order.
 
     A branch is separable when its second operator-Schmidt coefficient is
-    at most the separability tolerance (never for an invalid basis).
+    at most the separability tolerance (never for a basis without
+    capability, see bases.capable).
     fidelities_corrected picks the best of the raw output and the outputs
     with either separable branch undone by the inverse of its local pair;
     output states are None for zero-probability outcomes.
@@ -121,16 +122,18 @@ def analyze_fourway(
     tol: float = SEPARABLE_TOL,
 ) -> FourwayReport:
     """Branch separability plus simulated per-outcome outputs."""
-    u_t = require_unitary(u_t, 1e-9, "teleported gate")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     psi_ab = np.asarray(psi_ab, dtype=complex)
     if abs(np.linalg.norm(psi_ab) - 1) > 1e-9:
         raise ValueError("input state must be normalized")
 
     u = u_t @ u1_gate()
-    gate_betas = np.stack(beta_matrices(basis, None, "gate_form").mats)
-    valid = is_unitary(gate_betas, 1e-8)
-    beta_jk = kron_pairs(gate_betas, gate_betas)
+    betas = gate_betas(basis)
+    valid = capable(betas)
+    beta_jk = kron_pairs(betas, betas)
     # Every b_j (x) b_k is a Pauli product iff every b_j is a Pauli matrix.
     pauli_basis = valid and None not in _pauli_pair_labels(beta_jk)
 
@@ -144,9 +147,7 @@ def analyze_fourway(
     separable = np.zeros(32, dtype=bool)
     undo = np.broadcast_to(I4, (32, 4, 4))
     if valid:
-        if not tol > 0:
-            raise ValueError("tol must be positive")
-        schmidt, products = leading_products(require_unitary(branches, 1e-9, "factorization input"))
+        schmidt, products = leading_products(require_unitary(branches, what="factorization input"))
         separable = schmidt[:, 1] <= tol
         undo = np.where(separable[:, None, None], dag(products), I4)
     labels = _pauli_pair_labels(branches)
@@ -160,7 +161,7 @@ def analyze_fourway(
         branch_zz_pauli=labels[16:],
         clifford_case=bool(is_clifford(u) and pauli_basis),
         probabilities=tuple(probs.tolist()),
-        output_states=tuple(out if p > 1e-12 else None for out, p in zip(outs[0], probs)),
+        output_states=tuple(out if p > PROBABILITY_FLOOR else None for out, p in zip(outs[0], probs)),
         fidelities_raw=tuple(fids[0].tolist()),
         fidelities_corrected=tuple(fids.max(axis=0).tolist()),
     )

@@ -36,6 +36,11 @@ from .linalg import (
     unitary_eigenbasis,
 )
 
+# An angle within LATTICE_TOL of a lattice point is on it; a Pauli transfer
+# row whose largest entry is within CLIFFORD_TOL of 1 marks a Clifford row.
+LATTICE_TOL = 1e-8
+CLIFFORD_TOL = 1e-8
+
 MAGIC = np.array(
     [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]],
     dtype=complex,
@@ -119,9 +124,9 @@ def kak_reconstruct(d: KakDecomposition) -> np.ndarray:
     )
 
 
-def kak_decompose(u: np.ndarray, tol: float = 1e-9) -> KakDecomposition:
+def kak_decompose(u: np.ndarray) -> KakDecomposition:
     """Canonical Weyl-chamber KAK decomposition of a 4x4 unitary."""
-    u = require_unitary(u, tol, "input gate")
+    u = require_unitary(u, what="input gate")
     if u.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
 
@@ -209,16 +214,17 @@ def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
     )
 
 
-def classify_nonlocal(theta, tol: float = 1e-8) -> NonlocalClass:
-    """Classify canonical non-local angles against the pi/4 and pi/2 lattices."""
+def classify_nonlocal(theta) -> NonlocalClass:
+    """Classify canonical non-local angles against the pi/4 and pi/2 lattices,
+    within LATTICE_TOL."""
     delta = []
     odd_quarter = []
     for t in theta:
         r = t % (np.pi / 2)
-        on_half_lattice = r <= tol or r >= np.pi / 2 - tol
+        on_half_lattice = r <= LATTICE_TOL or r >= np.pi / 2 - LATTICE_TOL
         delta.append(not on_half_lattice)
-        odd_quarter.append(abs(r - np.pi / 4) <= tol)
-    swap_point = all(abs(abs(t) - np.pi / 4) <= tol for t in theta)
+        odd_quarter.append(abs(r - np.pi / 4) <= LATTICE_TOL)
+    swap_point = all(abs(abs(t) - np.pi / 4) <= LATTICE_TOL for t in theta)
     return NonlocalClass(
         delta=tuple(delta),
         odd_quarter_pi=tuple(odd_quarter),
@@ -226,7 +232,7 @@ def classify_nonlocal(theta, tol: float = 1e-8) -> NonlocalClass:
     )
 
 
-def euler_zyz(u: np.ndarray, tol: float = 1e-9) -> LocalEulerAngles:
+def euler_zyz(u: np.ndarray) -> LocalEulerAngles:
     """ZYZ angles of a single-qubit unitary, lambda2 in [0, pi].
 
     u may also be a (..., 2, 2) stack, checked for unitarity once; the
@@ -235,7 +241,7 @@ def euler_zyz(u: np.ndarray, tol: float = 1e-9) -> LocalEulerAngles:
     combination lambda1 +/- lambda3 is defined; lambda3 = 0 is reported
     there.
     """
-    u = require_unitary(u, tol, "single-qubit gate")
+    u = require_unitary(u, what="single-qubit gate")
     u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
     diagonal = np.abs(u10) <= 1e-12
     antidiagonal = ~diagonal & (np.abs(u00) <= 1e-12)
@@ -272,10 +278,10 @@ def euler_reconstruct(e: LocalEulerAngles) -> np.ndarray:
     return np.exp(1j * e.phase) * rot("z", e.lambda1) @ rot("y", e.lambda2) @ rot("z", e.lambda3)
 
 
-def is_clifford(u: np.ndarray, tol: float = 1e-8) -> bool:
+def is_clifford(u: np.ndarray) -> bool:
     """True iff u maps every two-qubit Pauli product onto one, up to phase."""
-    u = require_unitary(u, max(tol, 1e-9), "input gate")
+    u = require_unitary(u, CLIFFORD_TOL, "input gate")
     # Row j holds the Pauli coefficients of u P_j u^dag: the Pauli
     # transfer matrix, whose rows are unit vectors.
     transfer = pauli_coefficients(u @ PAULI_PAIRS @ dag(u))
-    return bool((np.abs(transfer).max(axis=-1) >= 1.0 - tol).all())
+    return bool((np.abs(transfer).max(axis=-1) >= 1.0 - CLIFFORD_TOL).all())

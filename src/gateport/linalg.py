@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 DEFAULT_UNITARY_TOL = 1e-9
+PROBABILITY_FLOOR = 1e-12  # outcomes of probability at most this never occur
 
 # Single-qubit constants.
 I2 = np.eye(2, dtype=complex)
@@ -87,9 +88,11 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    residual = (dag(m) @ m - np.eye(m.shape[-1])).view(float)
+    n = m.shape[-1]
+    residual = dag(m) @ m
+    residual.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] -= 1  # minus I: a flat matrix's diagonal
     # A NaN sum, or a negative or NaN tol, fails the comparison.
-    return math.sqrt((residual * residual).sum(axis=(-2, -1)).max()) <= tol
+    return math.sqrt(np.square(residual.view(float)).sum(axis=(-2, -1)).max()) <= tol
 
 
 def require_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, what: str = "matrix") -> np.ndarray:
@@ -97,6 +100,13 @@ def require_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, what: str =
     if not is_unitary(m, tol):
         raise ValueError(f"{what} is not unitary within {tol}")
     return m
+
+
+def nearest_unitary(m: np.ndarray) -> np.ndarray:
+    """The unitary nearest to the square matrix m in Frobenius norm: the
+    polar factor u @ vh of its SVD m = u diag(s) vh (Fan & Hoffman 1955)."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -115,14 +125,14 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) ->
     return np.linalg.norm(a - c * b) <= tol
 
 
-def principal_sqrt(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> np.ndarray:
+def principal_sqrt(m: np.ndarray) -> np.ndarray:
     """Unitary square root with eigenphases on the principal branch.
 
     Every eigenvalue e^{i*theta} of m (theta in (-pi, pi]) maps to
     e^{i*theta/2}, so the eigenphases of the result lie in (-pi/2, pi/2].
-    Rejects non-unitary input.
+    Rejects input that is not unitary within DEFAULT_UNITARY_TOL.
     """
-    m = require_unitary(m, tol)
+    m = require_unitary(m)
     phases, p = unitary_eigenbasis((m + dag(m)) / 2, (m - dag(m)) / 2j)
     # Eigenvalue -1 may come out at angle -pi (a signed zero, or rounding);
     # the principal branch puts it at +pi.

@@ -71,7 +71,7 @@ def tensor_factorize(w: np.ndarray, tol: float = SEPARABLE_TOL) -> TensorFactori
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    w = require_unitary(w, 1e-9, "factorization input")
+    w = require_unitary(w, what="factorization input")
     u, s, vh = np.linalg.svd(_realign(w))
     schmidt = s / 2.0
     if schmidt[1] > tol:
@@ -94,7 +94,7 @@ def factorize_all(ws: np.ndarray, tol: float = SEPARABLE_TOL) -> tuple[TensorFac
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    ws = require_unitary(ws, 1e-9, "factorization input")
+    ws = require_unitary(ws, what="factorization input")
     schmidt = np.linalg.svd(_realign(ws), compute_uv=False) / 2.0
     return tuple(
         tensor_factorize(w, tol) if candidate else TensorFactorization(False, None, None, 0.0, row)

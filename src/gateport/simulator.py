@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, I4, require_unitary, tensor
+from .linalg import I2, I4, PROBABILITY_FLOOR, require_unitary, tensor
 from .bases import MeasurementBasis, require_orthonormal
 from .teleport import ResourceState
 
@@ -98,7 +98,7 @@ def apply_gate(reg: Register, gate: np.ndarray, targets) -> Register:
     if any(not 0 <= q < reg.n for q in targets):
         raise IndexError("target out of range")
     k = len(targets)
-    gate = require_unitary(gate, 1e-9, "gate")
+    gate = require_unitary(gate, what="gate")
     if gate.shape != (2**k, 2**k):
         raise ValueError("gate dimension does not match target count")
     lead = reg.state.shape[:-1]
@@ -147,10 +147,10 @@ def outcome_fidelities(rests: np.ndarray, ops: np.ndarray, target: np.ndarray):
     for a stack of inputs; `target` then has the same leading axes.  `ops`
     is one operator, a stack with one per outcome, or several such stacks
     along leading axes, which the outputs and fidelities keep.  Outcomes of
-    probability at most 1e-12 get zero rows and fidelity 0.
+    probability at most PROBABILITY_FLOOR get zero rows and fidelity 0.
     """
     probs = _probabilities(rests)
-    live = probs > 1e-12
+    live = probs > PROBABILITY_FLOOR
     norms = np.sqrt(np.where(live, probs, 1.0))
     outs = np.where(live[..., None], (ops @ rests[..., None])[..., 0] / norms[..., None], 0.0)
     return probs, outs, np.abs((outs @ np.conj(target)[..., None])[..., 0]) ** 2
@@ -185,7 +185,7 @@ def measure_pair(
         outcome = int(rng.choice(4, p=probs / probs.sum()))
     else:
         outcome = int(forced_outcome)
-        if probs[outcome] <= 1e-12:
+        if probs[outcome] <= PROBABILITY_FLOOR:
             raise ValueError(f"outcome {outcome} has zero probability")
     rest = rests[outcome].reshape((2,) * (reg.n - 2)) / np.sqrt(probs[outcome])
     post = np.tensordot(np.asarray(basis.vectors[outcome]).reshape(2, 2), rest, axes=0)
@@ -238,7 +238,7 @@ def run_gate_teleport(
         raise ValueError("input must be a 4-vector or a (k, 4) stack of them")
     if np.any(np.abs(np.linalg.norm(ab, axis=-1) - 1) > 1e-9):
         raise ValueError("input state must be normalized")
-    u_t = require_unitary(u_t, 1e-9, "teleported gate")
+    u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     reg = register_from([(ab, (0, 1)), (bell, (2, 3)), (bell, (4, 5))], 6)

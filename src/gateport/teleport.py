@@ -33,13 +33,14 @@ from .linalg import (
     SX,
     SY,
     SZ,
+    PROBABILITY_FLOOR,
     dag,
-    is_unitary,
     kron_pairs,
     principal_sqrt,
     require_unitary,
 )
 from .kak import (
+    LATTICE_TOL,
     NonlocalClass,
     classify_nonlocal,
     euler_zyz,
@@ -50,6 +51,8 @@ from .bases import (
     NAMED_BASES,
     MeasurementBasis,
     beta_matrices,
+    capable,
+    gate_betas,
     require_orthonormal,
 )
 from .separability import SEPARABLE_TOL, factorize_all
@@ -74,6 +77,8 @@ NAMED_GATES = {
 }
 
 PAIR_ORDER = tuple(itertools.product(range(4), repeat=2))
+
+CORRECTABLE_TOL = 1e-8  # bound on ||M^dag M - p I||_F of a correctable outcome
 
 
 def t_gate(phi: float, xi: float) -> np.ndarray:
@@ -142,7 +147,6 @@ def analyze_state_teleport(
     resource: ResourceState,
     u_front: np.ndarray | None,
     basis: MeasurementBasis,
-    tol: float = 1e-8,
 ) -> StateTeleportReport:
     """Per-outcome teleportability of a single qubit through the Fig.-1-style
     circuit with front gate u_front on the (partner, input) pair."""
@@ -157,13 +161,13 @@ def analyze_state_teleport(
         m = psi @ b
         gram = dag(m) @ m
         p = float(np.trace(gram).real / 2.0)
-        ok = p > 1e-12 and np.linalg.norm(gram - p * np.eye(2)) <= tol
+        ok = p > PROBABILITY_FLOOR and np.linalg.norm(gram - p * np.eye(2)) <= CORRECTABLE_TOL
         m_matrices.append(m)
         probs.append(p)
         flags.append(bool(ok))
         corrections.append(m / np.sqrt(p) if ok else None)
 
-    deterministic = all(ok or p <= 1e-12 for ok, p in zip(flags, probs))
+    deterministic = all(ok or p <= PROBABILITY_FLOOR for ok, p in zip(flags, probs))
     return StateTeleportReport(
         m_matrices=tuple(m_matrices),
         probabilities=tuple(probs),
@@ -181,12 +185,14 @@ def analyze_gate_teleport(
     tol: float = SEPARABLE_TOL,
 ) -> GateTeleportReport:
     """Separability verdict and corrections for each of the 16 outcomes."""
-    u_t = require_unitary(u_t, 1e-9, "teleported gate")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
-    gate_betas = np.stack(beta_matrices(basis, u_front, "gate_form").mats)
+    betas = gate_betas(basis, u_front)
 
-    w_stack = ((u_t @ kron_pairs(gate_betas, gate_betas)).reshape(64, 4) @ dag(u_t)).reshape(16, 4, 4)
-    if is_unitary(gate_betas, 1e-8):
+    w_stack = ((u_t @ kron_pairs(betas, betas)).reshape(64, 4) @ dag(u_t)).reshape(16, 4, 4)
+    if capable(betas):
         corrections = tuple(
             (np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None
             for f in factorize_all(w_stack, tol)
@@ -284,11 +290,11 @@ _AXIS_REPS = (
 )
 
 
-def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis, tol: float = 1e-8) -> Theorem1Verdict:
+def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis) -> Theorem1Verdict:
     """Sufficient-condition check for deterministic teleportation.
 
-    Condition 2 (swap-point non-local part) works with any basis whose
-    gate_form matrices are unitary.  Condition 1 requires every
+    Condition 2 (swap-point non-local part) works with any capable basis
+    (bases.capable).  Condition 1 requires every
     non-local angle on the {0, (2k+1)pi/4} lattice and the basis
     matrices, conjugated by the right-side locals, to sit on an
     Euler-angle lattice; which angles are constrained depends on the
@@ -296,12 +302,12 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis, tol: float = 1e-8) 
     conditions are sufficient only: "not_covered" is not a proof of
     non-teleportability.
     """
-    u_t = require_unitary(u_t, 1e-9, "teleported gate")
+    u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     d = kak_decompose(u_t)
-    cls = classify_nonlocal(d.theta, tol)
-    gate_betas = np.stack(beta_matrices(basis, None, "gate_form").mats)
-    basis_valid = is_unitary(gate_betas, 1e-8)
+    cls = classify_nonlocal(d.theta)
+    betas = gate_betas(basis)
+    basis_valid = capable(betas)
 
     quarter_k = tuple(
         int(np.rint((t / (np.pi / 4) - 1) / 2)) if q else None
@@ -326,11 +332,11 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis, tol: float = 1e-8) 
             hs = np.stack([h for _, h, _ in reps])[:, None, None]
             sides = np.stack((d.c_local, d.d_local))[:, None]
             # Axes (rep, side, j): h c b_j c^dag h^dag for the c and d locals.
-            e = euler_zyz(hs @ sides @ gate_betas @ dag(sides) @ dag(hs))
+            e = euler_zyz(hs @ sides @ betas @ dag(sides) @ dag(hs))
             angles = np.stack((e.lambda1, e.lambda2, e.lambda3), axis=-1)
             r = angles % np.pi
             free = ~np.array([mask for _, _, mask in reps])[:, None, None]
-            passed = ((r <= tol) | (r >= np.pi - tol) | free).all(axis=(1, 2, 3))
+            passed = ((r <= LATTICE_TOL) | (r >= np.pi - LATTICE_TOL) | free).all(axis=(1, 2, 3))
             if passed.any():
                 i = int(passed.argmax())
                 axis, _, mask = reps[i]

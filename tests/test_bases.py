@@ -223,3 +223,13 @@ def test_phase_paired_basis_orthonormal():
     u = la.haar_random_unitary(4, rng)
     b = bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j)
     assert b.is_orthonormal(1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-11, -8).map(lambda e: 10.0**e))
+def test_capable_is_the_unitarity_of_all_sixteen_products(seed, size):
+    # Gate-form betas of a capable basis, each moved off unitary by about size.
+    rng = np.random.default_rng(seed)
+    betas = bases.gate_betas(bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng)))
+    betas = betas + size * (rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
+    assert bases.capable(betas) == all(la.is_unitary(np.kron(a, b), 1e-9) for a in betas for b in betas)

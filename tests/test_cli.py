@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gateport import linalg as la
 from gateport import bases, cli
+from gateport import teleport as tp
 
 
 def run(capsys, *argv):
@@ -195,18 +196,211 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert "not unitary" in err
 
 
-def test_library_value_error_exits_2_with_one_line(capsys, tmp_path):
-    # Unitary within --tol, so resolve_gate accepts it, but not within the
-    # analysis' own 1e-9.
+def test_library_value_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    # Unitary within --tol, but not within the analysis' own 1e-9: the CLI
+    # accepts it and analyses its nearest unitary, which is CNOT.
     path = tmp_path / "near.json"
     near = la.CNOT.copy()
     near[0, 0] += 3e-8
     cli.write_gate_file(str(path), near)
     code, out, err = run(capsys, "analyze", "--gate", f"@{path}", "--basis", "bell", "--tol", "1e-6")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("validation error: ")
-    assert "not unitary" in err
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "analyze", "--gate", "cnot", "--basis", "bell")[1].replace("cnot", f"@{path}")
+
+    def fails(*args, **kwargs):
+        raise ValueError("teleported gate is not unitary within 1e-09")
+
+    # A ValueError from the library still exits 2 with one stderr line.
+    monkeypatch.setattr(cli, "analyze_gate_teleport", fails)
+    code, out, err = run(capsys, "analyze", "--gate", "cnot", "--basis", "bell")
+    assert (code, out) == (2, "")
+    assert err == "validation error: teleported gate is not unitary within 1e-09\n"
+
+
+# Inputs a hair off: a gate file 3e-8 off unitary (CNOT), a basis file 6e-8
+# off orthonormal (m2 with one entry scaled by 1 + 5e-8, so that its first
+# vector's gate-form beta is also 1e-7 off unitary: not maximally entangled
+# within the library's 1e-9) and a typed pauli_conj matrix 1e-7 off
+# unitary.  Within --tol 1e-6, each is accepted and gets the exact input's
+# report.
+_NEAR_SPECS = {"@g.json": "cnot", "@b.json": "m2", "pauli_conj:1,0,0,0,0,0,1.0000001,0": "pauli_conj:i"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--gate", "@g.json", "--basis", "bell"),
+        ("fourway", "--gate", "@g.json", "--basis", "bell"),
+        ("simulate", "--gate", "@g.json", "--basis", "bell"),
+        ("state-teleport", "--basis", "bell", "--front", "@g.json"),
+        ("analyze", "--gate", "cnot", "--basis", "@b.json"),
+        ("fourway", "--gate", "cz", "--basis", "@b.json"),
+        ("validate-basis", "--basis", "@b.json"),
+        ("state-teleport", "--basis", "@b.json"),
+        ("analyze", "--gate", "cnot", "--basis", "pauli_conj:1,0,0,0,0,0,1.0000001,0"),
+    ],
+    ids=["analyze-gate", "fourway-gate", "simulate-gate", "state-teleport-front", "analyze-basis", "fourway-basis",
+         "validate-basis", "state-teleport-basis", "pauli-conj"],
+)
+def test_inputs_within_tol_get_the_exact_inputs_report(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GATEPORT_TOL", raising=False)
+    gate = la.CNOT.copy()
+    gate[0, 0] += 3e-8
+    cli.write_gate_file("g.json", gate)
+    vectors = np.stack(bases.m2_basis().vectors)
+    vectors[0, 0] *= 1 + 5e-8
+    cli.write_basis_file("b.json", bases.MeasurementBasis(tuple(vectors), "m2"))
+    near = next(a for a in argv if a in _NEAR_SPECS)
+    code, out, err = run(capsys, *argv, "--tol", "1e-6")
+    assert (code, err) == (0, "")
+    exact = [_NEAR_SPECS.get(a, a) for a in argv]
+    # Equal as printed, but for the sign of a rounding-size zero.
+    assert out.replace("-0.000000", "+0.000000") == (
+        run(capsys, *exact)[1].replace(_NEAR_SPECS[near], near).replace("-0.000000", "+0.000000")
+    )
+
+
+_FILE_BASES = st.one_of(
+    st.sampled_from([bases.bell_basis(), bases.m1_basis(), bases.m2_basis()]),
+    st.floats(0, 2 * np.pi).map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
+    st.integers(0, 2**32 - 1).map(lambda seed: bases.conjugated_pauli_basis(la.haar_random_unitary(2, seed))),
+    # Without capability: the computational basis and beta_nl bases far from pi/4.
+    st.just(bases.MeasurementBasis(tuple(np.eye(4, dtype=complex)), "computational")),
+    st.builds(bases.beta_nl_basis, st.floats(0.1, np.pi / 4 - 0.1), st.floats(-0.05, 0.05), st.floats(-np.pi, np.pi)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FILE_BASES, st.integers(0, 2**32 - 1), st.floats(-12, -7).map(lambda e: 10.0**e))
+def test_a_basis_file_within_tol_keeps_the_exact_bases_verdicts(basis, seed, size):
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rows = np.stack(basis.vectors) + size * noise / np.linalg.norm(noise)
+    accepted = cli._accept_basis(bases.MeasurementBasis(tuple(rows), "file"), 1e-6, "not orthonormal")
+    assert accepted.is_orthonormal()
+    assert bases.capable(bases.gate_betas(accepted)) == bases.capable(bases.gate_betas(basis))
+    for gate in (la.CNOT, la.SWAP, tp.C_PI8, la.principal_sqrt(la.CNOT)):
+        assert tp.analyze_gate_teleport(gate, accepted).separable == tp.analyze_gate_teleport(gate, basis).separable
+
+
+def test_capability_is_one_verdict_at_pi_over_4_plus_1_6e_9(capsys):
+    # beta_nl:0.785398165,0,0 is 1.6e-9 past the maximally entangled pi/4.
+    spec = "beta_nl:0.785398165,0,0"
+    code, out, err = run(capsys, "validate-basis", "--basis", spec, "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["capability_zero"] is True
+    code, out, err = run(capsys, "analyze", "--gate", "cnot", "--basis", spec, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["n_separable"] == 0 and doc["theorem1"]["conclusion"] == "not_covered"
+    code, out, err = run(capsys, "fourway", "--gate", "cz", "--basis", spec, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert not any(doc["branch_xx_separable"] + doc["branch_zz_separable"])
+
+
+_NUMBER = st.floats(-2, 2).map(repr)
+_NON_NUMBER = st.sampled_from(["", "x", "1e", "--1", "0x1", "1j", "1.2.3", "nan", "inf", "-inf", "1e400"])
+
+
+@st.composite
+def _malformed_number_list(draw, counts):
+    """Comma-separated numbers: a count not in `counts`, or one bad token."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 9).filter(lambda n: n not in counts))
+        return ",".join(draw(st.lists(_NUMBER, min_size=n, max_size=n)))
+    tokens = draw(st.lists(_NUMBER, min_size=counts[-1], max_size=counts[-1]))
+    tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_NON_NUMBER)
+    return ",".join(tokens)
+
+
+_KNOWN_SPECS = ("cnot", "swap", "q", "r", "cz", "c_pi8", "cnot_sqrt", "swap_sqrt", "exp_yy", "bell", "m1", "m2")
+_UNKNOWN_SPEC = st.text(max_size=12).filter(
+    lambda t: t.strip().lower() not in _KNOWN_SPECS and ":" not in t and not t.startswith("@")
+)
+_GATE_SPECS = st.one_of(
+    _UNKNOWN_SPEC,
+    _malformed_number_list((2,)).map(lambda t: "t:" + t),
+    _malformed_number_list((3,)).map(lambda t: "kak:" + t),
+)
+_BASIS_SPECS = st.one_of(
+    _UNKNOWN_SPEC,
+    _malformed_number_list((1, 2)).map(lambda t: "beta_ab:" + t),
+    _malformed_number_list((3,)).map(lambda t: "beta_nl:" + t),
+    _malformed_number_list((8,)).map(lambda t: "pauli_conj:" + t),
+    st.floats(0.71, 10).map(lambda a: f"beta_ab:{a!r}"),  # |a| > 1/sqrt(2)
+)
+_PAIR = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(list)
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4))
+_JSON = st.recursive(
+    _JSON_SCALAR,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _malformed_doc(draw, key, n):
+    """The text of a JSON file that is no valid `key` document of an n x n matrix."""
+    kind = draw(st.sampled_from(["text", "no key", "shape", "entry", "values"]))
+    if kind == "text":
+        text = draw(st.text(max_size=20))
+        try:
+            json.loads(text)
+        except ValueError:
+            return text
+        return text + "]"
+    if kind == "no key":
+        doc = draw(_JSON)
+        return json.dumps({k: v for k, v in doc.items() if k != key} if isinstance(doc, dict) else doc)
+    shape = (n, n)
+    if kind == "shape":
+        shape = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3).filter(lambda s: s != [n, n]))
+    rows = np.empty(tuple(shape), dtype=object)
+    for idx in np.ndindex(rows.shape):
+        rows[idx] = draw(_PAIR)
+    rows = rows.tolist()
+    if kind == "entry":
+        bad = draw(st.sampled_from([None, "x", "", "1j", [], [1], [1, 2, 3], {}, {"re": 1}, 10**400, -(10**400)]))
+        i, j, part = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.sampled_from([0, 1, None]))
+        if part is None:
+            rows[i][j] = bad
+        else:
+            rows[i][j][part] = bad
+    if kind == "values":
+        m = np.array([[complex(*p) for p in row] for row in rows])
+        assume(not la.is_unitary(m, 1e-9))
+    return json.dumps({key: rows})
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_malformed_specs_and_files_exit_with_one_line(capsys, monkeypatch, tmp_path, data):
+    monkeypatch.delenv("GATEPORT_TOL", raising=False)
+    path = str(tmp_path / "spec.json")
+    what = data.draw(st.sampled_from(["gate", "basis", "gate file", "basis file", "pauli_conj file"]))
+    spec = data.draw(_GATE_SPECS if what == "gate" else _BASIS_SPECS) if what in ("gate", "basis") else "@" + path
+    if what.endswith("file"):
+        key, n = ("vectors", 4) if what == "basis file" else ("matrix", 2 if what.startswith("pauli") else 4)
+        with open(path, "w") as fh:
+            fh.write(data.draw(_malformed_doc(key, n)))
+        spec = ("pauli_conj:" if what.startswith("pauli") else "") + spec
+    if what.startswith("gate"):
+        commands = [("kak", "--gate", spec), ("analyze", "--gate", spec, "--basis", "bell")]
+    else:
+        commands = [("validate-basis", "--basis", spec), ("analyze", "--gate", "cnot", "--basis", spec)]
+    argv = data.draw(st.sampled_from(commands))
+    code, out, err = run(capsys, *argv)
+    assert code in (1, 2) and out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+
+
+def test_integer_past_float_range_exits_1_with_one_line(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"matrix": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    code, out, err = run(capsys, "validate-basis", "--basis", f"pauli_conj:@{path}")
+    assert (code, out) == (1, "")
+    assert err == "error: malformed complex matrix: int too large to convert to float\n"
 
 
 def _src_env():

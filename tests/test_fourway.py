@@ -116,9 +116,11 @@ def test_invalid_basis_reports_no_separability():
 
 def test_fourway_rejects_a_tol_that_is_not_positive():
     psi = la.random_state(4, 4)
-    for tol in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            fw.analyze_fourway(la.CNOT, bases.m2_basis(), psi, tol)
+    computational = bases.MeasurementBasis(tuple(np.eye(4, dtype=complex)), "computational")
+    for basis in (bases.m2_basis(), computational):  # with capability and without
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                fw.analyze_fourway(la.CNOT, basis, psi, tol)
 
 
 def _fourway_reference(u_t, basis, psi):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gateport import linalg as la
 from gateport import bases
+from gateport import fourway as fw
 from gateport import separability as sep
 from gateport import teleport as tp
 from gateport.kak import is_clifford, nonlocal_gate
@@ -179,6 +180,38 @@ def test_invalid_basis_gives_zero_capability():
     assert not any(rep.separable)
 
 
+def test_gate_report_rejects_a_tol_that_is_not_positive():
+    computational = bases.MeasurementBasis(tuple(np.eye(4, dtype=complex)), "computational")
+    for basis in (bases.m2_basis(), computational):  # with capability and without
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                tp.analyze_gate_teleport(la.CNOT, basis, tol=tol)
+
+
+_CATALOGUE_GATES = [la.CNOT, la.SWAP, la.Q_GATE, la.R_GATE, la.CZ, tp.C_PI8, tp.EXP_YY,
+                    la.principal_sqrt(la.CNOT), la.principal_sqrt(la.SWAP)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from(_CATALOGUE_GATES), st.integers(0, 2**32 - 1).map(lambda s: la.haar_random_unitary(4, s))),
+    st.floats(-12, -6).map(lambda e: 10.0**e),
+    _ANGLES,
+)
+# 1.6e-9 past pi/4: gate-form betas unitary within 1e-8, their products not within 1e-9.
+@example(la.CNOT, 0.785398165 - np.pi / 4, 0.0)
+@example(la.CZ, 1e-12, 0.3)
+def test_near_maximally_entangled_bases_get_one_capability_verdict(gate, eps, t3):
+    basis = bases.beta_nl_basis(np.pi / 4 + eps, 0.0, t3)
+    rep = tp.analyze_gate_teleport(gate, basis)
+    verdict = tp.theorem1_check(gate, basis)
+    four = fw.analyze_fourway(gate, basis, la.random_state(4, 0))
+    if not bases.validate_basis(basis).all_beta_unitary:
+        assert rep.success_probability == 0
+        assert not any(four.branch_xx_separable + four.branch_zz_separable)
+        assert verdict.conclusion == "not_covered"
+
+
 def test_swap_family_deterministic_under_any_valid_basis():
     rng = np.random.default_rng(2)
     for g in (la.SWAP, la.Q_GATE, la.R_GATE):
@@ -281,19 +314,21 @@ def test_conjugation_group_preserves_basis_matrices():
                 assert hit, (theta, j, k)
 
 
-def _theorem1_reference(u_t, basis, tol=1e-8):
+def _theorem1_reference(u_t, basis):
     """theorem1_check's condition 1 and witnesses, one euler_zyz call per
     conjugated basis matrix, trying the axis representatives in order."""
     from gateport.kak import classify_nonlocal, euler_zyz, kak_decompose
 
+    tol = 1e-8  # the Euler-angle lattice tolerance
     masks = {"x": (True, True, True), "z": (False, True, False), "y": (True, False, True)}
     d = kak_decompose(u_t)
-    cls = classify_nonlocal(d.theta, tol)
+    cls = classify_nonlocal(d.theta)
     quarter_k = tuple(
         int(np.rint((t / (np.pi / 4) - 1) / 2)) if q else None for t, q in zip(d.theta, cls.odd_quarter_pi)
     )
     gate_betas = bases.beta_matrices(basis, None, "gate_form").mats
-    valid = la.is_unitary(np.stack(gate_betas), 1e-8)
+    # Capability: every product b_j (x) b_k of the gate-form betas unitary within 1e-9.
+    valid = all(la.is_unitary(np.kron(a, b), 1e-9) for a in gate_betas for b in gate_betas)
     condition2 = cls.is_swap_point and valid
 
     def witness(m, mask):
@@ -354,6 +389,9 @@ THEOREM1_BASES = st.one_of(
     st.sampled_from([la.I2, la.H, la.S, la.H @ la.S]).map(bases.conjugated_pauli_basis),
     st.integers(0, 2**32 - 1).map(lambda seed: bases.conjugated_pauli_basis(la.haar_random_unitary(2, seed))),
     st.builds(bases.beta_nl_basis, _NL_LATTICE, _NL_LATTICE, st.floats(-np.pi, np.pi)),
+    # Within 1e-6 of maximally entangled, across the capability bound.
+    st.builds(lambda e, t3: bases.beta_nl_basis(np.pi / 4 + e, 0.0, t3),
+              st.floats(-12, -6).flatmap(lambda x: st.sampled_from([10.0**x, -(10.0**x)])), st.floats(-np.pi, np.pi)),
 )
 
 
