@@ -189,7 +189,8 @@ def _accept_basis(basis: MeasurementBasis, tol: float, message: str) -> Measurem
 
 
 def resolve_gate(spec: str, tol: float) -> np.ndarray:
-    key = spec.strip().lower()
+    spec = spec.strip()
+    key = spec.lower()
     if key in NAMED_GATES:
         return NAMED_GATES[key]()
     if key.startswith("t:"):
@@ -205,7 +206,7 @@ def resolve_gate(spec: str, tol: float) -> np.ndarray:
 
 
 def _resolve_single_qubit(spec: str, tol: float) -> np.ndarray:
-    key = spec.strip().lower()
+    key = spec.lower()
     if key in _SINGLE_QUBIT_NAMED:
         return _SINGLE_QUBIT_NAMED[key]
     if spec.startswith("@"):
@@ -220,7 +221,8 @@ def _resolve_single_qubit(spec: str, tol: float) -> np.ndarray:
 
 
 def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
-    key = spec.strip().lower()
+    spec = spec.strip()
+    key = spec.lower()
     if key in NAMED_BASES:
         return NAMED_BASES[key]()
     if key.startswith("beta_ab:"):
@@ -241,7 +243,7 @@ def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
         t1, t2, t3 = _parse_floats(spec[len("beta_nl:"):], 3, "beta_nl:t1,t2,t3")
         return beta_nl_basis(t1, t2, t3)
     if key.startswith("pauli_conj:"):
-        return conjugated_pauli_basis(_resolve_single_qubit(spec[len("pauli_conj:"):], tol))
+        return conjugated_pauli_basis(_resolve_single_qubit(spec[len("pauli_conj:"):].strip(), tol))
     if spec.startswith("@"):
         return _accept_basis(read_basis_file(spec[1:]), tol, f"basis from {spec[1:]} is not orthonormal within {tol}")
     raise UsageError(f"unknown basis spec {spec!r}")
@@ -336,10 +338,10 @@ def cmd_analyze(args) -> int:
                     "separable": report.separable[idx],
                     "correction_a": None if report.corrections[idx] is None else report.corrections[idx][0],
                     "correction_b": None if report.corrections[idx] is None else report.corrections[idx][1],
-                    "w_matrix": report.w_matrices[idx],
+                    "w_matrix": w_matrix,
                     **({"min_fidelity": float(fidelities[idx])} if fidelities is not None else {}),
                 }
-                for idx, (j, k) in enumerate(PAIR_ORDER)
+                for idx, ((j, k), w_matrix) in enumerate(zip(PAIR_ORDER, _complex_pairs(report.w_matrices)))
             ],
             "theorem1": _fields(verdict, skip=("nonlocal_class", "quarter_k", "pair_witnesses")),
         }
@@ -476,8 +478,7 @@ def cmd_simulate(args) -> int:
     g = resolve_gate(args.gate, args.tol)
     basis = resolve_basis(args.basis, args.tol)
     report = analyze_gate_teleport(g, basis)
-    rng = np.random.default_rng(args.seed)
-    psi = random_state(4, rng)
+    psi = random_state(4, args.seed)
     record, per_outcome = sample_gate_teleport(
         psi, g, basis, report.correction_inverses(), args.trials, args.seed
     )
@@ -497,8 +498,7 @@ def cmd_simulate(args) -> int:
 def cmd_fourway(args) -> int:
     g = resolve_gate(args.gate, args.tol)
     basis = resolve_basis(args.basis, args.tol)
-    rng = np.random.default_rng(args.seed)
-    psi = random_state(4, rng)
+    psi = random_state(4, args.seed)
     report = analyze_fourway(g, basis, psi)
     if args.format == "json":
         skip = ("branch_xx_pauli", "branch_zz_pauli", "output_states")

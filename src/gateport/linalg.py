@@ -45,21 +45,19 @@ def dag(m: np.ndarray) -> np.ndarray:
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with result[(2i+k),(2j+l)] = a[i,j] * b[k,l].
 
-    Equal to np.kron for 2-D operands, as one outer product and reshape.
+    Equal to np.kron for 2-D operands, as one outer product and reshape;
+    leading axes of (..., m, n) stacks broadcast, giving np.kron pair by pair.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def kron_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """tensor(left[j], right[k]) for every (j, k) in row-major order, as one
     (len(left) * len(right), 4, 4) stack, from two (n, 2, 2) stacks."""
-    left = np.asarray(left, dtype=complex)
-    right = np.asarray(right, dtype=complex)
-    return np.einsum("jac,kbd->jkabcd", left, right).reshape(-1, 4, 4)
+    return tensor(np.asarray(left)[:, None], right).reshape(-1, 4, 4)
 
 
 # The 16 two-qubit Pauli products P_i and their (first, second) labels,
@@ -192,8 +190,10 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
 
 
 def random_state(dim: int, seed) -> np.ndarray:
-    """Normalized random statevector (first column of a Haar unitary)."""
-    return haar_random_unitary(dim, seed)[:, 0].copy()
+    """Random state haar_random_unitary(dim, seed)[:, 0], to rounding, from the same Gaussian draw g
+    (the generator ends in the same place) but without the QR: g[:, 0] / ||g[:, 0]|| (Mezzadri 2007)."""
+    g = np.random.default_rng(seed).standard_normal((2, dim, dim))[:, :, 0]
+    return (g[0] + 1j * g[1]) / np.linalg.norm(g)
 
 
 def kron_split(m: np.ndarray):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, I4, PROBABILITY_FLOOR, require_unitary, tensor
+from .linalg import I2, PROBABILITY_FLOOR, require_unitary, tensor
 from .bases import MeasurementBasis, require_orthonormal
 from .teleport import ResourceState
 
@@ -124,15 +124,15 @@ def project_outcomes(state: np.ndarray, n: int, pairs, basis: MeasurementBasis) 
     measured = [q for pair in pairs for q in pair]
     if len(set(measured)) != len(measured) or any(not 0 <= q < n for q in measured):
         raise ValueError("measured qubits must be distinct and in range")
-    bras = basis.matrix().conj().T.reshape(4, 2, 2)  # bras[j, a, b] = <b_j|ab>
+    bras = basis.matrix().conj().T  # bras[j, 2a + b] = <b_j|ab>
     state = np.asarray(state)
     lead = state.shape[:-1]
-    operands = [state.reshape(lead + (2,) * n), [..., *range(n)]]
-    for i, (a, b) in enumerate(pairs):
-        operands += [bras, [n + i, a, b]]
     rest = [q for q in range(n) if q not in measured]
-    out = np.einsum(*operands, [..., *(n + i for i in range(len(pairs))), *rest])
-    return out.reshape(lead + (4 ** len(pairs), 2 ** len(rest)))
+    # Qubit axes in the order (pairs..., rest): each pair is one (4, 4) product.
+    t = state.reshape(lead + (2,) * n).transpose(*range(len(lead)), *(len(lead) + q for q in measured + rest))
+    for i in range(len(pairs)):
+        t = bras @ t.reshape(lead + (4**i, 4, -1))
+    return t.reshape(lead + (4 ** len(pairs), 2 ** len(rest)))
 
 
 def _probabilities(rests: np.ndarray) -> np.ndarray:
@@ -248,7 +248,7 @@ def run_gate_teleport(
     rests = project_outcomes(reg.state, 6, [(0, 3), (1, 5)], basis)
     ops = u_t
     if corrections is not None:
-        ops = np.stack([I4 if c is None else tensor(*c) for c in corrections]) @ u_t
+        ops = tensor(*np.array([(I2, I2) if c is None else c for c in corrections]).swapaxes(0, 1)) @ u_t
     probs, _, fids = outcome_fidelities(rests, ops, (u_t @ ab[..., None])[..., 0])
     if ab.ndim == 1:
         return GateSimResult(tuple(fids.tolist()), tuple(probs.tolist()))

@@ -82,6 +82,34 @@ def test_resolve_bases():
         cli.resolve_basis("beta_ab:0.9", 1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["analyze", "--gate", "{}", "--basis", "bell"], "t:0.1,0.2"),
+        (["analyze", "--gate", "cnot", "--basis", "{}"], "beta_nl:0.1,0.2,0.3"),
+        (["validate-basis", "--basis", "{}"], "pauli_conj:h"),
+    ],
+)
+def test_padded_specs_read_their_parameters_like_unpadded_ones(capsys, argv, spec):
+    padded = f" {spec} "
+    code, plain_out, plain_err = run(capsys, *(a.format(spec) for a in argv))
+    assert code == 0 and plain_err == ""
+    code, out, err = run(capsys, *(a.format(padded) for a in argv))
+    assert code == 0 and err == ""
+    # Only the echoed spec keeps its padding.
+    assert out.replace(padded, spec) == plain_out
+
+
+def test_pauli_conj_file_after_a_space_is_read_as_a_file(capsys, tmp_path):
+    path = tmp_path / "h.json"
+    cli.write_gate_file(str(path), la.H)
+    code, plain, _ = run(capsys, "validate-basis", "--basis", f"pauli_conj:@{path}")
+    assert code == 0
+    code, out, err = run(capsys, "validate-basis", "--basis", f"pauli_conj: @{path}")
+    assert code == 0 and err == ""
+    assert out.replace(f"pauli_conj: @{path}", f"pauli_conj:@{path}") == plain
+
+
 def test_kak_command(capsys):
     code, out, _ = run(capsys, "kak", "--gate", "cnot")
     assert code == 0

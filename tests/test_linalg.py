@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gateport import bases
 from gateport import linalg as la
@@ -54,6 +55,19 @@ def test_tensor_equals_kron_exactly():
         a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
         b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
         assert np.array_equal(la.tensor(a, b), np.kron(a, b))
+
+
+def test_tensor_broadcasts_stacks_as_kron_pair_by_pair():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 5):
+        a = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+        b = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+        got = la.tensor(a, b)
+        assert got.shape == (k, 4, 4)
+        for i in range(k):
+            assert np.array_equal(got[i], np.kron(a[i], b[i]))
+        # A single matrix broadcasts against a stack.
+        assert np.array_equal(la.tensor(a, la.SX), np.stack([np.kron(m, la.SX) for m in a]))
 
 
 def test_is_unitary():
@@ -168,3 +182,25 @@ def test_haar_trace_moment():
             acc += abs(np.trace(la.haar_random_unitary(dim, rng))) ** 2
         mean = acc / n / dim
         assert abs(mean - 1.0 / dim) < 0.05 / dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 4, 8, 16)), st.integers(0, 2**32 - 1))
+def test_random_state_is_the_first_haar_column_and_keeps_the_stream(dim, seed):
+    rng_state, rng_haar = np.random.default_rng(seed), np.random.default_rng(seed)
+    v = la.random_state(dim, rng_state)
+    assert np.abs(v - la.haar_random_unitary(dim, rng_haar)[:, 0]).max() <= 1e-12
+    assert abs(np.linalg.norm(v) - 1) <= 1e-12
+    # Both leave the generator at the same place: the next draw agrees.
+    assert rng_state.standard_normal() == rng_haar.standard_normal()
+
+
+def test_random_state_seed_1_is_pinned():
+    # Recorded from the QR-based draw (the first column of a Haar unitary).
+    expected = [
+        0.11511759709203306 + 0.0132318366109258j,
+        0.3015832155454783 + 0.002712242856830538j,
+        0.121442760342342 - 0.9031157010970355j,
+        -0.2453203208101185 + 0.07116664787424284j,
+    ]
+    assert np.abs(la.random_state(4, 1) - expected).max() <= 1e-12

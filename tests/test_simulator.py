@@ -96,6 +96,19 @@ def test_project_outcomes_matches_per_outcome_loop(layout, seed, reverse_pairs):
     assert abs((np.abs(got) ** 2).sum() - 1) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CIRCUIT_PAIRS), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_project_outcomes_matches_per_outcome_loop_on_a_stack(layout, seed, k):
+    n, pairs = layout
+    rng = np.random.default_rng(seed)
+    states = np.stack([la.random_state(2**n, rng) for _ in range(k)])
+    basis = _random_basis(rng)
+    got = sim.project_outcomes(states, n, pairs, basis)
+    assert got.shape == (k, 4 ** len(pairs), 2 ** (n - 2 * len(pairs)))
+    for state, rows in zip(states, got):
+        assert np.allclose(rows, _projection_loop(state, n, pairs, basis), rtol=0, atol=1e-12)
+
+
 def test_project_outcomes_rejects_overlapping_pairs():
     state = la.random_state(8, 0)
     for pairs in (((0, 0),), ((0, 1), (1, 2)), ((0, 3),)):
