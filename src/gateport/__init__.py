@@ -73,13 +73,9 @@ from .teleport import (
 )
 from .simulator import (
     GateSimResult,
-    MeasurementRecord,
-    Register,
     StateSimResult,
     apply_gate,
-    measure_pair,
     outcome_distribution,
-    pair_probabilities,
     register_from,
     run_gate_teleport,
     run_state_teleport,

@@ -325,6 +325,8 @@ def cmd_analyze(args) -> int:
         rng = np.random.default_rng(args.seed)
         fidelities = _oracle_fidelities(g, basis, report, args.inputs, rng).min(axis=0)
     if args.format == "json":
+        # One conversion for every correction pair; (I2, I2) fills the outcomes without one.
+        factors = _complex_pairs([(I2, I2) if c is None else c for c in report.corrections])
         doc = {
             "gate": args.gate,
             "basis": args.basis,
@@ -336,8 +338,8 @@ def cmd_analyze(args) -> int:
                     "j": j + 1,
                     "k": k + 1,
                     "separable": report.separable[idx],
-                    "correction_a": None if report.corrections[idx] is None else report.corrections[idx][0],
-                    "correction_b": None if report.corrections[idx] is None else report.corrections[idx][1],
+                    "correction_a": factors[idx][0] if report.separable[idx] else None,
+                    "correction_b": factors[idx][1] if report.separable[idx] else None,
                     "w_matrix": w_matrix,
                     **({"min_fidelity": float(fidelities[idx])} if fidelities is not None else {}),
                 }
@@ -479,19 +481,19 @@ def cmd_simulate(args) -> int:
     basis = resolve_basis(args.basis, args.tol)
     report = analyze_gate_teleport(g, basis)
     psi = random_state(4, args.seed)
-    record, per_outcome = sample_gate_teleport(
+    outcomes, fidelities = sample_gate_teleport(
         psi, g, basis, report.correction_inverses(), args.trials, args.seed
     )
+    hits = np.bincount(outcomes, minlength=16).tolist()
     print(f"gate: {args.gate}   basis: {args.basis}   trials: {args.trials}   seed: {args.seed}")
+    # One input serves every trial, so each outcome's trials share one fidelity.
     print(" j k  hits  min_fidelity  mean_fidelity")
-    for idx, (j, k) in enumerate(PAIR_ORDER):
-        fids = per_outcome.get(idx, [])
-        if not fids:
+    for (j, k), n, f in zip(PAIR_ORDER, hits, fidelities):
+        if not n:
             print(f" {j + 1} {k + 1}  {0:>4}  -             -")
             continue
-        print(f" {j + 1} {k + 1}  {len(fids):>4}  {min(fids):.6f}      {float(np.mean(fids)):.6f}")
-    overall = [f for fids in per_outcome.values() for f in fids]
-    print(f"overall min fidelity: {min(overall):.6f}")
+        print(f" {j + 1} {k + 1}  {n:>4}  {f:.6f}      {f:.6f}")
+    print(f"overall min fidelity: {min(f for n, f in zip(hits, fidelities) if n):.6f}")
     return 0
 
 
@@ -579,15 +581,19 @@ def _tol(text: str) -> float:
     return tol
 
 
-def _count(text: str) -> int:
-    """Type of the count options (--inputs, --trials, tables --verify)."""
+def _count(text: str, low: int = 1) -> int:
+    """Type of the count options (--inputs, --trials, tables --verify) and,
+    with low=0, of --seed (numpy's generators take no negative seed)."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
+
+
+_seed = functools.partial(_count, low=0)
 
 
 @functools.cache
@@ -611,13 +617,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--basis", required=True)
     sp.add_argument("--verify", action="store_true", help="run the statevector oracle")
     sp.add_argument("--inputs", type=_count, default=5, help="oracle inputs per outcome")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     common(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("tables", help="reproduce the reference tables (self-checking)")
     sp.add_argument("--verify", type=_count, metavar="N", help="check table 1 with N oracle inputs per cell")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     common(sp, fmt=False)
     sp.set_defaults(func=cmd_tables)
 
@@ -638,14 +644,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gate", required=True)
     sp.add_argument("--basis", required=True)
     sp.add_argument("--trials", type=_count, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     common(sp, fmt=False)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fourway", help="four-way-entangled-resource analysis")
     sp.add_argument("--gate", required=True)
     sp.add_argument("--basis", default="bell")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     common(sp)
     sp.set_defaults(func=cmd_fourway)
 

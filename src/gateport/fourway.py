@@ -71,8 +71,8 @@ class FourwayReport:
     """Per-outcome results in row-major (j,k) order.
 
     A branch is separable when its second operator-Schmidt coefficient is
-    at most the separability tolerance (never for a basis without
-    capability, see bases.capable).
+    at most SEPARABLE_TOL (never for a basis without capability, see
+    bases.capable).
     fidelities_corrected picks the best of the raw output and the outputs
     with either separable branch undone by the inverse of its local pair;
     output states are None for zero-probability outcomes.
@@ -93,9 +93,9 @@ class FourwayReport:
         return max(self.fidelities_corrected)
 
 
-def _pauli_pair_labels(ms: np.ndarray, tol: float = 1e-8) -> tuple[tuple[str, str] | None, ...]:
+def _pauli_pair_labels(ms: np.ndarray) -> tuple[tuple[str, str] | None, ...]:
     """For each matrix of an (n, 4, 4) stack, the labels of the two-qubit
-    Pauli product it equals up to a global phase within tol (Frobenius
+    Pauli product it equals up to a global phase within 1e-8 (Frobenius
     norm), or None.
 
     The candidate is the product with the largest |c_i|; the phase of
@@ -105,25 +105,22 @@ def _pauli_pair_labels(ms: np.ndarray, tol: float = 1e-8) -> tuple[tuple[str, st
     best = np.abs(coeffs).argmax(axis=-1)
     phases = np.exp(1j * np.angle(np.take_along_axis(coeffs, best[:, None], axis=-1)))
     residuals = np.linalg.norm(ms - phases[:, :, None] * PAULI_PAIRS[best], axis=(-2, -1))
-    return tuple(PAULI_PAIR_LABELS[i] if r <= tol else None for i, r in zip(best, residuals))
+    return tuple(PAULI_PAIR_LABELS[i] if r <= 1e-8 else None for i, r in zip(best, residuals))
 
 
 def _conditional_states(psi_ab: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
     """Unnormalized carrier states of the chi-resource circuit, before
     the teleported gate, for all 16 forced outcomes: a (16, 4) array."""
-    reg = register_from([(psi_ab, (0, 1)), (chi_state(), (2, 3, 4, 5))], 6)
-    return project_outcomes(reg.state, 6, [(0, 2), (1, 5)], basis)
+    state = register_from([psi_ab, chi_state()], 6)
+    return project_outcomes(state, 6, [(0, 2), (1, 5)], basis)
 
 
 def analyze_fourway(
     u_t: np.ndarray,
     basis: MeasurementBasis,
     psi_ab: np.ndarray,
-    tol: float = SEPARABLE_TOL,
 ) -> FourwayReport:
     """Branch separability plus simulated per-outcome outputs."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     psi_ab = np.asarray(psi_ab, dtype=complex)
@@ -148,7 +145,7 @@ def analyze_fourway(
     undo = np.broadcast_to(I4, (32, 4, 4))
     if valid:
         schmidt, products = leading_products(require_unitary(branches, what="factorization input"))
-        separable = schmidt[:, 1] <= tol
+        separable = schmidt[:, 1] <= SEPARABLE_TOL
         undo = np.where(separable[:, None, None], dag(products), I4)
     labels = _pauli_pair_labels(branches)
     ops = np.concatenate((np.broadcast_to(I4, (16, 4, 4)), undo)).reshape(3, 16, 4, 4) @ u_t

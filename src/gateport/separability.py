@@ -60,7 +60,7 @@ def leading_products(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s / 2.0, 2.0 * _realign(u[..., :1] @ vh[..., :1, :])
 
 
-def tensor_factorize(w: np.ndarray, tol: float = SEPARABLE_TOL) -> TensorFactorization:
+def tensor_factorize(w: np.ndarray) -> TensorFactorization:
     """Decide whether a unitary w is a tensor product and extract factors.
 
     Each factor, sqrt(2) times a leading singular vector of the realigned
@@ -69,12 +69,10 @@ def tensor_factorize(w: np.ndarray, tol: float = SEPARABLE_TOL) -> TensorFactori
     Realignment keeps the Frobenius inner product, so that phase is the
     argument of the product of the two entries before gauging.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     w = require_unitary(w, what="factorization input")
     u, s, vh = np.linalg.svd(_realign(w))
     schmidt = s / 2.0
-    if schmidt[1] > tol:
+    if schmidt[1] > SEPARABLE_TOL:
         return TensorFactorization(False, None, None, 0.0, schmidt)
     a, b = _SQRT2 * u[:, 0], _SQRT2 * vh[0]
     top_a, top_b = complex(a[gauge_index(a)]), complex(b[gauge_index(b)])
@@ -83,22 +81,20 @@ def tensor_factorize(w: np.ndarray, tol: float = SEPARABLE_TOL) -> TensorFactori
     return TensorFactorization(True, a, b, cmath.phase(top_a * top_b), schmidt)
 
 
-def factorize_all(ws: np.ndarray, tol: float = SEPARABLE_TOL) -> tuple[TensorFactorization, ...]:
+def factorize_all(ws: np.ndarray) -> tuple[TensorFactorization, ...]:
     """tensor_factorize for each unitary of a (k, 4, 4) stack.
 
     The stack is checked for unitarity once and screened with one batched
     SVD at tensor_factorize's scale.  A matrix whose second Schmidt
-    coefficient exceeds tol gets a non-separable result carrying its
-    screened coefficients; only the remaining candidates go through
-    tensor_factorize, whose verdict and factors are final.
+    coefficient exceeds SEPARABLE_TOL gets a non-separable result
+    carrying its screened coefficients; only the remaining candidates go
+    through tensor_factorize, whose verdict and factors are final.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     ws = require_unitary(ws, what="factorization input")
     schmidt = np.linalg.svd(_realign(ws), compute_uv=False) / 2.0
     return tuple(
-        tensor_factorize(w, tol) if candidate else TensorFactorization(False, None, None, 0.0, row)
-        for w, row, candidate in zip(ws, schmidt, (schmidt[:, 1] <= tol).tolist())
+        tensor_factorize(w) if candidate else TensorFactorization(False, None, None, 0.0, row)
+        for w, row, candidate in zip(ws, schmidt, (schmidt[:, 1] <= SEPARABLE_TOL).tolist())
     )
 
 

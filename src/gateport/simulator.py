@@ -1,9 +1,9 @@
 """Brute-force statevector oracle for the teleportation circuits.
 
-Registers are immutable snapshots of dense statevectors (at most 8
-qubits).  Qubit 0 is the most significant amplitude-index bit.  A
-register may hold a stack of statevectors along leading axes of its
-state; gates and projections act on each of them.
+States are plain arrays of dense statevector amplitudes (at most 8
+qubits).  Qubit 0 is the most significant amplitude-index bit.  Leading
+axes of a state index a stack of statevectors; gates and projections act
+on each of them.
 
 Circuit layouts checked against the analytical module:
 
@@ -22,6 +22,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -30,18 +31,6 @@ from .bases import MeasurementBasis, require_orthonormal
 from .teleport import ResourceState
 
 MAX_QUBITS = 8
-
-
-@dataclass(frozen=True, eq=False)
-class Register:
-    state: np.ndarray
-    n: int
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    outcome_indices: tuple[int, ...]
-    probabilities: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,53 +50,43 @@ class GateSimResult:
     probabilities: tuple[float, ...] | np.ndarray
 
 
-def register_from(parts, n: int) -> Register:
-    """Assemble a register from (amplitudes, qubit positions) fragments
-    covering all n qubits exactly once.
+def register_from(parts, n: int) -> np.ndarray:
+    """The n-qubit product state of `parts`, the amplitudes of
+    consecutive qubit blocks in qubit order (qubit 0's block first).
 
     Leading axes of a fragment's amplitudes index a stack of inputs; they
-    broadcast against the other fragments' and lead the register's state.
+    broadcast against the other fragments' and lead the state.
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"register width must be 1..{MAX_QUBITS}")
-    covered = [q for _, qs in parts for q in qs]
-    if sorted(covered) != list(range(n)):
-        raise ValueError("fragments must cover every qubit exactly once")
-    lead = np.broadcast_shapes(*(np.shape(amps)[:-1] for amps, _ in parts))
-    tensor_state = np.ones(lead, dtype=complex)
-    order = []
-    for amps, qubits in parts:
-        amps = np.asarray(amps, dtype=complex)
-        k = len(qubits)
-        # Qubit axes so far get size 1, so the stack axes line up with `lead`.
-        amps = amps.reshape(amps.shape[:-1] + (1,) * len(order) + (2,) * k)
-        tensor_state = tensor_state.reshape(tensor_state.shape + (1,) * k) * amps
-        order.extend(qubits)
-    perm = tuple(range(len(lead))) + tuple(len(lead) + np.argsort(order))
-    state = tensor_state.transpose(perm).reshape(lead + (2**n,))
+    state = reduce(tensor, (np.asarray(amps, dtype=complex)[..., None] for amps in parts))[..., 0]
+    if state.shape[-1] != 2**n:
+        raise ValueError(f"fragments must hold {n} qubits")
     if np.any(np.abs(np.linalg.norm(state, axis=-1) - 1.0) > 1e-9):
         raise ValueError("assembled register is not normalized")
-    return Register(state, n)
+    return state
 
 
-def apply_gate(reg: Register, gate: np.ndarray, targets) -> Register:
-    """Apply a 2x2 or 4x4 unitary on the target qubits (identity elsewhere)."""
+def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
+    """Apply a 2x2 or 4x4 unitary on the target qubits (identity elsewhere)
+    of a state or of each state of a stack."""
+    n = state.shape[-1].bit_length() - 1
     targets = tuple(targets)
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be distinct")
-    if any(not 0 <= q < reg.n for q in targets):
+    if any(not 0 <= q < n for q in targets):
         raise IndexError("target out of range")
     k = len(targets)
     gate = require_unitary(gate, what="gate")
     if gate.shape != (2**k, 2**k):
         raise ValueError("gate dimension does not match target count")
-    lead = reg.state.shape[:-1]
+    lead = state.shape[:-1]
     axes = tuple(len(lead) + q for q in targets)
-    t = reg.state.reshape(lead + (2,) * reg.n)
+    t = state.reshape(lead + (2,) * n)
     gt = gate.reshape((2,) * (2 * k))
     t = np.tensordot(gt, t, axes=(tuple(range(k, 2 * k)), axes))
     t = np.moveaxis(t, tuple(range(k)), axes)
-    return Register(t.reshape(reg.state.shape), reg.n)
+    return t.reshape(state.shape)
 
 
 def project_outcomes(state: np.ndarray, n: int, pairs, basis: MeasurementBasis) -> np.ndarray:
@@ -135,10 +114,6 @@ def project_outcomes(state: np.ndarray, n: int, pairs, basis: MeasurementBasis) 
     return t.reshape(lead + (4 ** len(pairs), 2 ** len(rest)))
 
 
-def _probabilities(rests: np.ndarray) -> np.ndarray:
-    return (rests.real**2 + rests.imag**2).sum(axis=-1)
-
-
 def outcome_fidelities(rests: np.ndarray, ops: np.ndarray, target: np.ndarray):
     """Probabilities of the residuals `rests` (one row per outcome), the
     normalized residuals after `ops` and their fidelities with `target`.
@@ -149,48 +124,11 @@ def outcome_fidelities(rests: np.ndarray, ops: np.ndarray, target: np.ndarray):
     along leading axes, which the outputs and fidelities keep.  Outcomes of
     probability at most PROBABILITY_FLOOR get zero rows and fidelity 0.
     """
-    probs = _probabilities(rests)
+    probs = (rests.real**2 + rests.imag**2).sum(axis=-1)
     live = probs > PROBABILITY_FLOOR
     norms = np.sqrt(np.where(live, probs, 1.0))
     outs = np.where(live[..., None], (ops @ rests[..., None])[..., 0] / norms[..., None], 0.0)
     return probs, outs, np.abs((outs @ np.conj(target)[..., None])[..., 0]) ** 2
-
-
-def pair_probabilities(reg: Register, targets, basis: MeasurementBasis) -> np.ndarray:
-    """Outcome distribution of a projective pair measurement."""
-    require_orthonormal(basis)
-    return _probabilities(project_outcomes(reg.state, reg.n, [tuple(targets)], basis))
-
-
-def measure_pair(
-    reg: Register,
-    targets,
-    basis: MeasurementBasis,
-    forced_outcome: int | None = None,
-    seed=None,
-):
-    """Projective measurement of a qubit pair in an orthonormal basis.
-
-    Returns (outcome index, outcome probability, post-measurement
-    register).  With forced_outcome the projection is deterministic
-    (forcing a zero-probability outcome is an error); otherwise the
-    outcome is sampled with the caller's seed.
-    """
-    require_orthonormal(basis)
-    targets = tuple(targets)
-    rests = project_outcomes(reg.state, reg.n, [targets], basis)
-    probs = _probabilities(rests)
-    if forced_outcome is None:
-        rng = np.random.default_rng(seed)
-        outcome = int(rng.choice(4, p=probs / probs.sum()))
-    else:
-        outcome = int(forced_outcome)
-        if probs[outcome] <= PROBABILITY_FLOOR:
-            raise ValueError(f"outcome {outcome} has zero probability")
-    rest = rests[outcome].reshape((2,) * (reg.n - 2)) / np.sqrt(probs[outcome])
-    post = np.tensordot(np.asarray(basis.vectors[outcome]).reshape(2, 2), rest, axes=0)
-    post = np.moveaxis(post, (0, 1), targets)
-    return outcome, float(probs[outcome]), Register(post.reshape(-1), reg.n)
 
 
 def run_state_teleport(
@@ -209,10 +147,10 @@ def run_state_teleport(
     if abs(np.linalg.norm(xi) - 1) > 1e-9:
         raise ValueError("input state must be normalized")
     require_orthonormal(basis)
-    reg = register_from([(resource.psi.reshape(-1), (0, 1)), (xi, (2,))], 3)
+    state = register_from([resource.psi.reshape(-1), xi], 3)
     if u_front is not None:
-        reg = apply_gate(reg, u_front, (1, 2))
-    rests = project_outcomes(reg.state, 3, [(1, 2)], basis)
+        state = apply_gate(state, u_front, (1, 2))
+    rests = project_outcomes(state, 3, [(1, 2)], basis)
     ops = I2 if corrections is None else np.stack([I2 if c is None else c for c in corrections])
     probs, _, fids = outcome_fidelities(rests, ops, xi)
     return StateSimResult(tuple(fids.tolist()), tuple(probs.tolist()))
@@ -241,11 +179,11 @@ def run_gate_teleport(
     u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    reg = register_from([(ab, (0, 1)), (bell, (2, 3)), (bell, (4, 5))], 6)
+    state = register_from([ab, bell, bell], 6)
     if u_front is not None:
-        reg = apply_gate(reg, u_front, (0, 3))
-        reg = apply_gate(reg, u_front, (1, 5))
-    rests = project_outcomes(reg.state, 6, [(0, 3), (1, 5)], basis)
+        state = apply_gate(state, u_front, (0, 3))
+        state = apply_gate(state, u_front, (1, 5))
+    rests = project_outcomes(state, 6, [(0, 3), (1, 5)], basis)
     ops = u_t
     if corrections is not None:
         ops = tensor(*np.array([(I2, I2) if c is None else c for c in corrections]).swapaxes(0, 1)) @ u_t
@@ -272,17 +210,14 @@ def sample_gate_teleport(
     corrections,
     trials: int,
     seed,
-) -> tuple[MeasurementRecord, dict[int, list[float]]]:
-    """Monte Carlo runs with sampled outcomes; returns the record of
-    sampled (j,k) pairs (flattened index) and per-outcome fidelities."""
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Monte Carlo runs of one input with sampled outcomes.
+
+    Returns the (trials,) sampled outcome indices (row-major (j, k)) and
+    the 16 fidelities of the forced run, which every trial of an outcome
+    shares.
+    """
     result = run_gate_teleport(input_ab, u_t, basis, corrections)
     probs = np.array(result.probabilities)
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(16, size=trials, p=probs / probs.sum())
-    per_outcome: dict[int, list[float]] = {}
-    for o in outcomes:
-        per_outcome.setdefault(int(o), []).append(result.fidelities[int(o)])
-    return (
-        MeasurementRecord(tuple(int(o) for o in outcomes), tuple(float(probs[o]) for o in outcomes)),
-        per_outcome,
-    )
+    outcomes = np.random.default_rng(seed).choice(16, size=trials, p=probs / probs.sum())
+    return outcomes, result.fidelities

@@ -55,7 +55,7 @@ from .bases import (
     gate_betas,
     require_orthonormal,
 )
-from .separability import SEPARABLE_TOL, factorize_all
+from .separability import factorize_all
 
 # Controlled phase-of-pi/4 gate and the pi/8 phase gate it is built from.
 C_PI8 = np.diag([1, 1, 1, np.exp(1j * np.pi / 4)]).astype(complex)
@@ -182,11 +182,8 @@ def analyze_gate_teleport(
     u_t: np.ndarray,
     basis: MeasurementBasis,
     u_front: np.ndarray | None = None,
-    tol: float = SEPARABLE_TOL,
 ) -> GateTeleportReport:
     """Separability verdict and corrections for each of the 16 outcomes."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     betas = gate_betas(basis, u_front)
@@ -195,7 +192,7 @@ def analyze_gate_teleport(
     if capable(betas):
         corrections = tuple(
             (np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None
-            for f in factorize_all(w_stack, tol)
+            for f in factorize_all(w_stack)
         )
     else:
         # A non-unitary beta means a disentangled basis vector: no outcome

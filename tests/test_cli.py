@@ -495,6 +495,24 @@ def test_counts_below_one_exit_1_with_one_line(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("analyze", "--gate", "cnot", "--basis", "bell", "--verify", "--seed", "-1"),
+        ("tables", "--verify", "2", "--seed", "-1"),
+        ("simulate", "--gate", "cnot", "--basis", "bell", "--seed", "-3"),
+        ("fourway", "--gate", "cnot", "--seed", "-2", "--format", "json"),
+    ],
+    ids=["analyze", "tables", "simulate", "fourway"],
+)
+def test_negative_seed_exits_1_naming_the_option(capsys, argv):
+    # Before any output: `tables` used to print both tables, then exit 2.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument --seed: must be at least 0, got {argv[argv.index('--seed') + 1]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("kak", "--gate", "kak:nan,0,0"),
         ("kak", "--gate", "t:nan,0"),
         ("analyze", "--gate", "cnot", "--basis", "beta_ab:x"),

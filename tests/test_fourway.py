@@ -114,15 +114,6 @@ def test_invalid_basis_reports_no_separability():
     assert not any(rep.branch_zz_separable)
 
 
-def test_fourway_rejects_a_tol_that_is_not_positive():
-    psi = la.random_state(4, 4)
-    computational = bases.MeasurementBasis(tuple(np.eye(4, dtype=complex)), "computational")
-    for basis in (bases.m2_basis(), computational):  # with capability and without
-        for tol in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="tol must be positive"):
-                fw.analyze_fourway(la.CNOT, basis, psi, tol)
-
-
 def _fourway_reference(u_t, basis, psi):
     """Branch verdicts from one tensor_factorize call per branch, and
     corrected fidelities from undoing each separable branch with the

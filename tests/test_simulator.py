@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -16,49 +17,68 @@ def _random_basis(rng):
 
 
 def test_apply_gate_basics():
-    reg = sim.register_from([(np.array([1, 0], dtype=complex), (0,))], 1)
-    assert np.allclose(sim.apply_gate(reg, la.SX, (0,)).state, [0, 1])
-    reg = sim.register_from([(np.array([0, 0, 1, 0], dtype=complex), (0, 1))], 2)
-    assert np.allclose(sim.apply_gate(reg, la.CNOT, (0, 1)).state, [0, 0, 0, 1])
+    assert np.allclose(sim.apply_gate(np.array([1, 0], dtype=complex), la.SX, (0,)), [0, 1])
+    assert np.allclose(sim.apply_gate(np.array([0, 0, 1, 0], dtype=complex), la.CNOT, (0, 1)), [0, 0, 0, 1])
 
 
 def test_register_guards():
     xi = np.array([1, 0], dtype=complex)
     with pytest.raises(ValueError):
-        sim.register_from([(np.ones(2**9, dtype=complex) / 2**4.5, tuple(range(9)))], 9)
+        sim.register_from([np.ones(2**9, dtype=complex) / 2**4.5], 9)
     with pytest.raises(ValueError):
-        sim.register_from([(2.0 * xi, (0,))], 1)
+        sim.register_from([2.0 * xi], 1)
     with pytest.raises(ValueError):
-        sim.register_from([(xi, (0,)), (xi, (0,))], 1)
+        sim.register_from([xi, xi], 1)
+
+
+_FRAGMENT_WIDTHS = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ws: sum(ws) <= sim.MAX_QUBITS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FRAGMENT_WIDTHS, st.integers(0, 2**32 - 1), st.sampled_from((None, 1, 3)), st.integers(0, 2))
+def test_register_from_equals_kron_of_the_fragments(widths, seed, k, stacked):
+    """The product state is np.kron of the fragments, bit for bit: for one
+    state, and per input when one fragment carries a leading stack axis."""
+    rng = np.random.default_rng(seed)
+    parts = [la.random_state(2**w, rng) for w in widths]
+    if k is None:
+        expected = functools.reduce(np.kron, parts)
+    else:
+        stacked %= len(widths)
+        parts[stacked] = np.stack([la.random_state(2 ** widths[stacked], rng) for _ in range(k)])
+        expected = np.stack(
+            [functools.reduce(np.kron, parts[:stacked] + [one] + parts[stacked + 1:]) for one in parts[stacked]]
+        )
+    assert np.array_equal(sim.register_from(parts, sum(widths)), expected)
 
 
 def test_apply_gate_validation():
-    reg = sim.register_from([(np.array([1, 0], dtype=complex), (0,))], 1)
+    state = np.array([1, 0], dtype=complex)
     with pytest.raises(IndexError):
-        sim.apply_gate(reg, la.SX, (1,))
-    reg = sim.register_from([(np.array([1, 0, 0, 0], dtype=complex), (0, 1))], 2)
+        sim.apply_gate(state, la.SX, (1,))
+    state = np.array([1, 0, 0, 0], dtype=complex)
     with pytest.raises(ValueError):
-        sim.apply_gate(reg, la.CNOT, (0, 0))
+        sim.apply_gate(state, la.CNOT, (0, 0))
     with pytest.raises(ValueError):
-        sim.apply_gate(reg, la.SX, (0, 1))
+        sim.apply_gate(state, la.SX, (0, 1))
 
 
 def test_apply_gate_tensor_product_splits():
     rng = np.random.default_rng(0)
     a, b = la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng)
-    reg = sim.register_from([(la.random_state(8, rng), (0, 1, 2))], 3)
-    joint = sim.apply_gate(reg, la.tensor(a, b), (2, 0))
-    split = sim.apply_gate(sim.apply_gate(reg, a, (2,)), b, (0,))
-    assert np.allclose(joint.state, split.state, atol=1e-12)
+    state = la.random_state(8, rng)
+    joint = sim.apply_gate(state, la.tensor(a, b), (2, 0))
+    split = sim.apply_gate(sim.apply_gate(state, a, (2,)), b, (0,))
+    assert np.allclose(joint, split, atol=1e-12)
 
 
 def test_apply_gate_norm_preserved():
     rng = np.random.default_rng(1)
-    reg = sim.register_from([(la.random_state(16, rng), (0, 1, 2, 3))], 4)
+    state = la.random_state(16, rng)
     for _ in range(20):
         q = tuple(rng.choice(4, size=2, replace=False))
-        reg = sim.apply_gate(reg, la.haar_random_unitary(4, rng), q)
-        assert abs(np.linalg.norm(reg.state) - 1) < 1e-12
+        state = sim.apply_gate(state, la.haar_random_unitary(4, rng), q)
+        assert abs(np.linalg.norm(state) - 1) < 1e-12
 
 
 def _projection_loop(state, n, pairs, basis):
@@ -117,36 +137,10 @@ def test_project_outcomes_rejects_overlapping_pairs():
 
 
 def test_bell_measurement_of_00():
-    reg = sim.register_from([(np.array([1, 0, 0, 0], dtype=complex), (0, 1))], 2)
-    probs = sim.pair_probabilities(reg, (0, 1), bases.bell_basis())
+    rests = sim.project_outcomes(np.array([1, 0, 0, 0], dtype=complex), 2, [(0, 1)], bases.bell_basis())
+    probs = (np.abs(rests) ** 2).sum(axis=-1)
     assert np.allclose(probs, [0.5, 0, 0.5, 0], atol=1e-12)
     assert abs(probs.sum() - 1) < 1e-12
-
-
-def test_forcing_zero_probability_outcome_raises():
-    reg = sim.register_from([(np.array([1, 0, 0, 0], dtype=complex), (0, 1))], 2)
-    with pytest.raises(ValueError):
-        sim.measure_pair(reg, (0, 1), bases.bell_basis(), forced_outcome=1)
-
-
-def test_measure_pair_projects_and_renormalizes():
-    rng = np.random.default_rng(2)
-    reg = sim.register_from([(la.random_state(8, rng), (0, 1, 2))], 3)
-    outcome, p, post = sim.measure_pair(reg, (0, 2), bases.m2_basis(), forced_outcome=1)
-    assert outcome == 1
-    assert 0 <= p <= 1
-    assert abs(np.linalg.norm(post.state) - 1) < 1e-9
-    # measuring again yields the same outcome with probability 1
-    probs = sim.pair_probabilities(post, (0, 2), bases.m2_basis())
-    assert abs(probs[1] - 1) < 1e-9
-
-
-def test_measure_pair_sampling_deterministic_for_seed():
-    rng_state = la.random_state(8, 3)
-    reg = sim.register_from([(rng_state, (0, 1, 2))], 3)
-    a = sim.measure_pair(reg, (0, 1), bases.bell_basis(), seed=42)
-    b = sim.measure_pair(reg, (0, 1), bases.bell_basis(), seed=42)
-    assert a[0] == b[0]
 
 
 def test_standard_teleportation_with_pauli_corrections():
@@ -266,12 +260,13 @@ def test_gate_oracle_matches_analysis_on_random_valid_bases():
 
 def test_sampling_record():
     rep = tp.analyze_gate_teleport(la.CNOT, bases.bell_basis())
-    rec, per = sim.sample_gate_teleport(
-        la.random_state(4, 14), la.CNOT, bases.bell_basis(), rep.correction_inverses(), 200, 7
-    )
-    assert len(rec.outcome_indices) == 200
-    assert all(0 <= p <= 1 for p in rec.probabilities)
-    assert all(min(v) > 1 - 1e-9 for v in per.values())
+    args = (la.random_state(4, 14), la.CNOT, bases.bell_basis(), rep.correction_inverses(), 200, 7)
+    outcomes, fidelities = sim.sample_gate_teleport(*args)
+    assert outcomes.shape == (200,)
+    assert np.array_equal(sim.sample_gate_teleport(*args)[0], outcomes)  # the seed fixes the sample
+    assert all(0 <= o < 16 for o in outcomes.tolist())
+    assert len(fidelities) == 16
+    assert all(fidelities[o] >= 1 - 1e-9 for o in outcomes.tolist())
 
 
 _NAMED_GATES = (la.CNOT, la.SWAP, la.CZ, la.Q_GATE, la.R_GATE, tp.C_PI8, tp.EXP_YY, tp.t_gate(np.pi / 8, np.pi / 8))

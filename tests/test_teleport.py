@@ -180,14 +180,6 @@ def test_invalid_basis_gives_zero_capability():
     assert not any(rep.separable)
 
 
-def test_gate_report_rejects_a_tol_that_is_not_positive():
-    computational = bases.MeasurementBasis(tuple(np.eye(4, dtype=complex)), "computational")
-    for basis in (bases.m2_basis(), computational):  # with capability and without
-        for tol in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="tol must be positive"):
-                tp.analyze_gate_teleport(la.CNOT, basis, tol=tol)
-
-
 _CATALOGUE_GATES = [la.CNOT, la.SWAP, la.Q_GATE, la.R_GATE, la.CZ, tp.C_PI8, tp.EXP_YY,
                     la.principal_sqrt(la.CNOT), la.principal_sqrt(la.SWAP)]
 
