@@ -72,9 +72,7 @@ from .teleport import (
     theorem1_check,
 )
 from .simulator import (
-    GateSimResult,
-    StateSimResult,
-    apply_gate,
+    SimResult,
     outcome_distribution,
     register_from,
     run_gate_teleport,

@@ -173,9 +173,9 @@ def beta_matrices(
     return BetaMatrices(tuple(overlap), convention)
 
 
-def gate_betas(basis: MeasurementBasis, u_front: np.ndarray | None = None) -> np.ndarray:
-    """The gate_form betas b_j behind u_front as one (4, 2, 2) stack."""
-    return np.stack(beta_matrices(basis, u_front, "gate_form").mats)
+def gate_betas(basis: MeasurementBasis) -> np.ndarray:
+    """The gate_form betas b_j as one (4, 2, 2) stack."""
+    return np.stack(beta_matrices(basis).mats)
 
 
 def capable(betas: np.ndarray) -> bool:

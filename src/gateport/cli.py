@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -71,15 +72,11 @@ from .fourway import analyze_fourway
 
 
 class UsageError(Exception):
-    exit_code = 1
-
-
-class ValidationError(Exception):
-    exit_code = 2
+    """A malformed command line, spec or file: exit 1."""
 
 
 class SelfCheckError(Exception):
-    exit_code = 3
+    """A table self-check or oracle mismatch: exit 3."""
 
 
 # --- number / file formats -------------------------------------------------
@@ -168,7 +165,7 @@ def _parse_floats(text: str, n: int, what: str):
 def _accept(m: np.ndarray, tol: float, message: str) -> np.ndarray:
     """The nearest unitary to m, a matrix the user gave, if m is unitary within tol."""
     if not is_unitary(m, tol):
-        raise ValidationError(message)
+        raise ValueError(message)
     return nearest_unitary(m)
 
 
@@ -181,7 +178,7 @@ def _accept_basis(basis: MeasurementBasis, tol: float, message: str) -> Measurem
     unit 4-vectors it only mixes them by a real orthogonal matrix."""
     rows = np.stack(basis.vectors)  # unitary iff its transpose basis.matrix() is
     if not is_unitary(rows, tol):
-        raise ValidationError(message)
+        raise ValueError(message)
     betas = gate_betas(basis)
     if is_unitary(betas, tol):
         rows = dag(nearest_unitary(betas)).reshape(4, 4) / np.sqrt(2)
@@ -231,14 +228,11 @@ def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
             (a,) = _parse_floats(vals, 1, "beta_ab:a")
             bsq = 0.5 - a * a
             if bsq < -1e-12:
-                raise ValidationError(f"beta_ab: |a| must be at most 1/sqrt(2), got {a}")
+                raise ValueError(f"beta_ab: |a| must be at most 1/sqrt(2), got {a}")
             b = float(np.sqrt(max(bsq, 0.0)))
         else:
             a, b = _parse_floats(vals, 2, "beta_ab:a,b")
-        try:
-            return beta_ab_basis(a, b)
-        except ValueError as e:
-            raise ValidationError(str(e))
+        return beta_ab_basis(a, b)
     if key.startswith("beta_nl:"):
         t1, t2, t3 = _parse_floats(spec[len("beta_nl:"):], 3, "beta_nl:t1,t2,t3")
         return beta_nl_basis(t1, t2, t3)
@@ -345,7 +339,7 @@ def cmd_analyze(args) -> int:
                 }
                 for idx, ((j, k), w_matrix) in enumerate(zip(PAIR_ORDER, _complex_pairs(report.w_matrices)))
             ],
-            "theorem1": _fields(verdict, skip=("nonlocal_class", "quarter_k", "pair_witnesses")),
+            "theorem1": _fields(verdict, skip=("quarter_k", "pair_witnesses")),
         }
         _emit_json(doc)
         return 0
@@ -436,27 +430,19 @@ def cmd_scan(args) -> int:
     g = resolve_gate(args.gate, args.tol)
     if args.grid < 2:
         raise UsageError("grid must be at least 2 points per axis")
+    ts = 2 * np.pi * np.arange(args.grid) / args.grid
     if args.family == "beta_ab":
         print("t,a,b,success")
-        for i in range(args.grid):
-            t = 2 * np.pi * i / args.grid
-            a = np.cos(t) / np.sqrt(2)
-            b = np.sin(t) / np.sqrt(2)
-            basis = beta_ab_basis(a, b)
-            p = analyze_gate_teleport(g, basis).success_probability
-            print(f"{t:.9f},{a:.9f},{b:.9f},{p:.4f}")
-        return 0
-    if args.family == "beta_nl":
+        points = [(t, np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2)) for t in ts]
+        bases_ = (beta_ab_basis(a, b) for _, a, b in points)
+    else:
         print("theta1,theta2,success")
-        for i in range(args.grid):
-            t1 = -np.pi + 2 * np.pi * i / args.grid
-            for j in range(args.grid):
-                t2 = -np.pi + 2 * np.pi * j / args.grid
-                basis = beta_nl_basis(t1, t2, 0.0)
-                p = analyze_gate_teleport(g, basis).success_probability
-                print(f"{t1:.9f},{t2:.9f},{p:.4f}")
-        return 0
-    raise UsageError(f"unknown family {args.family!r}")
+        points = list(itertools.product(ts - np.pi, repeat=2))
+        bases_ = (beta_nl_basis(t1, t2, 0.0) for t1, t2 in points)
+    for point, basis in zip(points, bases_):
+        p = analyze_gate_teleport(g, basis).success_probability
+        print(",".join(f"{x:.9f}" for x in point) + f",{p:.4f}")
+    return 0
 
 
 def cmd_state_teleport(args) -> int:
@@ -464,7 +450,7 @@ def cmd_state_teleport(args) -> int:
     u_front = resolve_gate(args.front, args.tol) if args.front else None
     report = analyze_state_teleport(bell_resource(), u_front, basis)
     if args.format == "json":
-        _emit_json({"basis": args.basis, "front": args.front, **_fields(report, skip=("m_matrices",))})
+        _emit_json({"basis": args.basis, "front": args.front, **_fields(report)})
         return 0
     print(f"basis: {args.basis}   front gate: {args.front or 'none'}")
     print(f"resource entanglement |det psi|: {report.entanglement:.6f}")
@@ -675,14 +661,11 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ValidationError as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return 2
     except SelfCheckError as e:
         print(f"self-check failed: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
-        # The library's own checks (unitarity, orthonormality,
+        # Spec checks and the library's own (unitarity, orthonormality,
         # normalization) raise ValueError.
         print(f"validation error: {e}", file=sys.stderr)
         return 2

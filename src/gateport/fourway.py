@@ -111,8 +111,7 @@ def _pauli_pair_labels(ms: np.ndarray) -> tuple[tuple[str, str] | None, ...]:
 def _conditional_states(psi_ab: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
     """Unnormalized carrier states of the chi-resource circuit, before
     the teleported gate, for all 16 forced outcomes: a (16, 4) array."""
-    state = register_from([psi_ab, chi_state()], 6)
-    return project_outcomes(state, 6, [(0, 2), (1, 5)], basis)
+    return project_outcomes(register_from([psi_ab, chi_state()]), [(0, 2), (1, 5)], basis)
 
 
 def analyze_fourway(

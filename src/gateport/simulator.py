@@ -11,9 +11,10 @@ Circuit layouts checked against the analytical module:
   partner, 2 = input.  The front gate and the measurement act on the
   (partner, input) pair in that order.
 * Gate teleportation (6 qubits): 0,1 = two-qubit input, (2,3) and (4,5)
-  = resource pairs with carriers 2 and 4.  The front gate and the
-  measurements act on the (input, partner) pairs (0,3) and (1,5) in
-  that order; the teleported gate acts on the carriers (2,4).
+  = resource pairs with carriers 2 and 4.  The measurements act on the
+  (input, partner) pairs (0,3) and (1,5) in that order; the teleported
+  gate acts on the carriers (2,4).  There is no front gate: a front
+  gate U before the measurements is the basis {U^dag b_j}.
 
 The measured-pair orderings differ between the two circuits; this is
 what makes the state_form and gate_form beta layouts transposes of each
@@ -26,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import I2, PROBABILITY_FLOOR, require_unitary, tensor
+from .linalg import I2, PROBABILITY_FLOOR, is_unitary, require_unitary, tensor
 from .bases import MeasurementBasis, require_orthonormal
 from .teleport import ResourceState
 
@@ -34,62 +35,32 @@ MAX_QUBITS = 8
 
 
 @dataclass(frozen=True, eq=False)
-class StateSimResult:
-    fidelities: tuple[float, ...]
-    probabilities: tuple[float, ...]
+class SimResult:
+    """Per-outcome fidelities and probabilities: arrays over the outcomes
+    (4 of the state circuit, 16 of the gate circuit in row-major (j, k)
+    order, matching GateTeleportReport), with a leading axis for a stack
+    of inputs."""
+
+    fidelities: np.ndarray
+    probabilities: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class GateSimResult:
-    """Row-major (j, k) outcome order, matching GateTeleportReport.
-
-    16-tuples for one input; (k, 16) arrays for a stack of k inputs.
-    """
-
-    fidelities: tuple[float, ...] | np.ndarray
-    probabilities: tuple[float, ...] | np.ndarray
-
-
-def register_from(parts, n: int) -> np.ndarray:
-    """The n-qubit product state of `parts`, the amplitudes of
-    consecutive qubit blocks in qubit order (qubit 0's block first).
+def register_from(parts) -> np.ndarray:
+    """The product state of `parts`, the amplitudes of consecutive qubit
+    blocks in qubit order (qubit 0's block first).
 
     Leading axes of a fragment's amplitudes index a stack of inputs; they
     broadcast against the other fragments' and lead the state.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"register width must be 1..{MAX_QUBITS}")
     state = reduce(tensor, (np.asarray(amps, dtype=complex)[..., None] for amps in parts))[..., 0]
-    if state.shape[-1] != 2**n:
-        raise ValueError(f"fragments must hold {n} qubits")
+    if state.shape[-1] not in (2**n for n in range(1, MAX_QUBITS + 1)):
+        raise ValueError(f"register width must be 1..{MAX_QUBITS} qubits")
     if np.any(np.abs(np.linalg.norm(state, axis=-1) - 1.0) > 1e-9):
         raise ValueError("assembled register is not normalized")
     return state
 
 
-def apply_gate(state: np.ndarray, gate: np.ndarray, targets) -> np.ndarray:
-    """Apply a 2x2 or 4x4 unitary on the target qubits (identity elsewhere)
-    of a state or of each state of a stack."""
-    n = state.shape[-1].bit_length() - 1
-    targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("targets must be distinct")
-    if any(not 0 <= q < n for q in targets):
-        raise IndexError("target out of range")
-    k = len(targets)
-    gate = require_unitary(gate, what="gate")
-    if gate.shape != (2**k, 2**k):
-        raise ValueError("gate dimension does not match target count")
-    lead = state.shape[:-1]
-    axes = tuple(len(lead) + q for q in targets)
-    t = state.reshape(lead + (2,) * n)
-    gt = gate.reshape((2,) * (2 * k))
-    t = np.tensordot(gt, t, axes=(tuple(range(k, 2 * k)), axes))
-    t = np.moveaxis(t, tuple(range(k)), axes)
-    return t.reshape(state.shape)
-
-
-def project_outcomes(state: np.ndarray, n: int, pairs, basis: MeasurementBasis) -> np.ndarray:
+def project_outcomes(state: np.ndarray, pairs, basis: MeasurementBasis) -> np.ndarray:
     """Unnormalized residual amplitudes for every joint outcome of
     measuring each qubit pair of `pairs` in `basis`.
 
@@ -98,13 +69,14 @@ def project_outcomes(state: np.ndarray, n: int, pairs, basis: MeasurementBasis) 
     o = 4*j1 + j2 for two pairs (PAIR_ORDER); its squared norm is the
     outcome probability.  Each pair lists its qubits in the order of the
     basis vectors' tensor factors.  Leading axes of `state` (a stack of
-    inputs) lead the result.
+    inputs) lead the result; its last axis gives the qubit count.
     """
+    state = np.asarray(state)
+    n = state.shape[-1].bit_length() - 1
     measured = [q for pair in pairs for q in pair]
     if len(set(measured)) != len(measured) or any(not 0 <= q < n for q in measured):
         raise ValueError("measured qubits must be distinct and in range")
     bras = basis.matrix().conj().T  # bras[j, 2a + b] = <b_j|ab>
-    state = np.asarray(state)
     lead = state.shape[:-1]
     rest = [q for q in range(n) if q not in measured]
     # Qubit axes in the order (pairs..., rest): each pair is one (4, 4) product.
@@ -137,7 +109,7 @@ def run_state_teleport(
     u_front: np.ndarray | None,
     basis: MeasurementBasis,
     corrections=None,
-) -> StateSimResult:
+) -> SimResult:
     """Force each outcome of the single-qubit circuit and score fidelity.
 
     Corrections are applied verbatim to the carrier qubit; to undo
@@ -147,13 +119,15 @@ def run_state_teleport(
     if abs(np.linalg.norm(xi) - 1) > 1e-9:
         raise ValueError("input state must be normalized")
     require_orthonormal(basis)
-    state = register_from([resource.psi.reshape(-1), xi], 3)
+    state = register_from([resource.psi.reshape(-1), xi])
     if u_front is not None:
-        state = apply_gate(state, u_front, (1, 2))
-    rests = project_outcomes(state, 3, [(1, 2)], basis)
+        if np.shape(u_front) != (4, 4) or not is_unitary(u_front):
+            raise ValueError("front gate must be a 4x4 unitary")
+        state = tensor(I2, u_front) @ state  # on the (partner, input) qubits (1, 2)
+    rests = project_outcomes(state, [(1, 2)], basis)
     ops = I2 if corrections is None else np.stack([I2 if c is None else c for c in corrections])
     probs, _, fids = outcome_fidelities(rests, ops, xi)
-    return StateSimResult(tuple(fids.tolist()), tuple(probs.tolist()))
+    return SimResult(fids, probs)
 
 
 def run_gate_teleport(
@@ -161,8 +135,7 @@ def run_gate_teleport(
     u_t: np.ndarray,
     basis: MeasurementBasis,
     corrections=None,
-    u_front: np.ndarray | None = None,
-) -> GateSimResult:
+) -> SimResult:
     """Force all 16 outcomes of the two-pair circuit and score fidelity
     of the corrected carrier state against u_t|input>.
 
@@ -179,28 +152,17 @@ def run_gate_teleport(
     u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    state = register_from([ab, bell, bell], 6)
-    if u_front is not None:
-        state = apply_gate(state, u_front, (0, 3))
-        state = apply_gate(state, u_front, (1, 5))
-    rests = project_outcomes(state, 6, [(0, 3), (1, 5)], basis)
+    rests = project_outcomes(register_from([ab, bell, bell]), [(0, 3), (1, 5)], basis)
     ops = u_t
     if corrections is not None:
         ops = tensor(*np.array([(I2, I2) if c is None else c for c in corrections]).swapaxes(0, 1)) @ u_t
     probs, _, fids = outcome_fidelities(rests, ops, (u_t @ ab[..., None])[..., 0])
-    if ab.ndim == 1:
-        return GateSimResult(tuple(fids.tolist()), tuple(probs.tolist()))
-    return GateSimResult(fids, probs)
+    return SimResult(fids, probs)
 
 
-def outcome_distribution(
-    input_ab: np.ndarray,
-    u_t: np.ndarray,
-    basis: MeasurementBasis,
-    u_front: np.ndarray | None = None,
-) -> np.ndarray:
+def outcome_distribution(input_ab: np.ndarray, u_t: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
     """Exact joint probabilities of the 16 measurement outcomes."""
-    return np.array(run_gate_teleport(input_ab, u_t, basis, u_front=u_front).probabilities)
+    return run_gate_teleport(input_ab, u_t, basis).probabilities
 
 
 def sample_gate_teleport(
@@ -210,7 +172,7 @@ def sample_gate_teleport(
     corrections,
     trials: int,
     seed,
-) -> tuple[np.ndarray, tuple[float, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo runs of one input with sampled outcomes.
 
     Returns the (trials,) sampled outcome indices (row-major (j, k)) and
@@ -218,6 +180,6 @@ def sample_gate_teleport(
     shares.
     """
     result = run_gate_teleport(input_ab, u_t, basis, corrections)
-    probs = np.array(result.probabilities)
+    probs = result.probabilities
     outcomes = np.random.default_rng(seed).choice(16, size=trials, p=probs / probs.sum())
     return outcomes, result.fidelities

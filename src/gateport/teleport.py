@@ -41,7 +41,6 @@ from .linalg import (
 )
 from .kak import (
     LATTICE_TOL,
-    NonlocalClass,
     classify_nonlocal,
     euler_zyz,
     kak_decompose,
@@ -103,7 +102,6 @@ def bell_resource() -> ResourceState:
 
 @dataclass(frozen=True, eq=False)
 class StateTeleportReport:
-    m_matrices: tuple[np.ndarray, ...]
     probabilities: tuple[float, ...]
     teleportable: tuple[bool, ...]
     corrections: tuple[np.ndarray | None, ...]
@@ -137,7 +135,6 @@ class Theorem1Verdict:
     condition1_met: bool
     condition2_met: bool
     conclusion: str  # "deterministic" or "not_covered"
-    nonlocal_class: NonlocalClass
     quarter_k: tuple[int | None, int | None, int | None]
     branch: str | None
     pair_witnesses: tuple | None
@@ -154,39 +151,25 @@ def analyze_state_teleport(
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("resource state must be normalized")
     require_orthonormal(basis)
-    state_betas = beta_matrices(basis, u_front, "state_form").mats
-
-    m_matrices, probs, flags, corrections = [], [], [], []
-    for b in state_betas:
-        m = psi @ b
-        gram = dag(m) @ m
-        p = float(np.trace(gram).real / 2.0)
-        ok = p > PROBABILITY_FLOOR and np.linalg.norm(gram - p * np.eye(2)) <= CORRECTABLE_TOL
-        m_matrices.append(m)
-        probs.append(p)
-        flags.append(bool(ok))
-        corrections.append(m / np.sqrt(p) if ok else None)
-
-    deterministic = all(ok or p <= PROBABILITY_FLOOR for ok, p in zip(flags, probs))
+    ms = psi @ np.stack(beta_matrices(basis, u_front, "state_form").mats)
+    grams = dag(ms) @ ms
+    probs = np.trace(grams, axis1=-2, axis2=-1).real / 2.0
+    residuals = np.linalg.norm(grams - probs[:, None, None] * np.eye(2), axis=(-2, -1))
+    flags = (probs > PROBABILITY_FLOOR) & (residuals <= CORRECTABLE_TOL)
     return StateTeleportReport(
-        m_matrices=tuple(m_matrices),
-        probabilities=tuple(probs),
-        teleportable=tuple(flags),
-        corrections=tuple(corrections),
-        deterministic=deterministic,
+        probabilities=tuple(probs.tolist()),
+        teleportable=tuple(flags.tolist()),
+        corrections=tuple(m / np.sqrt(p) if ok else None for m, p, ok in zip(ms, probs, flags)),
+        deterministic=bool(np.all(flags | (probs <= PROBABILITY_FLOOR))),
         entanglement=float(abs(np.linalg.det(psi))),
     )
 
 
-def analyze_gate_teleport(
-    u_t: np.ndarray,
-    basis: MeasurementBasis,
-    u_front: np.ndarray | None = None,
-) -> GateTeleportReport:
+def analyze_gate_teleport(u_t: np.ndarray, basis: MeasurementBasis) -> GateTeleportReport:
     """Separability verdict and corrections for each of the 16 outcomes."""
     u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
-    betas = gate_betas(basis, u_front)
+    betas = gate_betas(basis)
 
     w_stack = ((u_t @ kron_pairs(betas, betas)).reshape(64, 4) @ dag(u_t)).reshape(16, 4, 4)
     if capable(betas):
@@ -349,7 +332,6 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis) -> Theorem1Verdict:
         condition1_met=condition1,
         condition2_met=condition2,
         conclusion="deterministic" if (condition1 or condition2) else "not_covered",
-        nonlocal_class=cls,
         quarter_k=quarter_k,
         branch=branch,
         pair_witnesses=pair_witnesses,

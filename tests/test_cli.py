@@ -66,7 +66,7 @@ def test_resolve_gate_from_file(tmp_path):
     cli.write_gate_file(str(path), la.CZ)
     assert np.allclose(cli.resolve_gate(f"@{path}", 1e-9), la.CZ)
     cli.write_gate_file(str(path), np.diag([1, 1, 1, 0.5]).astype(complex))
-    with pytest.raises(cli.ValidationError):
+    with pytest.raises(ValueError, match="not unitary"):
         cli.resolve_gate(f"@{path}", 1e-9)
 
 
@@ -78,7 +78,7 @@ def test_resolve_bases():
     assert b.is_orthonormal(1e-10)
     with pytest.raises(cli.UsageError):
         cli.resolve_basis("nope", 1e-9)
-    with pytest.raises(cli.ValidationError):
+    with pytest.raises(ValueError, match="at most 1/sqrt"):
         cli.resolve_basis("beta_ab:0.9", 1e-9)
 
 

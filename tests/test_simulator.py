@@ -16,19 +16,14 @@ def _random_basis(rng):
     return bases.MeasurementBasis(tuple(u[:, i] for i in range(4)), "random")
 
 
-def test_apply_gate_basics():
-    assert np.allclose(sim.apply_gate(np.array([1, 0], dtype=complex), la.SX, (0,)), [0, 1])
-    assert np.allclose(sim.apply_gate(np.array([0, 0, 1, 0], dtype=complex), la.CNOT, (0, 1)), [0, 0, 0, 1])
-
-
 def test_register_guards():
     xi = np.array([1, 0], dtype=complex)
-    with pytest.raises(ValueError):
-        sim.register_from([np.ones(2**9, dtype=complex) / 2**4.5], 9)
-    with pytest.raises(ValueError):
-        sim.register_from([2.0 * xi], 1)
-    with pytest.raises(ValueError):
-        sim.register_from([xi, xi], 1)
+    with pytest.raises(ValueError, match="width"):
+        sim.register_from([np.ones(2**9, dtype=complex) / 2**4.5])
+    with pytest.raises(ValueError, match="width"):
+        sim.register_from([np.ones(3, dtype=complex) / np.sqrt(3)])
+    with pytest.raises(ValueError, match="normalized"):
+        sim.register_from([2.0 * xi])
 
 
 _FRAGMENT_WIDTHS = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ws: sum(ws) <= sim.MAX_QUBITS)
@@ -49,36 +44,7 @@ def test_register_from_equals_kron_of_the_fragments(widths, seed, k, stacked):
         expected = np.stack(
             [functools.reduce(np.kron, parts[:stacked] + [one] + parts[stacked + 1:]) for one in parts[stacked]]
         )
-    assert np.array_equal(sim.register_from(parts, sum(widths)), expected)
-
-
-def test_apply_gate_validation():
-    state = np.array([1, 0], dtype=complex)
-    with pytest.raises(IndexError):
-        sim.apply_gate(state, la.SX, (1,))
-    state = np.array([1, 0, 0, 0], dtype=complex)
-    with pytest.raises(ValueError):
-        sim.apply_gate(state, la.CNOT, (0, 0))
-    with pytest.raises(ValueError):
-        sim.apply_gate(state, la.SX, (0, 1))
-
-
-def test_apply_gate_tensor_product_splits():
-    rng = np.random.default_rng(0)
-    a, b = la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng)
-    state = la.random_state(8, rng)
-    joint = sim.apply_gate(state, la.tensor(a, b), (2, 0))
-    split = sim.apply_gate(sim.apply_gate(state, a, (2,)), b, (0,))
-    assert np.allclose(joint, split, atol=1e-12)
-
-
-def test_apply_gate_norm_preserved():
-    rng = np.random.default_rng(1)
-    state = la.random_state(16, rng)
-    for _ in range(20):
-        q = tuple(rng.choice(4, size=2, replace=False))
-        state = sim.apply_gate(state, la.haar_random_unitary(4, rng), q)
-        assert abs(np.linalg.norm(state) - 1) < 1e-12
+    assert np.array_equal(sim.register_from(parts), expected)
 
 
 def _projection_loop(state, n, pairs, basis):
@@ -110,7 +76,7 @@ def test_project_outcomes_matches_per_outcome_loop(layout, seed, reverse_pairs):
     rng = np.random.default_rng(seed)
     state = la.random_state(2**n, rng)
     basis = _random_basis(rng)
-    got = sim.project_outcomes(state, n, pairs, basis)
+    got = sim.project_outcomes(state, pairs, basis)
     assert got.shape == (4 ** len(pairs), 2 ** (n - 2 * len(pairs)))
     assert np.allclose(got, _projection_loop(state, n, pairs, basis), rtol=0, atol=1e-12)
     assert abs((np.abs(got) ** 2).sum() - 1) < 1e-12
@@ -123,7 +89,7 @@ def test_project_outcomes_matches_per_outcome_loop_on_a_stack(layout, seed, k):
     rng = np.random.default_rng(seed)
     states = np.stack([la.random_state(2**n, rng) for _ in range(k)])
     basis = _random_basis(rng)
-    got = sim.project_outcomes(states, n, pairs, basis)
+    got = sim.project_outcomes(states, pairs, basis)
     assert got.shape == (k, 4 ** len(pairs), 2 ** (n - 2 * len(pairs)))
     for state, rows in zip(states, got):
         assert np.allclose(rows, _projection_loop(state, n, pairs, basis), rtol=0, atol=1e-12)
@@ -133,11 +99,11 @@ def test_project_outcomes_rejects_overlapping_pairs():
     state = la.random_state(8, 0)
     for pairs in (((0, 0),), ((0, 1), (1, 2)), ((0, 3),)):
         with pytest.raises(ValueError):
-            sim.project_outcomes(state, 3, pairs, bases.bell_basis())
+            sim.project_outcomes(state, pairs, bases.bell_basis())
 
 
 def test_bell_measurement_of_00():
-    rests = sim.project_outcomes(np.array([1, 0, 0, 0], dtype=complex), 2, [(0, 1)], bases.bell_basis())
+    rests = sim.project_outcomes(np.array([1, 0, 0, 0], dtype=complex), [(0, 1)], bases.bell_basis())
     probs = (np.abs(rests) ** 2).sum(axis=-1)
     assert np.allclose(probs, [0.5, 0, 0.5, 0], atol=1e-12)
     assert abs(probs.sum() - 1) < 1e-12
@@ -169,6 +135,13 @@ def test_shifted_basic_configuration_reaches_unit_fidelity():
         r = sim.run_state_teleport(xi, tp.bell_resource(), u, basis, rep.correction_inverses())
         assert np.allclose(r.fidelities, 1.0, atol=1e-9)
         assert np.allclose(r.probabilities, rep.probabilities, atol=1e-9)
+
+
+def test_state_teleport_rejects_a_front_gate_that_is_not_a_4x4_unitary():
+    xi = la.random_state(2, 16)
+    for front in (la.SX, np.diag([1, 1, 1, 0.5]).astype(complex), np.eye(8, dtype=complex), np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="front gate must be a 4x4 unitary"):
+            sim.run_state_teleport(xi, tp.bell_resource(), front, bases.bell_basis())
 
 
 def test_state_oracle_agrees_with_analysis_on_random_configs():
@@ -279,9 +252,8 @@ _NAMED_GATES = (la.CNOT, la.SWAP, la.CZ, la.Q_GATE, la.R_GATE, tp.C_PI8, tp.EXP_
     st.sampled_from(("haar", "named")),
     st.sampled_from(("bell", "m2", "random")),
     st.sampled_from((None, "report", "random")),
-    st.booleans(),
 )
-def test_stacked_gate_teleport_equals_single_runs(seed, k, gate_kind, basis_kind, corrections_kind, with_front):
+def test_stacked_gate_teleport_equals_single_runs(seed, k, gate_kind, basis_kind, corrections_kind):
     rng = np.random.default_rng(seed)
     gate = la.haar_random_unitary(4, rng) if gate_kind == "haar" else _NAMED_GATES[rng.integers(len(_NAMED_GATES))]
     if basis_kind == "random":
@@ -296,13 +268,12 @@ def test_stacked_gate_teleport_equals_single_runs(seed, k, gate_kind, basis_kind
             None if rng.random() < 0.25 else (la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
             for _ in range(16)
         )
-    front = la.haar_random_unitary(4, rng) if with_front else None
     inputs = np.stack([la.random_state(4, rng) for _ in range(k)])
 
-    stacked = sim.run_gate_teleport(inputs, gate, basis, corrections, front)
-    singles = [sim.run_gate_teleport(psi, gate, basis, corrections, front) for psi in inputs]
+    stacked = sim.run_gate_teleport(inputs, gate, basis, corrections)
+    singles = [sim.run_gate_teleport(psi, gate, basis, corrections) for psi in inputs]
     assert stacked.fidelities.shape == stacked.probabilities.shape == (k, 16)
-    assert all(isinstance(r.fidelities, tuple) and len(r.fidelities) == 16 for r in singles)
+    assert all(r.fidelities.shape == r.probabilities.shape == (16,) for r in singles)
     assert np.allclose(stacked.fidelities, [r.fidelities for r in singles], rtol=0, atol=1e-12)
     assert np.allclose(stacked.probabilities, [r.probabilities for r in singles], rtol=0, atol=1e-12)
 
