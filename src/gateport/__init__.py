@@ -77,7 +77,6 @@ from .simulator import (
     register_from,
     run_gate_teleport,
     run_state_teleport,
-    sample_gate_teleport,
 )
 from .fourway import FourwayReport, analyze_fourway, chi_state, u1_gate
 

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage or parse error or closed output, 2
 numerical validation failure (non-unitary gate, non-orthonormal basis),
 3 table self-check or oracle mismatch.
 
+Every subcommand but tables takes --tol, and tables ignores GATEPORT_TOL;
+kak, analyze, state-teleport, fourway and validate-basis take --format;
+analyze, tables, simulate and fourway take --seed.
+
 --tol (default 1e-9) judges only the matrices a user types or loads: an
 @file gate (also --front), an @file basis and a pauli_conj matrix.  Each
 must be unitary within it and is replaced by its nearest unitary; an
@@ -67,7 +71,7 @@ from .teleport import (
     table2_factors,
     theorem1_check,
 )
-from .simulator import run_gate_teleport, sample_gate_teleport
+from .simulator import run_gate_teleport
 from .fourway import analyze_fourway
 
 
@@ -115,8 +119,9 @@ def write_gate_file(path: str, matrix: np.ndarray, name: str = "") -> None:
     _write_doc(path, {"matrix": _complex_pairs(matrix)}, name)
 
 
-def _read_doc(path: str, key: str) -> dict:
-    """The JSON object in `path`, which must hold `key`."""
+def _read_matrix(path: str, key: str, shape) -> tuple[str, np.ndarray]:
+    """The name ("" if none) and the `shape` complex matrix under `key` of
+    the JSON object in `path`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -126,12 +131,11 @@ def _read_doc(path: str, key: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {e}")
     if not isinstance(doc, dict) or key not in doc:
         raise UsageError(f"{path} must hold a JSON object with a {key!r} key")
-    return doc
+    return doc.get("name", ""), _doc_to_rows(doc[key], shape)
 
 
 def read_gate_file(path: str) -> tuple[str, np.ndarray]:
-    doc = _read_doc(path, "matrix")
-    return doc.get("name", ""), _doc_to_rows(doc["matrix"], (4, 4))
+    return _read_matrix(path, "matrix", (4, 4))
 
 
 def write_basis_file(path: str, basis: MeasurementBasis) -> None:
@@ -139,9 +143,8 @@ def write_basis_file(path: str, basis: MeasurementBasis) -> None:
 
 
 def read_basis_file(path: str) -> MeasurementBasis:
-    doc = _read_doc(path, "vectors")
-    rows = _doc_to_rows(doc["vectors"], (4, 4))
-    return MeasurementBasis(tuple(rows[i] for i in range(4)), doc.get("name", ""))
+    name, rows = _read_matrix(path, "vectors", (4, 4))
+    return MeasurementBasis(tuple(rows), name)
 
 
 # --- spec resolution --------------------------------------------------------
@@ -207,7 +210,7 @@ def _resolve_single_qubit(spec: str, tol: float) -> np.ndarray:
     if key in _SINGLE_QUBIT_NAMED:
         return _SINGLE_QUBIT_NAMED[key]
     if spec.startswith("@"):
-        m = _doc_to_rows(_read_doc(spec[1:], "matrix")["matrix"], (2, 2))
+        _, m = _read_matrix(spec[1:], "matrix", (2, 2))
     else:
         vals = _parse_floats(spec, 8, "2x2 matrix (re,im x 4 entries)")
         m = np.array(
@@ -428,8 +431,6 @@ def cmd_tables(args) -> int:
 
 def cmd_scan(args) -> int:
     g = resolve_gate(args.gate, args.tol)
-    if args.grid < 2:
-        raise UsageError("grid must be at least 2 points per axis")
     ts = 2 * np.pi * np.arange(args.grid) / args.grid
     if args.family == "beta_ab":
         print("t,a,b,success")
@@ -441,7 +442,8 @@ def cmd_scan(args) -> int:
         bases_ = (beta_nl_basis(t1, t2, 0.0) for t1, t2 in points)
     for point, basis in zip(points, bases_):
         p = analyze_gate_teleport(g, basis).success_probability
-        print(",".join(f"{x:.9f}" for x in point) + f",{p:.4f}")
+        # A rounding-size negative prints as 0.000000000, as zeros print in kak and tables.
+        print(",".join(f"{x:.9f}" for x in point).replace("-0.000000000", "0.000000000") + f",{p:.4f}")
     return 0
 
 
@@ -466,10 +468,9 @@ def cmd_simulate(args) -> int:
     g = resolve_gate(args.gate, args.tol)
     basis = resolve_basis(args.basis, args.tol)
     report = analyze_gate_teleport(g, basis)
-    psi = random_state(4, args.seed)
-    outcomes, fidelities = sample_gate_teleport(
-        psi, g, basis, report.correction_inverses(), args.trials, args.seed
-    )
+    result = run_gate_teleport(random_state(4, args.seed), g, basis, report.correction_inverses())
+    probs, fidelities = result.probabilities, result.fidelities
+    outcomes = np.random.default_rng(args.seed).choice(16, size=args.trials, p=probs / probs.sum())
     hits = np.bincount(outcomes, minlength=16).tolist()
     print(f"gate: {args.gate}   basis: {args.basis}   trials: {args.trials}   seed: {args.seed}")
     # One input serves every trial, so each outcome's trials share one fidelity.
@@ -568,8 +569,9 @@ def _tol(text: str) -> float:
 
 
 def _count(text: str, low: int = 1) -> int:
-    """Type of the count options (--inputs, --trials, tables --verify) and,
-    with low=0, of --seed (numpy's generators take no negative seed)."""
+    """Type of the count options (--inputs, --trials, tables --verify);
+    with low=0, of --seed (numpy's generators take no negative seed); with
+    low=2, of --grid."""
     try:
         n = int(text)
     except ValueError:
@@ -579,7 +581,36 @@ def _count(text: str, low: int = 1) -> int:
     return n
 
 
-_seed = functools.partial(_count, low=0)
+_GATE = ("--gate", {"required": True})
+_BASIS = ("--basis", {"required": True})
+_SEED = ("--seed", {"type": functools.partial(_count, low=0), "default": 0})
+_TOL = ("--tol", {"type": _tol, "default": _TOL_FROM_ENV})
+_FORMAT = ("--format", {"choices": ("human", "json"), "default": "human"})
+
+# Subcommand: (handler, help line, options in --help order).
+_COMMANDS = {
+    "kak": (cmd_kak, "canonical decomposition of a gate", (_GATE, _TOL, _FORMAT)),
+    "analyze": (cmd_analyze, "per-outcome teleportability of a gate", (
+        _GATE, _BASIS,
+        ("--verify", {"action": "store_true", "help": "run the statevector oracle"}),
+        ("--inputs", {"type": _count, "default": 5, "help": "oracle inputs per outcome"}),
+        _SEED, _TOL, _FORMAT)),
+    "tables": (cmd_tables, "reproduce the reference tables (self-checking)", (
+        ("--verify", {"type": _count, "metavar": "N", "help": "check table 1 with N oracle inputs per cell"}),
+        _SEED)),
+    "scan": (cmd_scan, "success probability over a basis family", (
+        _GATE,
+        ("--family", {"choices": ("beta_ab", "beta_nl"), "required": True}),
+        ("--grid", {"type": functools.partial(_count, low=2), "default": 16}),
+        _TOL)),
+    "state-teleport": (cmd_state_teleport, "single-qubit teleportation report", (
+        _BASIS, ("--front", {"help": "optional front gate spec"}), _TOL, _FORMAT)),
+    "simulate": (cmd_simulate, "Monte Carlo gate teleportation", (
+        _GATE, _BASIS, ("--trials", {"type": _count, "default": 100}), _SEED, _TOL)),
+    "fourway": (cmd_fourway, "four-way-entangled-resource analysis", (
+        _GATE, ("--basis", {"default": "bell"}), _SEED, _TOL, _FORMAT)),
+    "validate-basis": (cmd_validate_basis, "orthonormality / capability report", (_BASIS, _TOL, _FORMAT)),
+}
 
 
 @functools.cache
@@ -587,65 +618,11 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first main() call (not at import) and reused."""
     p = _Parser(prog="gateport", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, fmt=True):
-        sp.add_argument("--tol", type=_tol, default=_TOL_FROM_ENV)
-        if fmt:
-            sp.add_argument("--format", choices=("human", "json"), default="human")
-
-    sp = sub.add_parser("kak", help="canonical decomposition of a gate")
-    sp.add_argument("--gate", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_kak)
-
-    sp = sub.add_parser("analyze", help="per-outcome teleportability of a gate")
-    sp.add_argument("--gate", required=True)
-    sp.add_argument("--basis", required=True)
-    sp.add_argument("--verify", action="store_true", help="run the statevector oracle")
-    sp.add_argument("--inputs", type=_count, default=5, help="oracle inputs per outcome")
-    sp.add_argument("--seed", type=_seed, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("tables", help="reproduce the reference tables (self-checking)")
-    sp.add_argument("--verify", type=_count, metavar="N", help="check table 1 with N oracle inputs per cell")
-    sp.add_argument("--seed", type=_seed, default=0)
-    common(sp, fmt=False)
-    sp.set_defaults(func=cmd_tables)
-
-    sp = sub.add_parser("scan", help="success probability over a basis family")
-    sp.add_argument("--gate", required=True)
-    sp.add_argument("--family", choices=("beta_ab", "beta_nl"), required=True)
-    sp.add_argument("--grid", type=int, default=16)
-    common(sp, fmt=False)
-    sp.set_defaults(func=cmd_scan)
-
-    sp = sub.add_parser("state-teleport", help="single-qubit teleportation report")
-    sp.add_argument("--basis", required=True)
-    sp.add_argument("--front", default=None, help="optional front gate spec")
-    common(sp)
-    sp.set_defaults(func=cmd_state_teleport)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo gate teleportation")
-    sp.add_argument("--gate", required=True)
-    sp.add_argument("--basis", required=True)
-    sp.add_argument("--trials", type=_count, default=100)
-    sp.add_argument("--seed", type=_seed, default=0)
-    common(sp, fmt=False)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("fourway", help="four-way-entangled-resource analysis")
-    sp.add_argument("--gate", required=True)
-    sp.add_argument("--basis", default="bell")
-    sp.add_argument("--seed", type=_seed, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_fourway)
-
-    sp = sub.add_parser("validate-basis", help="orthonormality / capability report")
-    sp.add_argument("--basis", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_validate_basis)
-
+    for name, (func, help_line, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 

@@ -164,22 +164,3 @@ def outcome_distribution(input_ab: np.ndarray, u_t: np.ndarray, basis: Measureme
     """Exact joint probabilities of the 16 measurement outcomes."""
     return run_gate_teleport(input_ab, u_t, basis).probabilities
 
-
-def sample_gate_teleport(
-    input_ab: np.ndarray,
-    u_t: np.ndarray,
-    basis: MeasurementBasis,
-    corrections,
-    trials: int,
-    seed,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo runs of one input with sampled outcomes.
-
-    Returns the (trials,) sampled outcome indices (row-major (j, k)) and
-    the 16 fidelities of the forced run, which every trial of an outcome
-    shares.
-    """
-    result = run_gate_teleport(input_ab, u_t, basis, corrections)
-    probs = result.probabilities
-    outcomes = np.random.default_rng(seed).choice(16, size=trials, p=probs / probs.sum())
-    return outcomes, result.fidelities

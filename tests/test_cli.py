@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import os
 import subprocess
@@ -176,8 +178,17 @@ def test_scan_commands(capsys):
 
 
 def test_scan_rejects_tiny_grid(capsys):
-    code, _, err = run(capsys, "scan", "--gate", "cnot", "--family", "beta_ab", "--grid", "1")
-    assert code == 1
+    code, out, err = run(capsys, "scan", "--gate", "cnot", "--family", "beta_ab", "--grid", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --grid: must be at least 2, got 1\n"
+
+
+@pytest.mark.parametrize("family", ["beta_ab", "beta_nl"])
+def test_scan_prints_no_negative_zero(capsys, family):
+    code, out, _ = run(capsys, "scan", "--gate", "cnot", "--family", family, "--grid", "8")
+    assert code == 0
+    assert "-0.000000000" not in out
+    assert "0.000000000" in out
 
 
 def test_simulate_command(capsys):
@@ -186,6 +197,18 @@ def test_simulate_command(capsys):
     )
     assert code == 0
     assert "overall min fidelity: 1.000000" in out
+
+
+def test_simulate_sample_is_seeded_and_every_hit_teleports(capsys):
+    argv = ("simulate", "--gate", "cnot", "--basis", "bell", "--trials", "200", "--seed", "7")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv)[1] == out  # the seed fixes the sample
+    rows = [line.split() for line in out.splitlines()[2:-1]]
+    assert len(rows) == 16
+    assert sum(int(row[2]) for row in rows) == 200
+    hit_rows = [row for row in rows if row[2] != "0"]
+    assert hit_rows and all(row[3:] == ["1.000000", "1.000000"] for row in hit_rows)
 
 
 def test_validate_basis_command(capsys):
@@ -611,6 +634,20 @@ def test_tables_verify_exits_3_on_oracle_disagreement(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("self-check failed: ")
 
 
+def test_tables_takes_no_tol(capsys):
+    code, out, err = run(capsys, "tables", "--tol", "1e-6")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_tables_ignores_gateport_tol(capsys, monkeypatch):
+    monkeypatch.delenv("GATEPORT_TOL", raising=False)
+    code, plain, _ = run(capsys, "tables")
+    assert code == 0
+    monkeypatch.setenv("GATEPORT_TOL", "abc")
+    assert run(capsys, "tables") == (0, plain, "")
+
+
 def test_env_var_tolerance(monkeypatch):
     monkeypatch.setenv("GATEPORT_TOL", "1e-3")
     parser = cli._build_parser()
@@ -661,6 +698,47 @@ def test_tol_must_be_a_positive_finite_number(capsys, monkeypatch, tmp_path, val
     assert len(err.splitlines()) == 1 and err.startswith("error: argument --tol: ")
     assert ("GATEPORT_TOL" in err) == env
     assert f"must be a positive finite number, got '{value}'" in err
+
+
+def _type_name(t):
+    if isinstance(t, functools.partial):
+        return f"{t.func.__name__}({', '.join(f'{k}={v!r}' for k, v in t.keywords.items())})"
+    return getattr(t, "__name__", None)
+
+
+_GATE = ("--gate", None, True, None, None)
+_BASIS = ("--basis", None, True, None, None)
+_SEED = ("--seed", 0, False, None, "_count(low=0)")
+_TOL = ("--tol", "$GATEPORT_TOL", False, None, "_tol")
+_FORMAT = ("--format", "human", False, ("human", "json"), None)
+
+# Per subcommand, in --help order: option, default, required, choices, type name.
+_PARSER_SURFACE = {
+    "kak": [_GATE, _TOL, _FORMAT],
+    "analyze": [_GATE, _BASIS, ("--verify", False, False, None, None), ("--inputs", 5, False, None, "_count"),
+                _SEED, _TOL, _FORMAT],
+    "tables": [("--verify", None, False, None, "_count"), _SEED],
+    "scan": [_GATE, ("--family", None, True, ("beta_ab", "beta_nl"), None), ("--grid", 16, False, None, "_count(low=2)"), _TOL],
+    "state-teleport": [_BASIS, ("--front", None, False, None, None), _TOL, _FORMAT],
+    "simulate": [_GATE, _BASIS, ("--trials", 100, False, None, "_count"), _SEED, _TOL],
+    "fourway": [_GATE, ("--basis", "bell", False, None, None), _SEED, _TOL, _FORMAT],
+    "validate-basis": [_BASIS, _TOL, _FORMAT],
+}
+
+
+def test_parser_surface_is_pinned():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [
+            (*a.option_strings, a.default, a.required, a.choices, _type_name(a.type))
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sp in sub.choices.items()
+    }
+    assert surface == _PARSER_SURFACE
+    assert list(surface) == list(_PARSER_SURFACE)
 
 
 def test_parser_reuse_leaks_no_options(capsys, monkeypatch, tmp_path):

@@ -231,17 +231,6 @@ def test_gate_oracle_matches_analysis_on_random_valid_bases():
             assert (r.fidelities[idx] >= 1 - 1e-9) == rep.separable[idx]
 
 
-def test_sampling_record():
-    rep = tp.analyze_gate_teleport(la.CNOT, bases.bell_basis())
-    args = (la.random_state(4, 14), la.CNOT, bases.bell_basis(), rep.correction_inverses(), 200, 7)
-    outcomes, fidelities = sim.sample_gate_teleport(*args)
-    assert outcomes.shape == (200,)
-    assert np.array_equal(sim.sample_gate_teleport(*args)[0], outcomes)  # the seed fixes the sample
-    assert all(0 <= o < 16 for o in outcomes.tolist())
-    assert len(fidelities) == 16
-    assert all(fidelities[o] >= 1 - 1e-9 for o in outcomes.tolist())
-
-
 _NAMED_GATES = (la.CNOT, la.SWAP, la.CZ, la.Q_GATE, la.R_GATE, tp.C_PI8, tp.EXP_YY, tp.t_gate(np.pi / 8, np.pi / 8))
 
 
