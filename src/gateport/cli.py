@@ -616,7 +616,7 @@ _COMMANDS = {
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first main() call (not at import) and reused."""
-    p = _Parser(prog="gateport", description=__doc__)
+    p = _Parser(prog="gateport", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (func, help_line, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_line)

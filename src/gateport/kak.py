@@ -13,15 +13,23 @@ orthogonal matrices and the XX/YY/ZZ generators are simultaneously
 diagonal: conjugate U into that basis, diagonalize the complex symmetric
 unitary m^T m over a real orthogonal eigenbasis, and split the
 eigenphases between the non-local core and the two local factors.
+
+Three passes move the angles into the chamber, each move paid for in the
+locals: shift (t_k += n*pi/2 into (-pi/4, pi/4]: (-i)^n in the phase and,
+for odd n, sigma_k left of C and D), sort (swaps of axes 12, 23, 12: the
+reflection exchanging the two on the core's side of all four locals) and
+signs (t1, t2 >= 0, each negating t3: the third Pauli right of B and left
+of D).  At the wall t1 = pi/4, t1 -> pi/2 - t1 takes t3 < 0 to -t3: a
+phase i, Y right of B, X left of C and YX left of D.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    H,
     I2,
     PAULI_PAIRS,
     PAULIS,
@@ -54,13 +62,9 @@ _DYY = np.array([-1.0, 1.0, -1.0, 1.0])
 _DZZ = np.array([1.0, -1.0, -1.0, 1.0])
 _ANGLE_COLS = np.column_stack([np.ones(4), _DXX, _DYY, _DZZ])
 
-# Hermitian single-qubit reflections exchanging two Pauli axes (and both
-# qubits together leave the third axis invariant).
-_AXIS_SWAPPERS = {
-    (0, 1): (SX + SY) / np.sqrt(2),
-    (0, 2): H,
-    (1, 2): (SY + SZ) / np.sqrt(2),
-}
+# Hermitian single-qubit reflections exchanging Pauli axes (0, 1) and
+# (1, 2) (and both qubits together leave the third axis invariant).
+_AXIS_SWAPPERS = ((SX + SY) / np.sqrt(2), (SY + SZ) / np.sqrt(2))
 _FLIPPERS = (SX, SY, SZ)
 
 
@@ -154,56 +158,26 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
 
 def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
     eps = 1e-12  # also: angles this close to 0 are reported as +0.0, never -0.0
-
-    def shift(k, n):
-        # Moving theta_k by n*pi/2 costs a factor (-i sigma_k sigma_k)^n,
-        # absorbed into the right locals and the global phase.
-        nonlocal c, d, phase
-        theta[k] += n * np.pi / 2
-        phase *= (-1j) ** n
-        if n % 2:
-            c = _FLIPPERS[k] @ c
-            d = _FLIPPERS[k] @ d
-
-    def negate(k1, k2):
-        nonlocal b, d
-        k3 = 3 - k1 - k2
-        theta[k1] *= -1
-        theta[k2] *= -1
-        b = b @ _FLIPPERS[k3]
-        d = _FLIPPERS[k3] @ d
-
-    def swap(k1, k2):
-        nonlocal a, b, c, d
-        h = _AXIS_SWAPPERS[(min(k1, k2), max(k1, k2))]
-        theta[k1], theta[k2] = theta[k2], theta[k1]
-        a = a @ h
-        b = b @ h
-        c = h @ c
-        d = h @ d
-
-    for k in range(3):
-        while theta[k] > np.pi / 4 + eps:
-            shift(k, -1)
-        while theta[k] <= -np.pi / 4 + eps:
-            shift(k, +1)
-
-    if abs(theta[0]) < abs(theta[1]):
-        swap(0, 1)
-    if abs(theta[1]) < abs(theta[2]):
-        swap(1, 2)
-    if abs(theta[0]) < abs(theta[1]):
-        swap(0, 1)
-
-    if theta[0] < 0:
-        negate(0, 2)
-    if theta[1] < 0:
-        negate(1, 2)
-    # At the t1 = pi/4 chamber wall, t3 and -t3 are equivalent; pick t3 >= 0.
-    if theta[0] > np.pi / 4 - 1e-10 and theta[2] < -1e-12:
-        shift(0, -1)
-        negate(0, 2)
-
+    for k in range(3):  # shift (none at n = 0: phase * (1+0j) can flip a zero's sign)
+        n = math.floor((eps - math.pi / 4 - theta[k]) / (math.pi / 2)) + 1
+        if n:
+            theta[k] += n * np.pi / 2
+            phase *= (-1j) ** n
+            if n % 2:
+                c, d = _FLIPPERS[k] @ c, _FLIPPERS[k] @ d
+    for k in (0, 1, 0):  # sort
+        if abs(theta[k]) < abs(theta[k + 1]):
+            h = _AXIS_SWAPPERS[k]
+            theta[k], theta[k + 1] = theta[k + 1], theta[k]
+            a, b, c, d = a @ h, b @ h, h @ c, h @ d
+    for k in (0, 1):  # signs
+        if theta[k] < 0:
+            theta[k], theta[2] = -theta[k], -theta[2]
+            b, d = b @ _FLIPPERS[1 - k], _FLIPPERS[1 - k] @ d
+    if theta[0] > np.pi / 4 - 1e-10 and theta[2] < -1e-12:  # wall
+        theta[0], theta[2] = np.pi / 2 - theta[0], -theta[2]
+        phase *= 1j
+        b, c, d = b @ SY, SX @ c, SY @ (SX @ d)
     return KakDecomposition(
         global_phase=float(np.angle(phase)),
         a_local=a,
@@ -217,19 +191,12 @@ def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
 def classify_nonlocal(theta) -> NonlocalClass:
     """Classify canonical non-local angles against the pi/4 and pi/2 lattices,
     within LATTICE_TOL."""
-    delta = []
-    odd_quarter = []
-    for t in theta:
-        r = t % (np.pi / 2)
-        on_half_lattice = r <= LATTICE_TOL or r >= np.pi / 2 - LATTICE_TOL
-        delta.append(not on_half_lattice)
-        odd_quarter.append(abs(r - np.pi / 4) <= LATTICE_TOL)
-    swap_point = all(abs(abs(t) - np.pi / 4) <= LATTICE_TOL for t in theta)
-    return NonlocalClass(
-        delta=tuple(delta),
-        odd_quarter_pi=tuple(odd_quarter),
-        is_swap_point=swap_point,
-    )
+    theta = np.asarray(theta, dtype=float)
+    r = theta % (np.pi / 2)
+    delta = ~((r <= LATTICE_TOL) | (r >= np.pi / 2 - LATTICE_TOL))
+    odd_quarter = np.abs(r - np.pi / 4) <= LATTICE_TOL
+    swap_point = (np.abs(np.abs(theta) - np.pi / 4) <= LATTICE_TOL).all()
+    return NonlocalClass(tuple(map(bool, delta)), tuple(map(bool, odd_quarter)), bool(swap_point))
 
 
 def euler_zyz(u: np.ndarray) -> LocalEulerAngles:

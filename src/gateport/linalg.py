@@ -205,12 +205,9 @@ def kron_split(m: np.ndarray):
     """
     m = np.asarray(m, dtype=complex)
     r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-    a = np.zeros((2, 2), dtype=complex)
-    b = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            a[(r >> 1) ^ i, (c >> 1) ^ j] = m[r ^ (i << 1), c ^ (j << 1)]
-            b[(r & 1) ^ i, (c & 1) ^ j] = m[r ^ i, c ^ j]
+    # t[i, k, j, l] = m[2i + k, 2j + l]; a and b copy its slices through m[r, c].
+    t = m.reshape(2, 2, 2, 2)
+    a, b = t[:, r & 1, :, c & 1].copy(), t[r >> 1, :, c >> 1, :].copy()
     da, db = np.sqrt(np.linalg.det(a)), np.sqrt(np.linalg.det(b))
     if abs(da) > 0:
         a = a / da

@@ -741,6 +741,15 @@ def test_parser_surface_is_pinned():
     assert list(surface) == list(_PARSER_SURFACE)
 
 
+def test_top_level_help_keeps_the_docstring_paragraphs(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    assert exit_info.value.code == 0
+    assert any(line.startswith("Exit codes: 0 success") for line in out.splitlines())
+    assert cli.__doc__.strip() in out  # line breaks and blank lines as written
+
+
 def test_parser_reuse_leaks_no_options(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("GATEPORT_TOL", raising=False)
     assert cli._build_parser() is cli._build_parser()

@@ -1,4 +1,5 @@
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gateport import linalg as la
 from gateport import kak
+from gateport import teleport as tp
 
 ANGLES = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 
@@ -194,3 +196,184 @@ def test_is_clifford():
     assert kak.is_clifford(la.SWAP)
     t1 = np.diag([1j, np.exp(1j * np.pi / 8), np.exp(1j * np.pi / 8), 1j * np.exp(1j * np.pi / 4)])
     assert not kak.is_clifford(t1)
+
+
+def _reference_canonicalize(phase, a, b, theta, c, d, moves):
+    """The former closure-based chamber reduction, written out to pin the
+    straight-line kak._canonicalize bit for bit; `moves` collects its steps."""
+    eps = 1e-12
+    flippers = (la.SX, la.SY, la.SZ)
+    swappers = {(0, 1): (la.SX + la.SY) / np.sqrt(2), (0, 2): la.H, (1, 2): (la.SY + la.SZ) / np.sqrt(2)}
+
+    def shift(k, n):
+        nonlocal c, d, phase
+        moves.append(f"shift{n:+d}")
+        theta[k] += n * np.pi / 2
+        phase *= (-1j) ** n
+        if n % 2:
+            c = flippers[k] @ c
+            d = flippers[k] @ d
+
+    def negate(k1, k2):
+        nonlocal b, d
+        moves.append(f"negate{k1}{k2}")
+        k3 = 3 - k1 - k2
+        theta[k1] *= -1
+        theta[k2] *= -1
+        b = b @ flippers[k3]
+        d = flippers[k3] @ d
+
+    def swap(k1, k2):
+        nonlocal a, b, c, d
+        moves.append(f"swap{k1}{k2}")
+        h = swappers[(min(k1, k2), max(k1, k2))]
+        theta[k1], theta[k2] = theta[k2], theta[k1]
+        a = a @ h
+        b = b @ h
+        c = h @ c
+        d = h @ d
+
+    for k in range(3):
+        while theta[k] > np.pi / 4 + eps:
+            shift(k, -1)
+        while theta[k] <= -np.pi / 4 + eps:
+            shift(k, +1)
+
+    if abs(theta[0]) < abs(theta[1]):
+        swap(0, 1)
+    if abs(theta[1]) < abs(theta[2]):
+        swap(1, 2)
+    if abs(theta[0]) < abs(theta[1]):
+        swap(0, 1)
+
+    if theta[0] < 0:
+        negate(0, 2)
+    if theta[1] < 0:
+        negate(1, 2)
+    if theta[0] > np.pi / 4 - 1e-10 and theta[2] < -1e-12:
+        moves.append("wall")
+        shift(0, -1)
+        negate(0, 2)
+
+    return kak.KakDecomposition(
+        global_phase=float(np.angle(phase)),
+        a_local=a,
+        b_local=b,
+        theta=tuple(0.0 if abs(t) <= eps else float(t) for t in theta),
+        c_local=c,
+        d_local=d,
+    )
+
+
+def _assert_matches_reference(u):
+    """kak_decompose(u) equals, bit for bit (signed zeros included), the
+    reference reduction of the same raw factors; returns the reference's moves."""
+    raw = []
+    canonicalize = kak._canonicalize
+
+    def spy(phase, a, b, theta, c, d):
+        raw.append((phase, a.copy(), b.copy(), list(theta), c.copy(), d.copy()))
+        return canonicalize(phase, a, b, theta, c, d)
+
+    with mock.patch.object(kak, "_canonicalize", spy):
+        got = kak.kak_decompose(u)
+    moves = []
+    want = _reference_canonicalize(*raw[0], moves)
+    assert repr(got.global_phase) == repr(want.global_phase)
+    assert repr(got.theta) == repr(want.theta)
+    for field in ("a_local", "b_local", "c_local", "d_local"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    return moves
+
+
+LATTICE_ANGLES = st.sampled_from([k * np.pi / 4 for k in range(-4, 5)])
+LOCALS = st.one_of(
+    st.integers(0, 2**32 - 1).map(_haar2),
+    st.sampled_from([la.I2, la.SX, la.SY, la.SZ, la.H, la.S]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*[st.one_of(LATTICE_ANGLES, ANGLES)] * 3),
+    LOCALS, LOCALS, LOCALS, LOCALS,
+    st.one_of(LATTICE_ANGLES, ANGLES),
+)
+def test_canonicalize_matches_the_closure_reference(theta, a, b, c, d, phi):
+    u = np.exp(1j * phi) * la.tensor(a, b) @ kak.nonlocal_gate(theta) @ la.tensor(c, d)
+    _assert_matches_reference(u)
+
+
+def test_canonicalize_fixed_cases_reach_every_branch():
+    rng = np.random.default_rng(8)
+    gates = [
+        kak.nonlocal_gate((np.pi / 4, 0.3, -0.2)),  # the wall: kak:0.7853981633974483,0.3,-0.2
+        kak.nonlocal_gate((np.pi / 4, 0.3, 0.2)),
+        la.CNOT,
+        la.SWAP,
+        np.eye(4, dtype=complex),
+        la.tensor(la.SZ, la.H),  # its phase has a zero part whose sign a factor 1+0j would flip
+        kak.nonlocal_gate((-3 * np.pi / 4, np.pi / 2, 0.1)),
+        kak.nonlocal_gate((0.1, -0.7, 0.4)),
+    ] + [la.haar_random_unitary(4, rng) for _ in range(4)]
+    moves = set()
+    for u in gates:
+        moves.update(_assert_matches_reference(u))
+    assert moves == {"shift-1", "shift+1", "swap01", "swap12", "negate02", "negate12", "wall"}
+    assert "wall" in _assert_matches_reference(gates[0])
+
+
+def _reference_classify(theta):
+    """The former per-angle classify_nonlocal loop."""
+    delta, odd_quarter = [], []
+    for t in theta:
+        r = t % (np.pi / 2)
+        delta.append(not (r <= kak.LATTICE_TOL or r >= np.pi / 2 - kak.LATTICE_TOL))
+        odd_quarter.append(abs(r - np.pi / 4) <= kak.LATTICE_TOL)
+    swap_point = all(abs(abs(t) - np.pi / 4) <= kak.LATTICE_TOL for t in theta)
+    return tuple(delta), tuple(odd_quarter), swap_point
+
+
+NEAR_LATTICE = st.builds(
+    lambda k, e: k * np.pi / 4 + e,
+    st.integers(-4, 4),
+    st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 0.99e-8, -1.01e-8, 2e-16, -2e-16]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.one_of(NEAR_LATTICE, ANGLES)] * 3))
+def test_classify_nonlocal_matches_the_per_angle_loop(theta):
+    cls = kak.classify_nonlocal(theta)
+    assert (cls.delta, cls.odd_quarter_pi, cls.is_swap_point) == _reference_classify(theta)
+    assert all(type(x) is bool for x in (*cls.delta, *cls.odd_quarter_pi, cls.is_swap_point))
+
+
+# The magic basis, written out here so the invariants share no code with kak.
+_MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2)
+
+
+def _makhlin(u):
+    """Makhlin's local invariants G1, G2 of a two-qubit gate (quant-ph/0002045)."""
+    mb = _MAGIC.conj().T @ u @ _MAGIC
+    m = mb.T @ mb
+    det = np.linalg.det(u)
+    tr = np.trace(m)
+    return np.array([tr**2 / (16 * det), (tr**2 - np.trace(m @ m)) / (4 * det)])
+
+
+def _makhlin_gap(u, theta):
+    return np.abs(_makhlin(u) - _makhlin(kak.nonlocal_gate(theta))).max()
+
+
+def test_kak_angles_carry_the_makhlin_invariants():
+    rng = np.random.default_rng(9)
+    named = [make() for make in tp.NAMED_GATES.values()]
+    haar = [la.haar_random_unitary(4, rng) for _ in range(200)]
+    for u in named + haar:
+        assert _makhlin_gap(u, kak.kak_decompose(u).theta) < 1e-9
+    # The check sees a 1e-6 error in t2 and a flipped t3 of a generic gate.
+    for u in haar[:50]:
+        t1, t2, t3 = kak.kak_decompose(u).theta
+        assert _makhlin_gap(u, (t1, t2 + 1e-6, t3)) > 1e-8
+        assert _makhlin_gap(u, (t1, t2, -t3)) > 1e-8

@@ -204,3 +204,48 @@ def test_random_state_seed_1_is_pinned():
         -0.2453203208101185 + 0.07116664787424284j,
     ]
     assert np.abs(la.random_state(4, 1) - expected).max() <= 1e-12
+
+
+def _loop_kron_split(m):
+    """The former index-loop kron_split."""
+    m = np.asarray(m, dtype=complex)
+    r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    a = np.zeros((2, 2), dtype=complex)
+    b = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            a[(r >> 1) ^ i, (c >> 1) ^ j] = m[r ^ (i << 1), c ^ (j << 1)]
+            b[(r & 1) ^ i, (c & 1) ^ j] = m[r ^ i, c ^ j]
+    da, db = np.sqrt(np.linalg.det(a)), np.sqrt(np.linalg.det(b))
+    if abs(da) > 0:
+        a = a / da
+    if abs(db) > 0:
+        b = b / db
+    scalar = m[r, c] / (a[r >> 1, c >> 1] * b[r & 1, c & 1])
+    return scalar, a, b
+
+
+@pytest.mark.parametrize("position", range(16))
+def test_kron_split_round_trip_with_the_largest_entry_anywhere(position):
+    r, c = divmod(position, 4)
+    rng = np.random.default_rng(position)
+    for _ in range(20):
+        a, b = 0.4 * (rng.normal(size=(2, 2, 2, 2)) @ [1, 1j])
+        a[r >> 1, c >> 1] = 2 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        b[r & 1, c & 1] = 2 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        m = (rng.normal() + 1j * rng.normal()) * np.kron(a, b)
+        assert np.unravel_index(np.argmax(np.abs(m)), m.shape) == (r, c)
+        s, a1, b1 = la.kron_split(m)
+        assert np.abs(s * np.kron(a1, b1) - m).max() < 1e-12
+        assert abs(np.linalg.det(a1) - 1) < 1e-12 and abs(np.linalg.det(b1) - 1) < 1e-12
+        for x, y in zip((s, a1, b1), _loop_kron_split(m)):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_kron_split_returns_no_view_of_its_input():
+    m = np.kron(np.diag([1.0, 0.0]), la.SX).astype(complex)  # a singular first factor
+    s, a, b = la.kron_split(m)
+    assert np.abs(s * np.kron(a, b) - m).max() < 1e-12
+    assert not np.shares_memory(a, m) and not np.shares_memory(b, m)
+    for x, y in zip((s, a, b), _loop_kron_split(m)):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
