@@ -248,14 +248,16 @@ def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
 
 # --- output helpers ---------------------------------------------------------
 
-def _fmt_c(z: complex) -> str:
-    re = z.real + 0.0
-    im = z.imag + 0.0
-    return f"{re:+.6f}{im:+.6f}j"
+def _num(x, spec: str) -> str:
+    """format(x, spec), except that a result reading as zero is format(0.0,
+    spec): no printed number shows a negative zero."""
+    s = format(x, spec)
+    return format(0.0, spec) if float(s) == 0 else s
 
 
-def _fmt_mat(m: np.ndarray, indent: str = "    ") -> str:
-    return "\n".join(indent + "  ".join(_fmt_c(z) for z in row) for row in np.asarray(m))
+def _fmt_mat(m: np.ndarray) -> str:
+    """One indented line per row, each entry as +re+imj."""
+    return "\n".join("    " + "  ".join(_num(z.real, "+.6f") + _num(z.imag, "+.6f") + "j" for z in row) for row in m)
 
 
 def _json_default(obj):
@@ -302,8 +304,8 @@ def cmd_kak(args) -> int:
         _emit_json({"gate": args.gate, **_fields(d), **_fields(cls), "is_clifford": clifford})
         return 0
     print(f"gate: {args.gate}")
-    print(f"theta: ({d.theta[0]:.6f}, {d.theta[1]:.6f}, {d.theta[2]:.6f})")
-    print(f"global phase: {d.global_phase:.6f}")
+    print(f"theta: ({', '.join(_num(t, '.6f') for t in d.theta)})")
+    print(f"global phase: {_num(d.global_phase, '.6f')}")
     for label, m in (("A", d.a_local), ("B", d.b_local), ("C", d.c_local), ("D", d.d_local)):
         print(f"local {label}:")
         print(_fmt_mat(m))
@@ -354,10 +356,10 @@ def cmd_analyze(args) -> int:
     for idx, (j, k) in enumerate(PAIR_ORDER):
         line = f" {j + 1} {k + 1} {str(report.separable[idx]):<9}"
         if fidelities is not None:
-            line += f"  {fidelities[idx]:.9f}"
+            line += f"  {_num(fidelities[idx], '.9f')}"
         print(line)
     print(f"separable outcomes: {report.n_separable}/16")
-    print(f"success probability: {report.success_probability:.3f}")
+    print(f"success probability: {_num(report.success_probability, '.3f')}")
     print(f"deterministic: {report.deterministic}")
     print(
         f"theorem1: {verdict.conclusion}"
@@ -386,7 +388,7 @@ def cmd_tables(args) -> int:
     print(f"success probabilities (rows: {', '.join(TABLE1_GATES)})")
     print(f"{'gate':<10} " + " ".join(f"{name:>6}" for name in TABLE1_BASES))
     for name, row in zip(TABLE1_GATES, table1):
-        print(f"{name:<10} " + " ".join(f"{p:>6.3f}" for p in row))
+        print(f"{name:<10} " + " ".join(_num(p, ">6.3f") for p in row))
     print(f"table-1 self-check: {'ok' if ok else 'MISMATCH'}")
 
     phi, xi = np.pi / 8, np.pi / 8
@@ -410,9 +412,8 @@ def cmd_tables(args) -> int:
         c = num[idxmax] / ref[idxmax]
         match = np.linalg.norm(num - c * ref) <= 1e-8 and abs(abs(c) - 1) <= 1e-8
         ok2 = ok2 and match
-        phase = np.angle(c)  # a rounding-size phase prints as +0.0, never -0.0, as kak's angles do
         print(
-            f" {j + 1} {k + 1}  {labels[0]:<11} {labels[1]:<12} {0.0 if abs(phase) <= 1e-12 else phase:+.6f}"
+            f" {j + 1} {k + 1}  {labels[0]:<11} {labels[1]:<12} {_num(np.angle(c), '+.6f')}"
             + ("" if match else "  MISMATCH")
         )
     print(f"table-2 self-check: {'ok' if ok2 else 'MISMATCH'}")
@@ -442,8 +443,7 @@ def cmd_scan(args) -> int:
         bases_ = (beta_nl_basis(t1, t2, 0.0) for t1, t2 in points)
     for point, basis in zip(points, bases_):
         p = analyze_gate_teleport(g, basis).success_probability
-        # A rounding-size negative prints as 0.000000000, as zeros print in kak and tables.
-        print(",".join(f"{x:.9f}" for x in point).replace("-0.000000000", "0.000000000") + f",{p:.4f}")
+        print(",".join(_num(x, ".9f") for x in point) + "," + _num(p, ".4f"))
     return 0
 
 
@@ -455,9 +455,9 @@ def cmd_state_teleport(args) -> int:
         _emit_json({"basis": args.basis, "front": args.front, **_fields(report)})
         return 0
     print(f"basis: {args.basis}   front gate: {args.front or 'none'}")
-    print(f"resource entanglement |det psi|: {report.entanglement:.6f}")
+    print(f"resource entanglement |det psi|: {_num(report.entanglement, '.6f')}")
     for j in range(4):
-        print(f" outcome {j + 1}: p = {report.probabilities[j]:.6f}  teleportable = {report.teleportable[j]}")
+        print(f" outcome {j + 1}: p = {_num(report.probabilities[j], '.6f')}  teleportable = {report.teleportable[j]}")
         if report.corrections[j] is not None:
             print(_fmt_mat(report.corrections[j]))
     print(f"deterministic: {report.deterministic}")
@@ -479,8 +479,8 @@ def cmd_simulate(args) -> int:
         if not n:
             print(f" {j + 1} {k + 1}  {0:>4}  -             -")
             continue
-        print(f" {j + 1} {k + 1}  {n:>4}  {f:.6f}      {f:.6f}")
-    print(f"overall min fidelity: {min(f for n, f in zip(hits, fidelities) if n):.6f}")
+        print(f" {j + 1} {k + 1}  {n:>4}  {_num(f, '.6f')}      {_num(f, '.6f')}")
+    print(f"overall min fidelity: {_num(min(f for n, f in zip(hits, fidelities) if n), '.6f')}")
     return 0
 
 
@@ -505,11 +505,11 @@ def cmd_fourway(args) -> int:
     print(" j k  p        xx_sep  zz_sep  fidelity  corrected")
     for idx, (j, k) in enumerate(PAIR_ORDER):
         print(
-            f" {j + 1} {k + 1}  {report.probabilities[idx]:.4f}  "
+            f" {j + 1} {k + 1}  {_num(report.probabilities[idx], '.4f')}  "
             f"{str(report.branch_xx_separable[idx]):<6}  {str(report.branch_zz_separable[idx]):<6}  "
-            f"{report.fidelities_raw[idx]:.6f}  {report.fidelities_corrected[idx]:.6f}"
+            f"{_num(report.fidelities_raw[idx], '.6f')}  {_num(report.fidelities_corrected[idx], '.6f')}"
         )
-    print(f"max corrected fidelity: {report.max_corrected_fidelity:.6f}")
+    print(f"max corrected fidelity: {_num(report.max_corrected_fidelity, '.6f')}")
     return 0
 
 
@@ -524,7 +524,7 @@ def cmd_validate_basis(args) -> int:
     print(f"orthonormal: {report.orthonormal}")
     print(f"all beta unitary: {report.all_beta_unitary}")
     for j, e in enumerate(report.per_vector_entanglement):
-        print(f" vector {j + 1} entanglement |det|: {e:.6f}")
+        print(f" vector {j + 1} entanglement |det|: {_num(e, '.6f')}")
     if capability_zero:
         print("teleportation capability: zero")
     return 0

@@ -241,10 +241,6 @@ def _wrap(angle):
     return np.angle(np.exp(1j * angle))
 
 
-def euler_reconstruct(e: LocalEulerAngles) -> np.ndarray:
-    return np.exp(1j * e.phase) * rot("z", e.lambda1) @ rot("y", e.lambda2) @ rot("z", e.lambda3)
-
-
 def is_clifford(u: np.ndarray) -> bool:
     """True iff u maps every two-qubit Pauli product onto one, up to phase."""
     u = require_unitary(u, CLIFFORD_TOL, "input gate")

@@ -17,9 +17,10 @@ from .linalg import I2, PAULIS, require_finite, require_unitary, tensor
 from .kak import rot
 
 # Second Schmidt coefficient (half a singular value of the realigned
-# matrix; unit square sum for a unitary) below this counts as separable:
-# an order of magnitude above the 1e-9 arithmetic noise floor, far below
-# the smallest genuine coefficient in the gate families analyzed here (~0.38).
+# matrix; unit square sum for a unitary) below this counts as separable.
+# Over the benchmark catalogue's gates and bases plus beta_ab at grid 48,
+# separable outcomes measure at most 5.0e-16 and the others at least 0.0217
+# (kak:-0.6506,-0.4099,-0.5662 x beta_ab(0.0923,-0.7011); 0.0495 for c_pi8).
 SEPARABLE_TOL = 1e-7
 
 _SQRT2 = np.sqrt(2.0)

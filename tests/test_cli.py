@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -306,10 +307,7 @@ def test_inputs_within_tol_get_the_exact_inputs_report(capsys, monkeypatch, tmp_
     code, out, err = run(capsys, *argv, "--tol", "1e-6")
     assert (code, err) == (0, "")
     exact = [_NEAR_SPECS.get(a, a) for a in argv]
-    # Equal as printed, but for the sign of a rounding-size zero.
-    assert out.replace("-0.000000", "+0.000000") == (
-        run(capsys, *exact)[1].replace(_NEAR_SPECS[near], near).replace("-0.000000", "+0.000000")
-    )
+    assert out == run(capsys, *exact)[1].replace(_NEAR_SPECS[near], near)
 
 
 _FILE_BASES = st.one_of(
@@ -804,14 +802,52 @@ def test_kak_tol_leaves_the_clifford_threshold(capsys, monkeypatch, env):
     assert out.endswith("clifford: False\n")
 
 
-@pytest.mark.parametrize("gate", ["cnot_sqrt", "t:0.3287,1.6594", "t:3.0598,6.2321"])
-def test_kak_prints_no_negative_zero(capsys, gate):
+# A printed zero with a minus sign: -0.0, -0.000000, but not -0.0000001.
+_NEGATIVE_ZERO = re.compile(r"-0\.0+(?![0-9]*[1-9])")
+
+
+# cnot_sqrt's locals and local B of a Z (x) H gate file hold rounding-size
+# negative entries; the t gates' theta has two zero angles.
+@pytest.mark.parametrize("gate", ["cnot_sqrt", "@zh.json", "t:0.3287,1.6594", "t:3.0598,6.2321"])
+def test_kak_prints_no_negative_zero(capsys, monkeypatch, tmp_path, gate):
+    monkeypatch.chdir(tmp_path)
+    cli.write_gate_file("zh.json", la.tensor(la.SZ, la.H))
     code, out, _ = run(capsys, "kak", "--gate", gate)
     assert code == 0
-    theta_line = [l for l in out.splitlines() if l.startswith("theta: ")][0]
-    assert "-0.000000" not in theta_line
+    assert not _NEGATIVE_ZERO.search(out), out
     code, out, _ = run(capsys, "kak", "--gate", gate, "--format", "json")
     assert all(repr(t) == "0.0" for t in json.loads(out)["theta"] if abs(t) <= 1e-12)
+
+
+def test_state_teleport_prints_no_negative_zero(capsys):
+    # The corrections behind swap_sqrt hold rounding-size negative entries.
+    code, out, _ = run(capsys, "state-teleport", "--basis", "bell", "--front", "swap_sqrt")
+    assert code == 0
+    assert not _NEGATIVE_ZERO.search(out), out
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "kak --gate {g}",
+        "analyze --gate {g} --basis {b} --verify --inputs 2",
+        "tables",
+        "scan --gate {g} --family beta_ab --grid 4",
+        "scan --gate {g} --family beta_nl --grid 3",
+        "state-teleport --basis {b} --front {g}",
+        "simulate --gate {g} --basis {b} --trials 20",
+        "fourway --gate {g} --basis {b}",
+        "validate-basis --basis {b}",
+    ],
+    ids=["kak", "analyze", "tables", "scan-beta_ab", "scan-beta_nl", "state-teleport", "simulate", "fourway",
+         "validate-basis"],
+)
+def test_no_human_report_prints_a_negative_zero(capsys, template):
+    argvs = {template.format(g=g, b=b) for g in tp.NAMED_GATES for b in bases.NAMED_BASES}
+    for argv in sorted(argvs):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
+        assert not _NEGATIVE_ZERO.search(out), (argv, out)
 
 
 def _per_entry_pairs(a):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gateport import linalg as la
 from gateport import bases
@@ -122,9 +122,10 @@ _NAMED_GATES = {
 }
 
 
-def _gate(kind, seed):
+def _gate(kind, seed, dressed=True):
     """A Haar gate, or a named, t or quarter-pi lattice gate behind a Haar
-    local pair (a left local factor keeps every separability verdict)."""
+    local pair (a left local factor keeps every separability verdict);
+    dressed=False leaves out the local pair."""
     rng = np.random.default_rng(seed)
     if kind == "haar":
         return la.haar_random_unitary(4, rng)
@@ -134,6 +135,8 @@ def _gate(kind, seed):
         core = nonlocal_gate(tuple(np.pi / 4 * rng.integers(-2, 3, 3)))
     else:
         core = _NAMED_GATES[kind]
+    if not dressed:
+        return core
     return la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng)) @ core
 
 
@@ -165,6 +168,61 @@ def test_batched_analysis_matches_per_outcome_loop(kind, seed, basis):
         assert (got is None) == (ref is None)
         if ref is not None:
             assert la.equal_up_to_global_phase(la.tensor(*got), la.tensor(*ref), 1e-9)
+
+
+# Metamorphic relations of the separable mask W_jk = U (b_j (x) b_k) U^dag.
+# Named, t and lattice gates, bare or behind Haar locals, under the named and
+# beta_ab bases keep most masks nontrivial, where Haar gates give all-False ones;
+# cnot x m2 and cnot_sqrt x bell have masks that are not symmetric.  The
+# relations hold for verdicts that rounding cannot flip: beta_ab at t = 1e-7
+# puts a second Schmidt coefficient within 1e-16 of SEPARABLE_TOL.
+def _far_from_threshold(report) -> bool:
+    return bool((abs(sep.operator_schmidt(np.stack(report.w_matrices))[:, 1] - sep.SEPARABLE_TOL) > 1e-9).all())
+
+
+_META_KINDS = st.sampled_from(["t", "lattice", *_NAMED_GATES])
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+_META_BASES = st.one_of(
+    st.sampled_from([bases.bell_basis(), bases.m1_basis(), bases.m2_basis()]),
+    _ANGLES.map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES, _SEEDS)
+@example("cnot", 0, False, bases.m2_basis(), 1)
+def test_a_left_local_pair_keeps_the_mask_and_the_success_probability(kind, seed, dressed, basis, local_seed):
+    u = _gate(kind, seed, dressed)
+    rng = np.random.default_rng(local_seed)
+    front = la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
+    rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(front @ u, basis)
+    assume(_far_from_threshold(rep))
+    assert moved.separable == rep.separable
+    assert moved.success_probability == rep.success_probability
+
+
+@settings(max_examples=40, deadline=None)
+@given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES, _ANGLES)
+@example("cnot_sqrt", 0, True, bases.bell_basis(), 1.0)
+def test_a_global_phase_keeps_the_mask_and_the_corrections(kind, seed, dressed, basis, phi):
+    u = _gate(kind, seed, dressed)
+    rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(np.exp(1j * phi) * u, basis)
+    assume(_far_from_threshold(rep))
+    assert moved.separable == rep.separable
+    for got, ref in zip(moved.corrections, rep.corrections):
+        if ref is not None:
+            assert la.equal_up_to_global_phase(la.tensor(*got), la.tensor(*ref), 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES)
+@example("cnot", 0, True, bases.m2_basis())
+@example("cnot_sqrt", 0, True, bases.bell_basis())
+def test_swapping_the_qubits_transposes_the_mask(kind, seed, dressed, basis):
+    u = _gate(kind, seed, dressed)
+    rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(la.SWAP @ u @ la.SWAP, basis)
+    assume(_far_from_threshold(rep))
+    assert np.array_equal(np.reshape(moved.separable, (4, 4)), np.reshape(rep.separable, (4, 4)).T)
 
 
 def test_gate_report_rejects_bad_inputs():
