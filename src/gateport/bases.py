@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_UNITARY_TOL, I4, PAULIS, dag, is_unitary, require_unitary
+from .linalg import DEFAULT_UNITARY_TOL, I4, NORM_TOL, PAULIS, dag, is_unitary, require_unitary
 from .kak import nonlocal_gate
 
 _SQ2 = np.sqrt(2.0)
@@ -50,7 +50,7 @@ class BetaMatrices:
 @dataclass(frozen=True)
 class BasisReport:
     """all_beta_unitary is the teleportation capability that capable
-    decides (False: capability zero); orthonormal is within 1e-9."""
+    decides (False: capability zero); orthonormal is within DEFAULT_UNITARY_TOL."""
 
     orthonormal: bool
     all_beta_unitary: bool
@@ -103,7 +103,7 @@ NAMED_BASES = {"bell": bell_basis, "m1": m1_basis, "m2": m2_basis}
 
 def beta_ab_basis(a: float, b: float) -> MeasurementBasis:
     """Real two-parameter basis on the circle a^2 + b^2 = 1/2."""
-    if abs(a * a + b * b - 0.5) > 1e-9:
+    if abs(a * a + b * b - 0.5) > NORM_TOL:
         raise ValueError("beta_ab parameters must satisfy a^2 + b^2 = 1/2")
     return _basis(
         [[-a, b, b, a], [-b, a, -a, -b], [-a, -b, b, -a], [b, a, a, -b]],

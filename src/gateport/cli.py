@@ -34,10 +34,15 @@ import sys
 import numpy as np
 
 from .linalg import (
+    DEFAULT_UNITARY_TOL,
+    FACTOR_MATCH_TOL,
+    FIDELITY_TOL,
     H,
     I2,
     PAULIS,
+    ROUNDING_EPS,
     S,
+    TABLE1_TOL,
     dag,
     is_unitary,
     nearest_unitary,
@@ -230,7 +235,7 @@ def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
         if "," not in vals:
             (a,) = _parse_floats(vals, 1, "beta_ab:a")
             bsq = 0.5 - a * a
-            if bsq < -1e-12:
+            if bsq < -ROUNDING_EPS:
                 raise ValueError(f"beta_ab: |a| must be at most 1/sqrt(2), got {a}")
             b = float(np.sqrt(max(bsq, 0.0)))
         else:
@@ -285,7 +290,7 @@ def _emit_json(doc) -> None:
 
 # --- subcommands ------------------------------------------------------------
 
-_FIDELITY_ONE = 1 - 1e-9
+_FIDELITY_ONE = 1 - FIDELITY_TOL
 
 
 def _oracle_fidelities(g, basis, report, inputs: int, rng) -> np.ndarray:
@@ -384,7 +389,7 @@ def _table1_oracle_disagreements(cells, inputs: int, seed: int) -> int:
 def cmd_tables(args) -> int:
     cells = table1_cells()
     table1 = table1_probabilities(cells)
-    ok = np.allclose(table1, TABLE1_EXPECTED, atol=1e-9)
+    ok = np.allclose(table1, TABLE1_EXPECTED, rtol=0, atol=TABLE1_TOL)
     print(f"success probabilities (rows: {', '.join(TABLE1_GATES)})")
     print(f"{'gate':<10} " + " ".join(f"{name:>6}" for name in TABLE1_BASES))
     for name, row in zip(TABLE1_GATES, table1):
@@ -410,7 +415,7 @@ def cmd_tables(args) -> int:
         ref = tensor(sym[0], sym[1])
         idxmax = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
         c = num[idxmax] / ref[idxmax]
-        match = np.linalg.norm(num - c * ref) <= 1e-8 and abs(abs(c) - 1) <= 1e-8
+        match = np.linalg.norm(num - c * ref) <= FACTOR_MATCH_TOL and abs(abs(c) - 1) <= FACTOR_MATCH_TOL
         ok2 = ok2 and match
         print(
             f" {j + 1} {k + 1}  {labels[0]:<11} {labels[1]:<12} {_num(np.angle(c), '+.6f')}"
@@ -558,7 +563,7 @@ def _tol(text: str) -> float:
     source, name = "float", "tolerance"
     if text == _TOL_FROM_ENV:
         source = name = "GATEPORT_TOL"
-        text = os.environ.get("GATEPORT_TOL") or "1e-9"
+        text = os.environ.get("GATEPORT_TOL") or repr(DEFAULT_UNITARY_TOL)
     try:
         tol = float(text)
     except ValueError:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    FACTOR_MATCH_TOL,
     I4,
     PAULI_PAIR_LABELS,
     PAULI_PAIRS,
@@ -39,6 +40,7 @@ from .linalg import (
     dag,
     kron_pairs,
     pauli_coefficients,
+    require_normalized,
     require_unitary,
     tensor,
 )
@@ -95,8 +97,8 @@ class FourwayReport:
 
 def _pauli_pair_labels(ms: np.ndarray) -> tuple[tuple[str, str] | None, ...]:
     """For each matrix of an (n, 4, 4) stack, the labels of the two-qubit
-    Pauli product it equals up to a global phase within 1e-8 (Frobenius
-    norm), or None.
+    Pauli product it equals up to a global phase within FACTOR_MATCH_TOL
+    (Frobenius norm), or None.
 
     The candidate is the product with the largest |c_i|; the phase of
     c_i is the one closest to the matrix, so the residual decides.
@@ -105,7 +107,7 @@ def _pauli_pair_labels(ms: np.ndarray) -> tuple[tuple[str, str] | None, ...]:
     best = np.abs(coeffs).argmax(axis=-1)
     phases = np.exp(1j * np.angle(np.take_along_axis(coeffs, best[:, None], axis=-1)))
     residuals = np.linalg.norm(ms - phases[:, :, None] * PAULI_PAIRS[best], axis=(-2, -1))
-    return tuple(PAULI_PAIR_LABELS[i] if r <= 1e-8 else None for i, r in zip(best, residuals))
+    return tuple(PAULI_PAIR_LABELS[i] if r <= FACTOR_MATCH_TOL else None for i, r in zip(best, residuals))
 
 
 def _conditional_states(psi_ab: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
@@ -123,8 +125,7 @@ def analyze_fourway(
     u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     psi_ab = np.asarray(psi_ab, dtype=complex)
-    if abs(np.linalg.norm(psi_ab) - 1) > 1e-9:
-        raise ValueError("input state must be normalized")
+    require_normalized(psi_ab.reshape(-1), "input state must be normalized")
 
     u = u_t @ u1_gate()
     betas = gate_betas(basis)

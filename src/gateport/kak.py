@@ -30,12 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    CLIFFORD_TOL,
     I2,
+    LATTICE_TOL,
     PAULI_PAIRS,
     PAULIS,
+    ROUNDING_EPS,
     SX,
     SY,
     SZ,
+    WALL_TOL,
+    WRAP_TOL,
     dag,
     kron_split,
     pauli_coefficients,
@@ -43,11 +48,6 @@ from .linalg import (
     tensor,
     unitary_eigenbasis,
 )
-
-# An angle within LATTICE_TOL of a lattice point is on it; a Pauli transfer
-# row whose largest entry is within CLIFFORD_TOL of 1 marks a Clifford row.
-LATTICE_TOL = 1e-8
-CLIFFORD_TOL = 1e-8
 
 MAGIC = np.array(
     [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]],
@@ -157,7 +157,7 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
 
 
 def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
-    eps = 1e-12  # also: angles this close to 0 are reported as +0.0, never -0.0
+    eps = ROUNDING_EPS  # also: angles this close to 0 are reported as +0.0, never -0.0
     for k in range(3):  # shift (none at n = 0: phase * (1+0j) can flip a zero's sign)
         n = math.floor((eps - math.pi / 4 - theta[k]) / (math.pi / 2)) + 1
         if n:
@@ -174,7 +174,7 @@ def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
         if theta[k] < 0:
             theta[k], theta[2] = -theta[k], -theta[2]
             b, d = b @ _FLIPPERS[1 - k], _FLIPPERS[1 - k] @ d
-    if theta[0] > np.pi / 4 - 1e-10 and theta[2] < -1e-12:  # wall
+    if theta[0] > np.pi / 4 - WALL_TOL and theta[2] < -eps:  # wall
         theta[0], theta[2] = np.pi / 2 - theta[0], -theta[2]
         phase *= 1j
         b, c, d = b @ SY, SX @ c, SY @ (SX @ d)
@@ -210,8 +210,8 @@ def euler_zyz(u: np.ndarray) -> LocalEulerAngles:
     """
     u = require_unitary(u, what="single-qubit gate")
     u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
-    diagonal = np.abs(u10) <= 1e-12
-    antidiagonal = ~diagonal & (np.abs(u00) <= 1e-12)
+    diagonal = np.abs(u10) <= ROUNDING_EPS
+    antidiagonal = ~diagonal & (np.abs(u00) <= ROUNDING_EPS)
     generic = ~(diagonal | antidiagonal)
     plus = np.angle(u11 * np.conj(u00))
     minus = np.angle(u10 * np.conj(-u01))
@@ -230,7 +230,7 @@ def euler_zyz(u: np.ndarray) -> LocalEulerAngles:
     lam1, lam3, phase = lam1 + flip, lam3 + flip, phase + flip
     # Rz(x - 2pi) = -Rz(x), so every 2pi wrap costs pi of global phase.
     # (Angles of the gauge-degenerate rows are principal already.)
-    jumps = sum(np.abs(_wrap(x) - x) > 1e-9 for x in (lam1, lam3))
+    jumps = sum(np.abs(_wrap(x) - x) > WRAP_TOL for x in (lam1, lam3))
     lam1, lam3, phase = _wrap(lam1), _wrap(lam3), _wrap(phase + np.pi * jumps)
     fields = (lam1, lam2, lam3, phase)
     return LocalEulerAngles(*(map(float, fields) if u.ndim == 2 else fields))

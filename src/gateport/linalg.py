@@ -13,8 +13,26 @@ import math
 
 import numpy as np
 
-DEFAULT_UNITARY_TOL = 1e-9
+# Tolerance ledger: every numeric threshold of the package, named once with the decision it
+# makes; --tol changes none.  tests/test_margins.py audits how far the verdicts lie from them.
+DEFAULT_UNITARY_TOL = 1e-9  # ||m^dag m - I||_F of a unitary gate, orthonormal basis or capable beta; --tol's default
+NORM_TOL = 1e-9  # | ||psi|| - 1 | of a normalized state, and |a^2 + b^2 - 1/2| (unit vectors) of beta_ab
 PROBABILITY_FLOOR = 1e-12  # outcomes of probability at most this never occur
+CORRECTABLE_TOL = 1e-8  # ||M^dag M - p I||_F of a correctable state-teleportation outcome
+SEPARABLE_TOL = 1e-7  # a unitary whose second Schmidt coefficient (half a singular value) is at most this is a product
+GAUGE_TIE_TOL = 1e-9  # magnitudes within this of a factor's largest tie for its gauge entry
+LATTICE_TOL = 1e-8  # an angle within this of a lattice point (Weyl: pi/4 and pi/2; Euler: pi) is on it
+CLIFFORD_TOL = 1e-8  # Pauli transfer row maxima within this of 1 make a Clifford gate; also is_clifford's unitarity
+WALL_TOL = 1e-10  # t1 within this of pi/4 is on the Weyl chamber's wall
+ROUNDING_EPS = 1e-12  # rounding: an angle this near 0, -pi or a Weyl shift boundary, a 2x2 entry or b^2 this near 0
+WRAP_TOL = 1e-9  # an Euler angle that wrapping to (-pi, pi] moves by more than this wrapped by 2pi
+DEGENERACY_GAPS = (1e-10, 1e-7, 1e-4)  # eigenvalue gaps unitary_eigenbasis groups within, tried in turn
+EIGEN_TOL = 1e-10  # unitary_eigenbasis stops at a diagonalization residual ||p^dag m p - diag||_F this small
+EQ44_TOL = 1e-10  # a closed-form witness value of magnitude at most this is zero
+GLOBAL_PHASE_TOL = 1e-9  # equal_up_to_global_phase's default bound on ||a - c b||_F
+FACTOR_MATCH_TOL = 1e-8  # ||m - c ref||_F and ||c| - 1| of a match to a Pauli product or Table-2 pair, phase c
+TABLE1_TOL = 1e-9  # Table-1 probabilities (multiples of 1/16) match the paper's within this
+FIDELITY_TOL = 1e-9  # an oracle fidelity within this of 1 counts as one
 
 # Single-qubit constants.
 I2 = np.eye(2, dtype=complex)
@@ -93,6 +111,15 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     return math.sqrt(np.square(residual.view(float)).sum(axis=(-2, -1)).max()) <= tol
 
 
+def require_normalized(state, message: str) -> np.ndarray:
+    """state as a complex array, if it is finite and each vector along its last
+    axis has unit norm within NORM_TOL; else ValueError(message)."""
+    state = np.asarray(state, dtype=complex)
+    if not (np.isfinite(state).all() and (np.abs(np.linalg.norm(state, axis=-1) - 1.0) <= NORM_TOL).all()):
+        raise ValueError(message)
+    return state
+
+
 def require_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, what: str = "matrix") -> np.ndarray:
     m = require_finite(m)
     if not is_unitary(m, tol):
@@ -107,7 +134,7 @@ def nearest_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = GLOBAL_PHASE_TOL) -> bool:
     """True iff a = c*b for some unit-modulus scalar c.
 
     The phase c is chosen to align the entries of a and b at the position
@@ -134,7 +161,7 @@ def principal_sqrt(m: np.ndarray) -> np.ndarray:
     phases, p = unitary_eigenbasis((m + dag(m)) / 2, (m - dag(m)) / 2j)
     # Eigenvalue -1 may come out at angle -pi (a signed zero, or rounding);
     # the principal branch puts it at +pi.
-    phases = np.where(phases < -np.pi + 1e-12, np.pi, phases)
+    phases = np.where(phases < -np.pi + ROUNDING_EPS, np.pi, phases)
     return p @ np.diag(np.exp(0.5j * phases)) @ dag(p)
 
 
@@ -153,7 +180,7 @@ def unitary_eigenbasis(a: np.ndarray, b: np.ndarray):
     n = m.shape[0]
     wa, pa = np.linalg.eigh(a)
     best = None
-    for gap in (1e-10, 1e-7, 1e-4):
+    for gap in DEGENERACY_GAPS:
         p = pa.copy()
         start = 0
         for stop in range(1, n + 1):
@@ -170,7 +197,7 @@ def unitary_eigenbasis(a: np.ndarray, b: np.ndarray):
         err = np.linalg.norm(d - np.diag(np.exp(1j * phases)))
         if best is None or err < best[0]:
             best = (err, phases, p)
-        if err <= 1e-10:
+        if err <= EIGEN_TOL:
             break
     return best[1], best[2]
 

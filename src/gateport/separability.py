@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, PAULIS, require_finite, require_unitary, tensor
+from .linalg import EQ44_TOL, GAUGE_TIE_TOL, I2, PAULIS, SEPARABLE_TOL, require_finite, require_unitary, tensor
 from .kak import rot
-
-# Second Schmidt coefficient (half a singular value of the realigned
-# matrix; unit square sum for a unitary) below this counts as separable.
-# Over the benchmark catalogue's gates and bases plus beta_ab at grid 48,
-# separable outcomes measure at most 5.0e-16 and the others at least 0.0217
-# (kak:-0.6506,-0.4099,-0.5662 x beta_ab(0.0923,-0.7011); 0.0495 for c_pi8).
-SEPARABLE_TOL = 1e-7
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -100,13 +93,13 @@ def factorize_all(ws: np.ndarray) -> tuple[TensorFactorization, ...]:
 
 
 def gauge_index(m: np.ndarray) -> int:
-    """First row-major entry within 1e-9 of the maximum magnitude.
+    """First row-major entry within GAUGE_TIE_TOL of the maximum magnitude.
 
     A 2x2 unitary always carries tied magnitudes (|m00| = |m11| and
     |m01| = |m10|), so a plain argmax would be unstable under rounding.
     """
     mags = [abs(z) for z in np.ravel(m).tolist()]
-    cut = max(mags) - 1e-9
+    cut = max(mags) - GAUGE_TIE_TOL
     return next((i for i, mag in enumerate(mags) if mag > cut), 0)
 
 
@@ -142,4 +135,4 @@ def eq44_separable(theta: float, lam: float) -> bool:
     """
     bracket = np.exp(0.5j * lam) * np.sin(theta) ** 2 + np.exp(-0.5j * lam) * np.cos(theta) ** 2
     value = np.sin(lam / 2.0) * np.sin(2.0 * theta) * bracket
-    return bool(abs(value) <= 1e-10)
+    return bool(abs(value) <= EQ44_TOL)

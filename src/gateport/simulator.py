@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import I2, PROBABILITY_FLOOR, is_unitary, require_unitary, tensor
+from .linalg import I2, PROBABILITY_FLOOR, is_unitary, require_normalized, require_unitary, tensor
 from .bases import MeasurementBasis, require_orthonormal
 from .teleport import ResourceState
 
@@ -52,12 +52,11 @@ def register_from(parts) -> np.ndarray:
     Leading axes of a fragment's amplitudes index a stack of inputs; they
     broadcast against the other fragments' and lead the state.
     """
-    state = reduce(tensor, (np.asarray(amps, dtype=complex)[..., None] for amps in parts))[..., 0]
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite product fails require_normalized
+        state = reduce(tensor, (np.asarray(amps, dtype=complex)[..., None] for amps in parts))[..., 0]
     if state.shape[-1] not in (2**n for n in range(1, MAX_QUBITS + 1)):
         raise ValueError(f"register width must be 1..{MAX_QUBITS} qubits")
-    if np.any(np.abs(np.linalg.norm(state, axis=-1) - 1.0) > 1e-9):
-        raise ValueError("assembled register is not normalized")
-    return state
+    return require_normalized(state, "assembled register is not normalized")
 
 
 def project_outcomes(state: np.ndarray, pairs, basis: MeasurementBasis) -> np.ndarray:
@@ -116,8 +115,7 @@ def run_state_teleport(
     outcome j of an analysis report, pass its correction_inverses().
     """
     xi = np.asarray(input_xi, dtype=complex)
-    if abs(np.linalg.norm(xi) - 1) > 1e-9:
-        raise ValueError("input state must be normalized")
+    require_normalized(xi.reshape(-1), "input state must be normalized")
     require_orthonormal(basis)
     state = register_from([resource.psi.reshape(-1), xi])
     if u_front is not None:
@@ -147,8 +145,7 @@ def run_gate_teleport(
     ab = np.asarray(input_ab, dtype=complex)
     if ab.ndim not in (1, 2) or ab.shape[-1] != 4:
         raise ValueError("input must be a 4-vector or a (k, 4) stack of them")
-    if np.any(np.abs(np.linalg.norm(ab, axis=-1) - 1) > 1e-9):
-        raise ValueError("input state must be normalized")
+    require_normalized(ab, "input state must be normalized")
     u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

@@ -33,10 +33,12 @@ from .linalg import (
     SX,
     SY,
     SZ,
+    CORRECTABLE_TOL,
     PROBABILITY_FLOOR,
     dag,
     kron_pairs,
     principal_sqrt,
+    require_normalized,
     require_unitary,
 )
 from .kak import (
@@ -76,8 +78,6 @@ NAMED_GATES = {
 }
 
 PAIR_ORDER = tuple(itertools.product(range(4), repeat=2))
-
-CORRECTABLE_TOL = 1e-8  # bound on ||M^dag M - p I||_F of a correctable outcome
 
 
 def t_gate(phi: float, xi: float) -> np.ndarray:
@@ -148,8 +148,7 @@ def analyze_state_teleport(
     """Per-outcome teleportability of a single qubit through the Fig.-1-style
     circuit with front gate u_front on the (partner, input) pair."""
     psi = np.asarray(resource.psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("resource state must be normalized")
+    require_normalized(psi.reshape(-1), "resource state must be normalized")
     require_orthonormal(basis)
     ms = psi @ np.stack(beta_matrices(basis, u_front, "state_form").mats)
     grams = dag(ms) @ ms

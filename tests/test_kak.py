@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gateport import bases
 from gateport import linalg as la
 from gateport import kak
 from gateport import teleport as tp
@@ -382,3 +383,44 @@ def test_kak_angles_carry_the_makhlin_invariants():
         t1, t2, t3 = kak.kak_decompose(u).theta
         assert _makhlin_gap(u, (t1, t2 + 1e-6, t3)) > 1e-8
         assert _makhlin_gap(u, (t1, t2, -t3)) > 1e-8
+
+
+def _clifford_1q():
+    """The 24 single-qubit Clifford gates up to phase, as words in H and S."""
+    group = [la.I2]
+    for m in group:  # the list grows while it is read: a breadth-first closure
+        for g in (la.H, la.S):
+            if not any(la.equal_up_to_global_phase(g @ m, c) for c in group):
+                group.append(g @ m)
+    return group
+
+
+# Dressed lattice gates (A (x) B) N(theta) (C (x) D) e^{i phi}: theta on the
+# {0, pi/4} lattice (k pi/4), each local a Clifford gate or a Haar draw.
+_LOCAL = st.one_of(st.sampled_from(_clifford_1q()), st.integers(0, 2**32 - 1).map(_haar2))
+_LATTICE_THETA = st.tuples(*[st.integers(-4, 4).map(lambda k: k * np.pi / 4)] * 3)
+
+
+def _dressed(theta, a, b, c, d, phi):
+    return np.exp(1j * phi) * la.tensor(a, b) @ kak.nonlocal_gate(theta) @ la.tensor(c, d)
+
+
+_BASES = st.one_of(
+    st.sampled_from(sorted(bases.NAMED_BASES)).map(lambda name: bases.NAMED_BASES[name]()),
+    _LOCAL.map(bases.conjugated_pauli_basis),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LATTICE_THETA, _LOCAL, _LOCAL, _LOCAL, _LOCAL, ANGLES, _BASES)
+def test_theorem1_deterministic_verdicts_hold_on_dressed_lattice_gates(theta, a, b, c, d, phi, basis):
+    u = _dressed(theta, a, b, c, d, phi)
+    if tp.theorem1_check(u, basis).conclusion == "deterministic":
+        assert tp.analyze_gate_teleport(u, basis).n_separable == 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_LATTICE_THETA, st.tuples(ANGLES, ANGLES, ANGLES)), _LOCAL, _LOCAL, _LOCAL, _LOCAL, ANGLES)
+def test_kak_angles_carry_the_makhlin_invariants_of_dressed_gates(theta, a, b, c, d, phi):
+    u = _dressed(theta, a, b, c, d, phi)
+    assert _makhlin_gap(u, kak.kak_decompose(u).theta) < 1e-9

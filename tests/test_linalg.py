@@ -249,3 +249,48 @@ def test_kron_split_returns_no_view_of_its_input():
     assert not np.shares_memory(a, m) and not np.shares_memory(b, m)
     for x, y in zip((s, a, b), _loop_kron_split(m)):
         assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def _normalization_sites():
+    """(call, message) of each check built on require_normalized; call builds
+    the site's input from a single-qubit state v, with no product that
+    would turn an infinite entry into a numpy warning before the site sees it."""
+    from gateport import fourway as fw
+    from gateport import simulator as sim
+    from gateport import teleport as tp
+
+    bell = bases.bell_basis()
+    return {
+        "analyze_state_teleport": (
+            lambda v: tp.analyze_state_teleport(tp.ResourceState(np.outer(v, [1, 1]) / np.sqrt(2)), None, bell),
+            "resource state must be normalized"),
+        "analyze_fourway": (lambda v: fw.analyze_fourway(la.CNOT, bell, np.concatenate([v, [0, 0]])),
+                            "input state must be normalized"),
+        "register_from": (lambda v: sim.register_from([v, [1, 0]]), "assembled register is not normalized"),
+        "run_state_teleport": (lambda v: sim.run_state_teleport(v, tp.bell_resource(), None, bell),
+                               "input state must be normalized"),
+        "run_gate_teleport": (lambda v: sim.run_gate_teleport(np.concatenate([v, [0, 0]]), la.CNOT, bell),
+                              "input state must be normalized"),
+        "run_gate_teleport-stack": (
+            lambda v: sim.run_gate_teleport(np.stack([[1, 0, 0, 0], np.concatenate([v, [0, 0]])]), la.CNOT, bell),
+            "input state must be normalized"),
+    }
+
+
+@pytest.mark.parametrize("site", list(_normalization_sites()))
+def test_every_normalization_site_rejects_a_nan_state(site):
+    call, message = _normalization_sites()[site]
+    call(np.array([1.0, 0.0]))  # the same call with a normalized state passes
+    # An infinite entry must fail the same way, not through a numpy warning
+    # (an error under this suite's filterwarnings).
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0 + 1e-6, 0.0]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(np.array(bad))
+
+
+def test_require_normalized_checks_each_vector_of_a_stack():
+    good = np.array([[1, 0], [0.6, 0.8j]])
+    assert la.require_normalized(good, "m").tobytes() == good.astype(complex).tobytes()
+    for bad in ([[1, 0], [np.inf, 0]], [[1, 0], [0.6, 0.8 + 1e-8]], [[1, 0], [np.nan, 0]]):
+        with pytest.raises(ValueError, match="^m$"):
+            la.require_normalized(np.array(bad), "m")
