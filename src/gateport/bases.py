@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_UNITARY_TOL, I4, NORM_TOL, PAULIS, dag, is_unitary, require_unitary
+from .linalg import DEFAULT_UNITARY_TOL, NORM_TOL, PAULIS, dag, is_unitary, require_unitary
 from .kak import nonlocal_gate
 
 _SQ2 = np.sqrt(2.0)
@@ -33,9 +33,13 @@ class MeasurementBasis:
     vectors: tuple[np.ndarray, ...]
     name: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "_columns", np.column_stack(self.vectors))
+        self._columns.flags.writeable = False
+
     def matrix(self) -> np.ndarray:
-        """Vectors as columns."""
-        return np.column_stack(self.vectors)
+        """Vectors as columns, stacked once at construction (read-only)."""
+        return self._columns
 
     def is_orthonormal(self, tol: float = DEFAULT_UNITARY_TOL) -> bool:
         return is_unitary(self.matrix(), tol)
@@ -103,12 +107,16 @@ NAMED_BASES = {"bell": bell_basis, "m1": m1_basis, "m2": m2_basis}
 
 def beta_ab_basis(a: float, b: float) -> MeasurementBasis:
     """Real two-parameter basis on the circle a^2 + b^2 = 1/2."""
-    if abs(a * a + b * b - 0.5) > NORM_TOL:
+    return beta_ab_bases([a], [b])[0]
+
+
+def beta_ab_bases(a, b) -> list[MeasurementBasis]:
+    """beta_ab_basis(a[i], b[i]) for each point of two 1-D arrays, as one stack."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if (np.abs(a * a + b * b - 0.5) > NORM_TOL).any():
         raise ValueError("beta_ab parameters must satisfy a^2 + b^2 = 1/2")
-    return _basis(
-        [[-a, b, b, a], [-b, a, -a, -b], [-a, -b, b, -a], [b, a, a, -b]],
-        f"beta_ab({a:g},{b:g})",
-    )
+    rows = np.array([[-a, b, b, a], [-b, a, -a, -b], [-a, -b, b, -a], [b, a, a, -b]], dtype=complex)
+    return [_basis(r, f"beta_ab({x:g},{y:g})") for r, x, y in zip(rows.transpose(2, 0, 1), a.tolist(), b.tolist())]
 
 
 def beta_nl_basis(theta1: float, theta2: float, theta3: float) -> MeasurementBasis:
@@ -118,11 +126,13 @@ def beta_nl_basis(theta1: float, theta2: float, theta3: float) -> MeasurementBas
     capable) only when t1 -/+ t2 both sit at pi/4 mod pi/2.  Use
     validate_basis for the verdict.
     """
-    u = nonlocal_gate((theta1, theta2, theta3))
-    return _basis(
-        [u[:, j] for j in range(4)],
-        f"beta_nl({theta1:g},{theta2:g},{theta3:g})",
-    )
+    return beta_nl_bases([(theta1, theta2, theta3)])[0]
+
+
+def beta_nl_bases(thetas) -> list[MeasurementBasis]:
+    """beta_nl_basis of each triple of an (n, 3) array, from one stacked nonlocal_gate."""
+    thetas = np.asarray(thetas, dtype=float)
+    return [_basis(u.T, "beta_nl({:g},{:g},{:g})".format(*t)) for u, t in zip(nonlocal_gate(thetas), thetas.tolist())]
 
 
 def conjugated_pauli_basis(u_r: np.ndarray) -> MeasurementBasis:
@@ -165,9 +175,9 @@ def beta_matrices(
     """Overlap matrices <b_j|U|xy> in the requested entry layout."""
     if convention not in ("state_form", "gate_form"):
         raise ValueError("convention must be state_form or gate_form")
-    u = I4 if u_front is None else require_unitary(u_front, what="front gate")
+    bras = dag(basis.matrix())
     # overlap[j, x, y] = <b_j|U|xy>
-    overlap = (dag(basis.matrix()) @ u).reshape(4, 2, 2)
+    overlap = (bras if u_front is None else bras @ require_unitary(u_front, what="front gate")).reshape(4, 2, 2)
     if convention == "gate_form":
         overlap = _SQ2 * overlap.transpose(0, 2, 1)
     return BetaMatrices(tuple(overlap), convention)
@@ -175,7 +185,7 @@ def beta_matrices(
 
 def gate_betas(basis: MeasurementBasis) -> np.ndarray:
     """The gate_form betas b_j as one (4, 2, 2) stack."""
-    return np.stack(beta_matrices(basis).mats)
+    return np.array(beta_matrices(basis).mats)
 
 
 def capable(betas: np.ndarray) -> bool:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -54,7 +53,9 @@ from .bases import (
     NAMED_BASES,
     MeasurementBasis,
     beta_ab_basis,
+    beta_ab_bases,
     beta_nl_basis,
+    beta_nl_bases,
     conjugated_pauli_basis,
     gate_betas,
     m2_basis,
@@ -440,13 +441,13 @@ def cmd_scan(args) -> int:
     ts = 2 * np.pi * np.arange(args.grid) / args.grid
     if args.family == "beta_ab":
         print("t,a,b,success")
-        points = [(t, np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2)) for t in ts]
-        bases_ = (beta_ab_basis(a, b) for _, a, b in points)
+        points = np.stack([ts, np.cos(ts) / np.sqrt(2), np.sin(ts) / np.sqrt(2)], axis=-1)
+        bases_ = beta_ab_bases(points[:, 1], points[:, 2])
     else:
         print("theta1,theta2,success")
-        points = list(itertools.product(ts - np.pi, repeat=2))
-        bases_ = (beta_nl_basis(t1, t2, 0.0) for t1, t2 in points)
-    for point, basis in zip(points, bases_):
+        points = np.stack(np.meshgrid(ts - np.pi, ts - np.pi, indexing="ij"), axis=-1).reshape(-1, 2)
+        bases_ = beta_nl_bases(np.column_stack([points, np.zeros(len(points))]))
+    for point, basis in zip(points.tolist(), bases_):
         p = analyze_gate_teleport(g, basis).success_probability
         print(",".join(_num(x, ".9f") for x in point) + "," + _num(p, ".4f"))
     return 0

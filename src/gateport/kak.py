@@ -111,11 +111,12 @@ def rot(axis: str, angle: float) -> np.ndarray:
 
 
 def nonlocal_gate(theta) -> np.ndarray:
-    """exp(i(t1 XX + t2 YY + t3 ZZ)) from its angle triple."""
-    t1, t2, t3 = theta
+    """exp(i(t1 XX + t2 YY + t3 ZZ)) from its angle triple; a (..., 3) stack of
+    triples gives the (..., 4, 4) stack of their gates, each bit for bit."""
+    theta = np.asarray(theta, dtype=float)[..., None, None]
     out = np.eye(4, dtype=complex)
-    for t, (f, s) in ((t1, (SX, SX)), (t2, (SY, SY)), (t3, (SZ, SZ))):
-        out = out @ (np.cos(t) * np.eye(4) + 1j * np.sin(t) * tensor(f, s))
+    for t, sig in zip(np.moveaxis(theta, -3, 0), (SX, SY, SZ), strict=True):
+        out = out @ (np.cos(t) * np.eye(4) + 1j * np.sin(t) * tensor(sig, sig))
     return out
 
 

@@ -105,10 +105,10 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
     n = m.shape[-1]
-    residual = dag(m) @ m
-    residual.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] -= 1  # minus I: a flat matrix's diagonal
-    # A NaN sum, or a negative or NaN tol, fails the comparison.
-    return math.sqrt(np.square(residual.view(float)).sum(axis=(-2, -1)).max()) <= tol
+    residual = (dag(m) @ m).reshape(m.shape[:-2] + (n * n,))
+    residual[..., :: n + 1] -= 1  # minus I: a flat matrix's diagonal
+    # Ufunc reduces skip ndarray.sum/.max's Python layer; np.maximum keeps a NaN, and NaN (or a bad tol) fails <=.
+    return math.sqrt(np.maximum.reduce(np.add.reduce(np.square(residual.view(float)), axis=-1), axis=None)) <= tol
 
 
 def require_normalized(state, message: str) -> np.ndarray:

@@ -98,9 +98,12 @@ def gauge_index(m: np.ndarray) -> int:
     A 2x2 unitary always carries tied magnitudes (|m00| = |m11| and
     |m01| = |m10|), so a plain argmax would be unstable under rounding.
     """
-    mags = [abs(z) for z in np.ravel(m).tolist()]
+    mags = [abs(z) for z in m.ravel().tolist()]
     cut = max(mags) - GAUGE_TIE_TOL
-    return next((i for i, mag in enumerate(mags) if mag > cut), 0)
+    for i, mag in enumerate(mags):
+        if mag > cut:
+            return i
+    return 0
 
 
 _W_AXES = {1: ("z", 0), 2: ("z", 1), 3: ("y", 0), 4: ("y", 1)}

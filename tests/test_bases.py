@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gateport import linalg as la
 from gateport import bases
+from gateport import kak
 
 P = np.diag([1, 1j]).astype(complex)
 
@@ -233,3 +234,60 @@ def test_capable_is_the_unitarity_of_all_sixteen_products(seed, size):
     betas = bases.gate_betas(bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng)))
     betas = betas + size * (rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
     assert bases.capable(betas) == all(la.is_unitary(np.kron(a, b), 1e-9) for a in betas for b in betas)
+
+
+def _same_basis(got, vectors, name):
+    """Same name and bit-identical vectors (signed zeros included)."""
+    return got.name == name and all(np.asarray(v).tobytes() == u.tobytes() for v, u in zip(vectors, got.vectors))
+
+
+def _scan_points(grid):
+    return 2 * np.pi * np.arange(grid) / grid  # the t of `scan --grid grid`
+
+
+@pytest.mark.parametrize("grid", [2, 3, 7, 8, 16, 32, 48, 100])
+def test_scan_grid_beta_ab_bases_equal_the_per_point_bases(grid):
+    ts = _scan_points(grid)
+    a, b = np.cos(ts) / np.sqrt(2), np.sin(ts) / np.sqrt(2)
+    for got, x, y in zip(bases.beta_ab_bases(a, b), a, b):
+        # The former beta_ab_basis built its rows from the two floats.
+        former = [[-x, y, y, x], [-y, x, -x, -y], [-x, -y, y, -x], [y, x, x, -y]]
+        assert _same_basis(got, [np.asarray(row, dtype=complex) for row in former], f"beta_ab({x:g},{y:g})")
+        single = bases.beta_ab_basis(x, y)
+        assert _same_basis(got, single.vectors, single.name)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 7, 8, 16])
+def test_scan_grid_beta_nl_bases_equal_the_per_point_bases(grid):
+    ts = _scan_points(grid) - np.pi
+    triples = [(t1, t2, 0.0) for t1 in ts for t2 in ts]
+    for got, (t1, t2, t3) in zip(bases.beta_nl_bases(triples), triples):
+        columns = kak.nonlocal_gate((t1, t2, t3)).T
+        assert _same_basis(got, columns, f"beta_nl({t1:g},{t2:g},{t3:g})")
+        single = bases.beta_nl_basis(t1, t2, t3)
+        assert _same_basis(got, single.vectors, single.name)
+
+
+def test_the_circle_check_covers_the_whole_beta_ab_grid():
+    ts = 2 * np.pi * np.arange(8) / 8
+    a, b = np.cos(ts) / np.sqrt(2), np.sin(ts) / np.sqrt(2)
+    b[5] *= 1 + 1e-8
+    with pytest.raises(ValueError, match="a\\^2 \\+ b\\^2 = 1/2"):
+        bases.beta_ab_bases(a, b)
+    assert len(bases.beta_ab_bases(a[:5], b[:5])) == 5
+
+
+def test_a_basis_keeps_one_read_only_column_matrix():
+    basis = bases.m2_basis()
+    assert basis.matrix() is basis.matrix()
+    assert np.array_equal(basis.matrix(), np.column_stack(basis.vectors))
+    with pytest.raises(ValueError):
+        basis.matrix()[0, 0] = 0
+
+
+def test_beta_matrices_without_a_front_gate_equal_those_with_the_identity():
+    for basis in (bases.bell_basis(), bases.m1_basis(), bases.m2_basis(), bases.beta_nl_basis(0.3, 0.1, 0.2)):
+        for convention in ("gate_form", "state_form"):
+            plain = bases.beta_matrices(basis, None, convention).mats
+            identity = bases.beta_matrices(basis, la.I4, convention).mats
+            assert all(np.array_equal(p, i) for p, i in zip(plain, identity))

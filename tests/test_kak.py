@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gateport import bases
 from gateport import linalg as la
@@ -424,3 +424,83 @@ def test_theorem1_deterministic_verdicts_hold_on_dressed_lattice_gates(theta, a,
 def test_kak_angles_carry_the_makhlin_invariants_of_dressed_gates(theta, a, b, c, d, phi):
     u = _dressed(theta, a, b, c, d, phi)
     assert _makhlin_gap(u, kak.kak_decompose(u).theta) < 1e-9
+
+
+def _former_nonlocal_gate(theta):
+    """The former one-triple nonlocal_gate loop."""
+    t1, t2, t3 = theta
+    out = np.eye(4, dtype=complex)
+    for t, (f, s) in ((t1, (la.SX, la.SX)), (t2, (la.SY, la.SY)), (t3, (la.SZ, la.SZ))):
+        out = out @ (np.cos(t) * np.eye(4) + 1j * np.sin(t) * la.tensor(f, s))
+    return out
+
+
+def _scan_grid_angle(grid, i):
+    return 2 * np.pi * i / grid - np.pi  # a beta_nl point of `scan --grid grid`
+
+
+# Angles of any size, the lattice, signed zeros and the scan grids' points (scan --grid 48 and 8 in the benchmark).
+_TRIPLE_ANGLE = st.one_of(
+    ANGLES,
+    NEAR_LATTICE,
+    st.integers(2, 64).flatmap(lambda grid: st.integers(0, grid - 1).map(lambda i: _scan_grid_angle(grid, i))),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()  # signed zeros included
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_TRIPLE_ANGLE, _TRIPLE_ANGLE, _TRIPLE_ANGLE), min_size=1, max_size=8))
+def test_a_stacked_nonlocal_gate_is_each_triples_gate_bit_for_bit(triples):
+    stacked = kak.nonlocal_gate(np.array(triples))
+    assert stacked.shape == (len(triples), 4, 4)
+    for theta, gate in zip(triples, stacked):
+        assert _same_bits(gate, _former_nonlocal_gate(theta))
+        assert _same_bits(kak.nonlocal_gate(theta), gate)
+    # Extra leading axes broadcast.
+    assert _same_bits(kak.nonlocal_gate(np.array([triples, triples])), np.stack([stacked, stacked]))
+
+
+def test_nonlocal_gate_rejects_a_triple_of_the_wrong_length():
+    for bad in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4), np.zeros((5, 2))):
+        with pytest.raises(ValueError):
+            kak.nonlocal_gate(bad)
+
+
+def _gate_betas_from_vectors(basis):
+    """b_j[y, x] = sqrt(2) <b_j|xy>, from the vectors (not bases.gate_betas)."""
+    return [np.sqrt(2) * np.conj(v).reshape(2, 2).T for v in basis.vectors]
+
+
+def _second_schmidt(x):
+    """Half the second singular value of the realigned x (not separability's code)."""
+    return np.linalg.svd(x.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4), compute_uv=False)[1] / 2
+
+
+_HAAR_GATE = st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed))
+_DRESSED_GATE = st.builds(_dressed, _LATTICE_THETA, _LOCAL, _LOCAL, _LOCAL, _LOCAL, ANGLES)
+_VALID_BASES = st.one_of(
+    _BASES,
+    st.floats(0, 2 * np.pi).map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_HAAR_GATE, _DRESSED_GATE), _VALID_BASES)
+def test_separability_verdicts_hold_in_the_kak_frame(u, basis):
+    # W_jk = U (b_j (x) b_k) U^dag with U = e^{i phi} (A (x) B) N (C (x) D) is a local
+    # conjugate of N (C b_j C^dag (x) D b_k D^dag) N^dag, and local conjugation keeps
+    # the operator-Schmidt rank (Nielsen et al., PRA 67, 052301).
+    d = kak.kak_decompose(u)
+    n = kak.nonlocal_gate(d.theta)
+    left = [d.c_local @ b @ d.c_local.conj().T for b in _gate_betas_from_vectors(basis)]
+    right = [d.d_local @ b @ d.d_local.conj().T for b in _gate_betas_from_vectors(basis)]
+    frame = [_second_schmidt(n @ np.kron(left[j], right[k]) @ n.conj().T) for j, k in tp.PAIR_ORDER]
+    report = tp.analyze_gate_teleport(u, basis)
+    direct = [_second_schmidt(w) for w in report.w_matrices]
+    # Within rounding of the threshold a verdict may flip on either path.
+    assume(all(abs(s - la.SEPARABLE_TOL) > 1e-9 for s in frame + direct))
+    assert report.separable == tuple(s <= la.SEPARABLE_TOL for s in frame)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +123,22 @@ def test_is_unitary_rejects_nan_entries_bad_tol_and_non_square_input():
     assert not la.is_unitary(np.stack([la.I4, la.SWAP]), -1.0)
     assert not la.is_unitary(np.ones((4, 2)), 1e-9)
     assert not la.is_unitary(np.ones(4), 1e-9)
+    # NaN only in the last matrix of a stack: the per-matrix maximum must keep it.
+    assert not la.is_unitary(np.stack([la.I4, la.SWAP, la.CNOT, nan]), 1e-9)
+    assert not la.is_unitary(np.stack([la.I4, la.SWAP, la.CNOT, nan]).reshape(2, 2, 4, 4), 1e-9)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf)])
+def test_require_unitary_names_an_infinite_entry_without_a_numpy_warning(value):
+    # Finiteness is checked first: m^dag m of an infinite entry is inf * 0 = NaN, which
+    # numpy reports as "invalid value encountered in matmul".
+    m = la.I4.copy()
+    m[3, 3] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (m, np.stack([la.I4, m])):
+            with pytest.raises(ValueError, match="^non-finite entries$"):
+                la.require_unitary(bad)
 
 
 def test_is_unitary_rejects_disentangled_beta():
