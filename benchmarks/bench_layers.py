@@ -10,12 +10,14 @@ The inputs are those of one `scan` point that factorizes all 16 outcomes:
 t:0.3287,1.6594 under m2.  The grid benchmarks build the bases of
 `scan --family beta_ab --grid 48` and `--family beta_nl --grid 8`, the
 benchmark's sweep grids; the stacked builders are skipped on a tree that
-lacks them, so one file times both sides of a comparison.
+lacks them, so one file times both sides of a comparison.  The basis
+benchmarks build one named basis, resolve one basis spec as the CLI does
+and build the 48-point beta_ab grid alone.
 """
 import numpy as np
 import pytest
 
-from gateport import bases, linalg, separability, teleport
+from gateport import bases, cli, linalg, separability, teleport
 
 GATE = teleport.t_gate(0.3287, 1.6594)
 BASIS = bases.m2_basis()
@@ -60,3 +62,17 @@ def test_scan_grid_stacked(benchmark):
     if not hasattr(bases, "beta_nl_bases"):
         pytest.skip("this tree builds scan grids point by point")
     benchmark(lambda: (bases.beta_ab_bases(_A, _B), bases.beta_nl_bases(_TRIPLES)))
+
+
+def test_bell_basis(benchmark):
+    benchmark(bases.bell_basis)
+
+
+def test_resolve_basis_m2(benchmark):
+    benchmark(cli.resolve_basis, "m2", 1e-9)
+
+
+def test_beta_ab_grid_48(benchmark):
+    if not hasattr(bases, "beta_ab_bases"):
+        pytest.skip("this tree builds scan grids point by point")
+    benchmark(bases.beta_ab_bases, _A, _B)

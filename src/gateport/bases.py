@@ -30,16 +30,19 @@ _SQ2 = np.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    vectors: tuple[np.ndarray, ...]
+    """Four basis vectors, stored as the rows of one read-only complex
+    (4, 4) array; any sequence of four vectors is copied into it."""
+
+    vectors: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "_columns", np.column_stack(self.vectors))
-        self._columns.flags.writeable = False
+        object.__setattr__(self, "vectors", np.array(self.vectors, dtype=complex))
+        self.vectors.flags.writeable = False
 
     def matrix(self) -> np.ndarray:
-        """Vectors as columns, stacked once at construction (read-only)."""
-        return self._columns
+        """Vectors as columns: the transpose of `vectors` (a read-only view)."""
+        return self.vectors.T
 
     def is_orthonormal(self, tol: float = DEFAULT_UNITARY_TOL) -> bool:
         return is_unitary(self.matrix(), tol)
@@ -47,8 +50,7 @@ class MeasurementBasis:
 
 @dataclass(frozen=True, eq=False)
 class BetaMatrices:
-    mats: tuple[np.ndarray, ...]
-    convention: str
+    mats: np.ndarray  # (4, 2, 2), one matrix per basis vector
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,6 @@ class BasisReport:
     per_vector_entanglement: tuple[float, float, float, float]
 
 
-def _basis(rows, name: str) -> MeasurementBasis:
-    return MeasurementBasis(tuple(np.asarray(v, dtype=complex) for v in rows), name)
-
-
 def require_orthonormal(basis: MeasurementBasis) -> MeasurementBasis:
     if not basis.is_orthonormal():
         raise ValueError(f"basis {basis.name or '<anonymous>'} is not orthonormal within {DEFAULT_UNITARY_TOL}")
@@ -74,7 +72,7 @@ def require_orthonormal(basis: MeasurementBasis) -> MeasurementBasis:
 def bell_basis() -> MeasurementBasis:
     """The four Bell vectors, inducing gate_form matrices {I, X, Z, -iY}."""
     s = 1 / _SQ2
-    return _basis(
+    return MeasurementBasis(
         [[s, 0, 0, s], [0, s, s, 0], [s, 0, 0, -s], [0, s, -s, 0]],
         "bell",
     )
@@ -82,7 +80,7 @@ def bell_basis() -> MeasurementBasis:
 
 def m1_basis() -> MeasurementBasis:
     """The real +-1/2 basis; equals beta_ab_basis(1/2, 1/2)."""
-    return _basis(
+    return MeasurementBasis(
         [
             [-0.5, 0.5, 0.5, 0.5],
             [-0.5, 0.5, -0.5, -0.5],
@@ -96,7 +94,7 @@ def m1_basis() -> MeasurementBasis:
 def m2_basis() -> MeasurementBasis:
     """Partially phase-rotated Bell-like basis."""
     s = 1 / _SQ2
-    return _basis(
+    return MeasurementBasis(
         [[1j * s, 0, 0, s], [0, -1j * s, 1j * s, 0], [0, s, s, 0], [s, 0, 0, 1j * s]],
         "m2",
     )
@@ -116,7 +114,7 @@ def beta_ab_bases(a, b) -> list[MeasurementBasis]:
     if (np.abs(a * a + b * b - 0.5) > NORM_TOL).any():
         raise ValueError("beta_ab parameters must satisfy a^2 + b^2 = 1/2")
     rows = np.array([[-a, b, b, a], [-b, a, -a, -b], [-a, -b, b, -a], [b, a, a, -b]], dtype=complex)
-    return [_basis(r, f"beta_ab({x:g},{y:g})") for r, x, y in zip(rows.transpose(2, 0, 1), a.tolist(), b.tolist())]
+    return [MeasurementBasis(r, f"beta_ab({x:g},{y:g})") for r, x, y in zip(rows.transpose(2, 0, 1), a.tolist(), b.tolist())]
 
 
 def beta_nl_basis(theta1: float, theta2: float, theta3: float) -> MeasurementBasis:
@@ -132,7 +130,7 @@ def beta_nl_basis(theta1: float, theta2: float, theta3: float) -> MeasurementBas
 def beta_nl_bases(thetas) -> list[MeasurementBasis]:
     """beta_nl_basis of each triple of an (n, 3) array, from one stacked nonlocal_gate."""
     thetas = np.asarray(thetas, dtype=float)
-    return [_basis(u.T, "beta_nl({:g},{:g},{:g})".format(*t)) for u, t in zip(nonlocal_gate(thetas), thetas.tolist())]
+    return [MeasurementBasis(u.T, "beta_nl({:g},{:g},{:g})".format(*t)) for u, t in zip(nonlocal_gate(thetas), thetas.tolist())]
 
 
 def conjugated_pauli_basis(u_r: np.ndarray) -> MeasurementBasis:
@@ -143,8 +141,8 @@ def conjugated_pauli_basis(u_r: np.ndarray) -> MeasurementBasis:
     """
     u_r = require_unitary(u_r, what="conjugating unitary")
     # Vector entry 2x + y is conj(m[y, x]) / sqrt(2) (gate_form inverted).
-    mats = (dag(u_r) @ PAULIS[label] @ u_r for label in ("I", "X", "Z", "Y"))
-    return _basis([dag(m).reshape(4) / _SQ2 for m in mats], "pauli_conj")
+    mats = dag(u_r) @ np.stack([PAULIS[label] for label in ("I", "X", "Z", "Y")]) @ u_r
+    return MeasurementBasis(dag(mats).reshape(4, 4) / _SQ2, "pauli_conj")
 
 
 def phase_paired_basis(u: np.ndarray, diag_phase: complex, off_phase: complex) -> MeasurementBasis:
@@ -155,8 +153,8 @@ def phase_paired_basis(u: np.ndarray, diag_phase: complex, off_phase: complex) -
     basis up to ordering.
     """
     u = require_unitary(u, what="front gate")
-    c = [u[:, k] for k in range(4)]
-    return _basis(
+    c = u.T
+    return MeasurementBasis(
         [
             (c[0] - diag_phase * c[3]) / _SQ2,
             (c[0] + diag_phase * c[3]) / _SQ2,
@@ -175,17 +173,17 @@ def beta_matrices(
     """Overlap matrices <b_j|U|xy> in the requested entry layout."""
     if convention not in ("state_form", "gate_form"):
         raise ValueError("convention must be state_form or gate_form")
-    bras = dag(basis.matrix())
+    bras = basis.vectors.conj()
     # overlap[j, x, y] = <b_j|U|xy>
     overlap = (bras if u_front is None else bras @ require_unitary(u_front, what="front gate")).reshape(4, 2, 2)
     if convention == "gate_form":
         overlap = _SQ2 * overlap.transpose(0, 2, 1)
-    return BetaMatrices(tuple(overlap), convention)
+    return BetaMatrices(overlap)
 
 
 def gate_betas(basis: MeasurementBasis) -> np.ndarray:
     """The gate_form betas b_j as one (4, 2, 2) stack."""
-    return np.array(beta_matrices(basis).mats)
+    return beta_matrices(basis).mats
 
 
 def capable(betas: np.ndarray) -> bool:

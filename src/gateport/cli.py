@@ -150,7 +150,7 @@ def write_basis_file(path: str, basis: MeasurementBasis) -> None:
 
 def read_basis_file(path: str) -> MeasurementBasis:
     name, rows = _read_matrix(path, "vectors", (4, 4))
-    return MeasurementBasis(tuple(rows), name)
+    return MeasurementBasis(rows, name)
 
 
 # --- spec resolution --------------------------------------------------------
@@ -185,13 +185,13 @@ def _accept_basis(basis: MeasurementBasis, tol: float, message: str) -> Measurem
     q_j (q_j in SU(2)), which makes every vector maximally entangled; the
     final nearest unitary keeps them so, because with the q_j read as real
     unit 4-vectors it only mixes them by a real orthogonal matrix."""
-    rows = np.stack(basis.vectors)  # unitary iff its transpose basis.matrix() is
+    rows = basis.vectors  # unitary iff its transpose basis.matrix() is
     if not is_unitary(rows, tol):
         raise ValueError(message)
     betas = gate_betas(basis)
     if is_unitary(betas, tol):
         rows = dag(nearest_unitary(betas)).reshape(4, 4) / np.sqrt(2)
-    return MeasurementBasis(tuple(nearest_unitary(rows)), basis.name)
+    return MeasurementBasis(nearest_unitary(rows), basis.name)
 
 
 def resolve_gate(spec: str, tol: float) -> np.ndarray:
@@ -446,7 +446,7 @@ def cmd_scan(args) -> int:
     else:
         print("theta1,theta2,success")
         points = np.stack(np.meshgrid(ts - np.pi, ts - np.pi, indexing="ij"), axis=-1).reshape(-1, 2)
-        bases_ = beta_nl_bases(np.column_stack([points, np.zeros(len(points))]))
+        bases_ = beta_nl_bases(np.pad(points, ((0, 0), (0, 1))))  # t3 = 0
     for point, basis in zip(points.tolist(), bases_):
         p = analyze_gate_teleport(g, basis).success_probability
         print(",".join(_num(x, ".9f") for x in point) + "," + _num(p, ".4f"))

@@ -46,7 +46,7 @@ from .linalg import (
 )
 from .kak import is_clifford
 from .bases import MeasurementBasis, capable, gate_betas, require_orthonormal
-from .separability import SEPARABLE_TOL, leading_products
+from .separability import leading_products
 from .simulator import outcome_fidelities, project_outcomes, register_from
 
 _SXX = tensor(SX, SX)
@@ -55,12 +55,7 @@ _SZZ = tensor(SZ, SZ)
 
 def chi_state() -> np.ndarray:
     """The eight-term four-qubit resource, amplitudes +-1/(2*sqrt(2))."""
-    chi = np.zeros(16, dtype=complex)
-    for idx in (0, 6, 9, 10, 12, 15):
-        chi[idx] = 1.0
-    for idx in (3, 5):
-        chi[idx] = -1.0
-    return chi / (2.0 * np.sqrt(2.0))
+    return np.array([1, 0, 0, -1, 0, -1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1], dtype=complex) / (2.0 * np.sqrt(2.0))
 
 
 def u1_gate() -> np.ndarray:
@@ -144,8 +139,7 @@ def analyze_fourway(
     separable = np.zeros(32, dtype=bool)
     undo = np.broadcast_to(I4, (32, 4, 4))
     if valid:
-        schmidt, products = leading_products(require_unitary(branches, what="factorization input"))
-        separable = schmidt[:, 1] <= SEPARABLE_TOL
+        separable, products = leading_products(require_unitary(branches, what="factorization input"))
         undo = np.where(separable[:, None, None], dag(products), I4)
     labels = _pauli_pair_labels(branches)
     ops = np.concatenate((np.broadcast_to(I4, (16, 4, 4)), undo)).reshape(3, 16, 4, 4) @ u_t

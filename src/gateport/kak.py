@@ -60,7 +60,7 @@ _MAGIC_DAG = dag(MAGIC)
 _DXX = np.array([1.0, 1.0, -1.0, -1.0])
 _DYY = np.array([-1.0, 1.0, -1.0, 1.0])
 _DZZ = np.array([1.0, -1.0, -1.0, 1.0])
-_ANGLE_COLS = np.column_stack([np.ones(4), _DXX, _DYY, _DZZ])
+_ANGLE_COLS = np.stack([np.ones(4), _DXX, _DYY, _DZZ], axis=-1)
 
 # Hermitian single-qubit reflections exchanging Pauli axes (0, 1) and
 # (1, 2) (and both qubits together leave the third axis invariant).

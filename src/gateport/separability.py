@@ -46,12 +46,13 @@ def operator_schmidt(w: np.ndarray) -> np.ndarray:
 
 
 def leading_products(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Schmidt coefficients (scaled as tensor_factorize scales them) and
-    leading Schmidt term of each unitary of a (..., 4, 4) stack.  For a
-    unitary that passes the separability screen that term is the product
-    of its tensor_factorize factors, up to their phase."""
+    """Separability verdict and leading Schmidt term of each unitary of a
+    (..., 4, 4) stack.  The verdict is tensor_factorize's screen (half the
+    second singular value of the realigned unitary at most SEPARABLE_TOL);
+    where it holds, the term is the product of tensor_factorize's factors,
+    up to their phase."""
     u, s, vh = np.linalg.svd(_realign(ws))
-    return s / 2.0, 2.0 * _realign(u[..., :1] @ vh[..., :1, :])
+    return s[..., 1] / 2.0 <= SEPARABLE_TOL, 2.0 * _realign(u[..., :1] @ vh[..., :1, :])
 
 
 def tensor_factorize(w: np.ndarray) -> TensorFactorization:

@@ -75,7 +75,7 @@ def project_outcomes(state: np.ndarray, pairs, basis: MeasurementBasis) -> np.nd
     measured = [q for pair in pairs for q in pair]
     if len(set(measured)) != len(measured) or any(not 0 <= q < n for q in measured):
         raise ValueError("measured qubits must be distinct and in range")
-    bras = basis.matrix().conj().T  # bras[j, 2a + b] = <b_j|ab>
+    bras = basis.vectors.conj()  # bras[j, 2a + b] = <b_j|ab>
     lead = state.shape[:-1]
     rest = [q for q in range(n) if q not in measured]
     # Qubit axes in the order (pairs..., rest): each pair is one (4, 4) product.

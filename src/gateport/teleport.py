@@ -117,7 +117,7 @@ class StateTeleportReport:
 class GateTeleportReport:
     """Per-outcome results in row-major (j, k) order, 0-based indices."""
 
-    w_matrices: tuple[np.ndarray, ...]
+    w_matrices: np.ndarray  # (16, 4, 4)
     separable: tuple[bool, ...]
     corrections: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
     n_separable: int
@@ -150,7 +150,7 @@ def analyze_state_teleport(
     psi = np.asarray(resource.psi, dtype=complex)
     require_normalized(psi.reshape(-1), "resource state must be normalized")
     require_orthonormal(basis)
-    ms = psi @ np.stack(beta_matrices(basis, u_front, "state_form").mats)
+    ms = psi @ beta_matrices(basis, u_front, "state_form").mats
     grams = dag(ms) @ ms
     probs = np.trace(grams, axis1=-2, axis2=-1).real / 2.0
     residuals = np.linalg.norm(grams - probs[:, None, None] * np.eye(2), axis=(-2, -1))
@@ -183,7 +183,7 @@ def analyze_gate_teleport(u_t: np.ndarray, basis: MeasurementBasis) -> GateTelep
     separable = tuple(c is not None for c in corrections)
     n = sum(separable)
     return GateTeleportReport(
-        w_matrices=tuple(w_stack),
+        w_matrices=w_stack,
         separable=separable,
         corrections=corrections,
         n_separable=n,

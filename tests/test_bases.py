@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gateport import linalg as la
 from gateport import bases
 from gateport import kak
+from gateport import simulator
 
 P = np.diag([1, 1j]).astype(complex)
 
@@ -277,12 +278,77 @@ def test_the_circle_check_covers_the_whole_beta_ab_grid():
     assert len(bases.beta_ab_bases(a[:5], b[:5])) == 5
 
 
-def test_a_basis_keeps_one_read_only_column_matrix():
-    basis = bases.m2_basis()
-    assert basis.matrix() is basis.matrix()
-    assert np.array_equal(basis.matrix(), np.column_stack(basis.vectors))
-    with pytest.raises(ValueError):
-        basis.matrix()[0, 0] = 0
+def _former_columns(vectors):
+    """The column matrix as the former tuple-of-vectors storage stacked it."""
+    return np.column_stack(tuple(np.asarray(v, dtype=complex) for v in vectors))
+
+
+def _former_beta_matrices(vectors, u_front, convention):
+    """The former beta_matrices: bras from the column matrix, one tuple entry per vector."""
+    bras = la.dag(_former_columns(vectors))
+    overlap = (bras if u_front is None else bras @ u_front).reshape(4, 2, 2)
+    if convention == "gate_form":
+        overlap = np.sqrt(2.0) * overlap.transpose(0, 2, 1)
+    return tuple(overlap)
+
+
+def _former_project_outcomes(state, pairs, vectors):
+    """The former simulator.project_outcomes, bras from the column matrix."""
+    n = state.shape[-1].bit_length() - 1
+    measured = [q for pair in pairs for q in pair]
+    bras = _former_columns(vectors).conj().T
+    lead = state.shape[:-1]
+    rest = [q for q in range(n) if q not in measured]
+    t = state.reshape(lead + (2,) * n).transpose(*range(len(lead)), *(len(lead) + q for q in measured + rest))
+    for i in range(len(pairs)):
+        t = bras @ t.reshape(lead + (4**i, 4, -1))
+    return t.reshape(lead + (4 ** len(pairs), 2 ** len(rest)))
+
+
+def _gaussian(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+_ROWS = st.one_of(
+    st.sampled_from([bases.bell_basis, bases.m1_basis, bases.m2_basis]).map(lambda f: f().vectors.copy()),
+    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
+    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed).T.copy()),  # F-ordered rows
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25, 1e-300]), min_size=32, max_size=32).map(
+        lambda xs: (np.array(xs[:16]) + 1j * np.array(xs[16:])).reshape(4, 4)),  # signed zeros, not orthonormal
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ROWS, st.integers(0, 2**32 - 1))
+def test_a_basis_stores_one_read_only_row_array(rows, seed):
+    """A tuple of vectors, a list of rows and a (4, 4) array give the same
+    stored bytes, which later writes to the input never reach; matrix(),
+    beta_matrices and project_outcomes equal the former column-matrix code
+    byte for byte."""
+    vectors = tuple(np.array(v) for v in rows)
+    inputs = {"tuple": tuple(v.copy() for v in vectors), "list": rows.tolist(), "array": rows.copy()}
+    built = {form: bases.MeasurementBasis(value, form) for form, value in inputs.items()}
+    inputs["tuple"][0][0] = inputs["list"][0][0] = inputs["array"][0, 0] = 7.0
+    rng = np.random.default_rng(seed)
+    u_front = la.haar_random_unitary(4, rng)
+    state3 = _gaussian(rng, 8)
+    states6 = _gaussian(rng, (2, 64))
+    for basis in built.values():
+        stored = basis.vectors
+        assert stored.shape == (4, 4) and stored.dtype == complex and not stored.flags.writeable
+        assert stored.tobytes() == np.array(vectors, dtype=complex).tobytes()
+        with pytest.raises(ValueError):
+            stored[0, 0] = 0
+        assert not basis.matrix().flags.writeable and np.shares_memory(basis.matrix(), stored)
+        assert basis.matrix().tobytes() == _former_columns(vectors).tobytes()
+        for u in (None, u_front):
+            for convention in ("gate_form", "state_form"):
+                got = bases.beta_matrices(basis, u, convention).mats
+                assert got.shape == (4, 2, 2)
+                assert got.tobytes() == np.stack(_former_beta_matrices(vectors, u, convention)).tobytes()
+        for state, pairs in ((state3, [(1, 2)]), (states6, [(0, 3), (1, 5)])):
+            got = simulator.project_outcomes(state, pairs, basis)
+            assert got.tobytes() == _former_project_outcomes(state, pairs, vectors).tobytes()
 
 
 def test_beta_matrices_without_a_front_gate_equal_those_with_the_identity():

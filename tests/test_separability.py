@@ -90,21 +90,27 @@ def test_factorize_rejects_bad_input():
 
 
 def test_factorize_all_matches_tensor_factorize():
+    """factorize_all, and leading_products' verdicts and leading terms, agree with tensor_factorize."""
     rng = np.random.default_rng(5)
     products = [
         np.exp(1j * rng.uniform(-np.pi, np.pi))
         * la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
         for _ in range(5)
     ]
-    stack = np.stack(products + [la.CNOT, la.SWAP] + [la.haar_random_unitary(4, rng) for _ in range(3)])
-    for got, w in zip(sep.factorize_all(stack), stack):
+    # Second Schmidt coefficients on both sides of SEPARABLE_TOL, and between it and twice it.
+    near = [kak.nonlocal_gate((np.arcsin(x * sep.SEPARABLE_TOL), 0.0, 0.0)) for x in (0.5, 0.75, 0.99, 1.01, 1.5)]
+    stack = np.stack(products + near + [la.CNOT, la.SWAP] + [la.haar_random_unitary(4, rng) for _ in range(3)])
+    screened, leading = sep.leading_products(stack)
+    assert screened.tolist() == [True] * 8 + [False] * 7
+    for got, w, screen, term in zip(sep.factorize_all(stack), stack, screened.tolist(), leading):
         ref = sep.tensor_factorize(w)
-        assert got.separable == ref.separable
+        assert got.separable == ref.separable == screen
         assert np.allclose(got.schmidt_values, ref.schmidt_values, atol=1e-12)
         if ref.separable:
             assert np.array_equal(got.factor_a, ref.factor_a)
             assert np.array_equal(got.factor_b, ref.factor_b)
             assert got.phase == ref.phase
+            assert la.equal_up_to_global_phase(term, la.tensor(ref.factor_a, ref.factor_b))
         else:
             assert got.factor_a is None and got.factor_b is None
 
