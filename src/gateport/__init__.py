@@ -60,7 +60,6 @@ from .teleport import (
     EXP_YY,
     PI8,
     GateTeleportReport,
-    ResourceState,
     StateTeleportReport,
     Theorem1Verdict,
     analyze_gate_teleport,

@@ -31,13 +31,17 @@ _SQ2 = np.sqrt(2.0)
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """Four basis vectors, stored as the rows of one read-only complex
-    (4, 4) array; any sequence of four vectors is copied into it."""
+    (4, 4) array; any sequence of four finite 4-vectors is copied into it."""
 
     vectors: np.ndarray
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", np.array(self.vectors, dtype=complex))
+        if self.vectors.shape != (4, 4):
+            raise ValueError(f"basis {self.name or '<anonymous>'} is not four 4-vectors: shape {self.vectors.shape}")
+        if not np.isfinite(self.vectors).all():
+            raise ValueError(f"basis {self.name or '<anonymous>'} has non-finite entries")
         self.vectors.flags.writeable = False
 
     def matrix(self) -> np.ndarray:

@@ -171,6 +171,9 @@ def _parse_floats(text: str, n: int, what: str):
     return values
 
 
+# An entry so large that m^dag m overflows (inf, or finite such as 1e308) fails the
+# unitarity check quietly: a numpy warning would put lines before the one-line error.
+@np.errstate(over="ignore", invalid="ignore")
 def _accept(m: np.ndarray, tol: float, message: str) -> np.ndarray:
     """The nearest unitary to m, a matrix the user gave, if m is unitary within tol."""
     if not is_unitary(m, tol):
@@ -178,6 +181,7 @@ def _accept(m: np.ndarray, tol: float, message: str) -> np.ndarray:
     return nearest_unitary(m)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for _accept
 def _accept_basis(basis: MeasurementBasis, tol: float, message: str) -> MeasurementBasis:
     """The nearest orthonormal basis to basis, a basis the user gave, if it
     is orthonormal within tol.  When its gate-form betas are also unitary
@@ -455,8 +459,10 @@ def cmd_scan(args) -> int:
 
 def cmd_state_teleport(args) -> int:
     basis = resolve_basis(args.basis, args.tol)
-    u_front = resolve_gate(args.front, args.tol) if args.front else None
-    report = analyze_state_teleport(bell_resource(), u_front, basis)
+    if args.front:
+        # A front gate U before measuring in {b_j} is the measurement in {U^dag b_j}.
+        basis = MeasurementBasis(basis.vectors @ resolve_gate(args.front, args.tol).conj(), basis.name)
+    report = analyze_state_teleport(bell_resource(), basis)
     if args.format == "json":
         _emit_json({"basis": args.basis, "front": args.front, **_fields(report)})
         return 0

@@ -209,6 +209,8 @@ def euler_zyz(u: np.ndarray) -> LocalEulerAngles:
     combination lambda1 +/- lambda3 is defined; lambda3 = 0 is reported
     there.
     """
+    if np.shape(u)[-2:] != (2, 2):
+        raise ValueError(f"single-qubit gate must be 2x2 or a (..., 2, 2) stack, got shape {np.shape(u)}")
     u = require_unitary(u, what="single-qubit gate")
     u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
     diagonal = np.abs(u10) <= ROUNDING_EPS

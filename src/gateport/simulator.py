@@ -8,13 +8,15 @@ on each of them.
 Circuit layouts checked against the analytical module:
 
 * State teleportation (3 qubits): 0 = resource carrier, 1 = resource
-  partner, 2 = input.  The front gate and the measurement act on the
-  (partner, input) pair in that order.
+  partner, 2 = input.  The measurement acts on the (partner, input)
+  pair in that order.
 * Gate teleportation (6 qubits): 0,1 = two-qubit input, (2,3) and (4,5)
   = resource pairs with carriers 2 and 4.  The measurements act on the
   (input, partner) pairs (0,3) and (1,5) in that order; the teleported
-  gate acts on the carriers (2,4).  There is no front gate: a front
-  gate U before the measurements is the basis {U^dag b_j}.
+  gate acts on the carriers (2,4).
+
+Neither circuit has a front gate: a front gate U before a measurement in
+{b_j} is the measurement in the basis {U^dag b_j}.
 
 The measured-pair orderings differ between the two circuits; this is
 what makes the state_form and gate_form beta layouts transposes of each
@@ -27,9 +29,8 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import I2, PROBABILITY_FLOOR, is_unitary, require_normalized, require_unitary, tensor
+from .linalg import I2, PROBABILITY_FLOOR, require_normalized, require_unitary, tensor
 from .bases import MeasurementBasis, require_orthonormal
-from .teleport import ResourceState
 
 MAX_QUBITS = 8
 
@@ -102,14 +103,9 @@ def outcome_fidelities(rests: np.ndarray, ops: np.ndarray, target: np.ndarray):
     return probs, outs, np.abs((outs @ np.conj(target)[..., None])[..., 0]) ** 2
 
 
-def run_state_teleport(
-    input_xi: np.ndarray,
-    resource: ResourceState,
-    u_front: np.ndarray | None,
-    basis: MeasurementBasis,
-    corrections=None,
-) -> SimResult:
-    """Force each outcome of the single-qubit circuit and score fidelity.
+def run_state_teleport(input_xi: np.ndarray, psi: np.ndarray, basis: MeasurementBasis, corrections=None) -> SimResult:
+    """Force each outcome of the single-qubit circuit, with the resource of
+    2x2 coefficient matrix psi, and score fidelity.
 
     Corrections are applied verbatim to the carrier qubit; to undo
     outcome j of an analysis report, pass its correction_inverses().
@@ -117,11 +113,7 @@ def run_state_teleport(
     xi = np.asarray(input_xi, dtype=complex)
     require_normalized(xi.reshape(-1), "input state must be normalized")
     require_orthonormal(basis)
-    state = register_from([resource.psi.reshape(-1), xi])
-    if u_front is not None:
-        if np.shape(u_front) != (4, 4) or not is_unitary(u_front):
-            raise ValueError("front gate must be a 4x4 unitary")
-        state = tensor(I2, u_front) @ state  # on the (partner, input) qubits (1, 2)
+    state = register_from([np.reshape(psi, -1), xi])
     rests = project_outcomes(state, [(1, 2)], basis)
     ops = I2 if corrections is None else np.stack([I2 if c is None else c for c in corrections])
     probs, _, fids = outcome_fidelities(rests, ops, xi)

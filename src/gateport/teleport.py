@@ -12,7 +12,8 @@ tensor product of single-qubit factors, which are the correction pair.
 All 16 W are built as one stack; one batched SVD, at the scale
 tensor_factorize uses, screens them, and only the candidates that pass
 the screen are factorized (separability.factorize_all).  Success
-probability is (number of separable outcomes) / 16.
+probability is (number of separable outcomes) / 16.  Neither side takes a
+front gate U: measuring after U in {b_j} is measuring in {U^dag b_j}.
 """
 from __future__ import annotations
 
@@ -89,15 +90,9 @@ def t_gate(phi: float, xi: float) -> np.ndarray:
     ).astype(complex)
 
 
-@dataclass(frozen=True, eq=False)
-class ResourceState:
-    """2x2 coefficient matrix psi of the two-qubit resource, |nm> -> psi[n,m]."""
-
-    psi: np.ndarray
-
-
-def bell_resource() -> ResourceState:
-    return ResourceState(I2 / np.sqrt(2))
+def bell_resource() -> np.ndarray:
+    """The Bell resource's 2x2 coefficient matrix psi, |nm> -> psi[n,m]."""
+    return I2 / np.sqrt(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,17 +135,14 @@ class Theorem1Verdict:
     pair_witnesses: tuple | None
 
 
-def analyze_state_teleport(
-    resource: ResourceState,
-    u_front: np.ndarray | None,
-    basis: MeasurementBasis,
-) -> StateTeleportReport:
+def analyze_state_teleport(psi: np.ndarray, basis: MeasurementBasis) -> StateTeleportReport:
     """Per-outcome teleportability of a single qubit through the Fig.-1-style
-    circuit with front gate u_front on the (partner, input) pair."""
-    psi = np.asarray(resource.psi, dtype=complex)
+    circuit: a resource with 2x2 coefficient matrix psi (|nm> -> psi[n,m])
+    and a measurement in `basis` on the (partner, input) pair."""
+    psi = np.asarray(psi, dtype=complex)
     require_normalized(psi.reshape(-1), "resource state must be normalized")
     require_orthonormal(basis)
-    ms = psi @ beta_matrices(basis, u_front, "state_form").mats
+    ms = psi @ beta_matrices(basis, convention="state_form").mats
     grams = dag(ms) @ ms
     probs = np.trace(grams, axis1=-2, axis2=-1).real / 2.0
     residuals = np.linalg.norm(grams - probs[:, None, None] * np.eye(2), axis=(-2, -1))

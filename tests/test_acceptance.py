@@ -22,6 +22,11 @@ def _report(n, label, failures):
     assert not failures, failures[:5]
 
 
+def _front(basis, u):
+    """The basis {U^dag b_j}: measuring it is applying U, then measuring `basis`."""
+    return bases.MeasurementBasis(basis.vectors @ u.conj(), basis.name)
+
+
 def _random_valid_basis(rng):
     return bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng))
 
@@ -63,8 +68,8 @@ def test_criterion_2_table2():
 def test_criterion_3_shifted_basis_example():
     failures = []
     u = la.tensor(la.H, la.I2) @ tp.C_PI8
-    basis = bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j)
-    rep = tp.analyze_state_teleport(tp.bell_resource(), u, basis)
+    basis = _front(bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j), u)
+    rep = tp.analyze_state_teleport(tp.bell_resource(), basis)
     targets = (tp.PI8 @ la.SZ, tp.PI8, la.SX @ la.S @ la.SZ, la.SX @ la.S)
     for j, (got, want) in enumerate(zip(rep.correction_inverses(), targets)):
         if got is None or not la.equal_up_to_global_phase(got, want, 1e-8):
@@ -72,7 +77,7 @@ def test_criterion_3_shifted_basis_example():
     rng = np.random.default_rng(17)
     for _ in range(20):
         xi = la.random_state(2, rng)
-        r = sim.run_state_teleport(xi, tp.bell_resource(), u, basis, rep.correction_inverses())
+        r = sim.run_state_teleport(xi, tp.bell_resource(), basis, rep.correction_inverses())
         if min(r.fidelities) < 1 - 1e-9:
             failures.append(("fidelity", min(r.fidelities)))
     _report(3, "shifted-basis corrections {[pi/8]Z, [pi/8], XSZ, XS} with unit fidelity", failures)
@@ -191,17 +196,17 @@ def test_criterion_8_probability_conservation():
     failures = []
     rng = np.random.default_rng(41)
     for _ in range(500):
-        res = tp.ResourceState(la.random_state(4, rng).reshape(2, 2))
+        psi = la.random_state(4, rng).reshape(2, 2)
         u = la.haar_random_unitary(4, rng)
         um = la.haar_random_unitary(4, rng)
         basis = bases.MeasurementBasis(tuple(um[:, i] for i in range(4)), "random")
-        rep = tp.analyze_state_teleport(res, u, basis)
+        rep = tp.analyze_state_teleport(psi, _front(basis, u))
         if abs(sum(rep.probabilities) - 1.0) > 1e-9:
             failures.append(("sum", sum(rep.probabilities)))
     for _ in range(20):
-        res = tp.ResourceState(la.haar_random_unitary(2, rng) / np.sqrt(2))
+        psi = la.haar_random_unitary(2, rng) / np.sqrt(2)
         basis = _random_valid_basis(rng)
-        rep = tp.analyze_state_teleport(res, la.haar_random_unitary(4, rng), basis)
+        rep = tp.analyze_state_teleport(psi, _front(basis, la.haar_random_unitary(4, rng)))
         if not np.allclose(rep.probabilities, 0.25, atol=1e-9):
             failures.append(("state distribution", rep.probabilities))
         d = sim.outcome_distribution(la.random_state(4, rng), la.haar_random_unitary(4, rng), basis)

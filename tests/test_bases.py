@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gateport import linalg as la
 from gateport import bases
@@ -349,6 +352,33 @@ def test_a_basis_stores_one_read_only_row_array(rows, seed):
         for state, pairs in ((state3, [(1, 2)]), (states6, [(0, 3), (1, 5)])):
             got = simulator.project_outcomes(state, pairs, basis)
             assert got.tobytes() == _former_project_outcomes(state, pairs, vectors).tobytes()
+
+
+_FINITE = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf]).flatmap(lambda x: st.sampled_from([complex(x, 0), complex(0, x)]))
+
+
+@st.composite
+def _not_four_finite_vectors(draw):
+    """An array of the wrong shape, or a (4, 4) array with NaN or infinite entries."""
+    if draw(st.booleans()):
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5).filter(lambda s: s != (4, 4)))
+        return draw(hnp.arrays(complex, shape, elements=_FINITE))
+    rows = draw(hnp.arrays(complex, (4, 4), elements=_FINITE))
+    for _ in range(draw(st.integers(1, 3))):
+        rows[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = draw(_NON_FINITE)
+    return rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(_not_four_finite_vectors(), st.sampled_from(["array", "list", "tuple"]))
+def test_a_basis_is_four_finite_4_vectors_or_a_one_line_value_error(rows, form):
+    value = {"array": rows, "list": rows.tolist(), "tuple": tuple(rows) if rows.ndim else rows}[form]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            bases.MeasurementBasis(value, "bad")
+    assert str(info.value).startswith("basis bad ") and "\n" not in str(info.value)
 
 
 def test_beta_matrices_without_a_front_gate_equal_those_with_the_identity():

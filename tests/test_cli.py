@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from gateport import linalg as la
 from gateport import bases, cli
 from gateport import separability as sep
+from gateport import simulator as sim
 from gateport import teleport as tp
 from perfbench.workloads import catalogue
 
@@ -268,6 +269,88 @@ def test_state_teleport_command(capsys):
     assert "deterministic: True" in out
 
 
+def _former_state_teleport(psi, u_front, basis):
+    """The former analyze_state_teleport, which took the front gate: its
+    outcome operators M_j and report fields."""
+    ms = psi @ bases.beta_matrices(basis, u_front, "state_form").mats
+    grams = la.dag(ms) @ ms
+    probs = np.trace(grams, axis1=-2, axis2=-1).real / 2.0
+    residuals = np.linalg.norm(grams - probs[:, None, None] * np.eye(2), axis=(-2, -1))
+    flags = (probs > la.PROBABILITY_FLOOR) & (residuals <= la.CORRECTABLE_TOL)
+    return ms, {
+        "probabilities": tuple(probs.tolist()),
+        "teleportable": tuple(flags.tolist()),
+        "corrections": tuple(m / np.sqrt(p) if ok else None for m, p, ok in zip(ms, probs, flags)),
+        "deterministic": bool(np.all(flags | (probs <= la.PROBABILITY_FLOOR))),
+        "entanglement": float(abs(np.linalg.det(psi))),
+    }
+
+
+def _former_run_state_teleport(xi, psi, u_front, basis, corrections):
+    """The former run_state_teleport's circuit: the front gate on the
+    (partner, input) qubits, then the measurement."""
+    state = la.tensor(la.I2, u_front) @ sim.register_from([psi.reshape(-1), xi])
+    rests = sim.project_outcomes(state, [(1, 2)], basis)
+    ops = np.stack([la.I2 if c is None else c for c in corrections])
+    probs, _, fids = sim.outcome_fidelities(rests, ops, xi)
+    return fids, probs
+
+
+def _haar_local(seed):
+    rng = np.random.default_rng(seed)
+    return la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
+
+
+# (spec, basis): the catalogue's bases by spec, and Haar bases, which have no spec.
+_STATE_BASES = st.one_of(
+    st.sampled_from(catalogue()["validate_bases"]).map(lambda spec: (spec, cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL))),
+    st.integers(0, 2**32 - 1).map(lambda seed: (None, bases.MeasurementBasis(la.haar_random_unitary(4, seed), "haar"))),
+)
+# Complex fronts only: for a real U the basis {U^T b_j} is {U^dag b_j}.
+_FRONTS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
+    st.integers(0, 2**32 - 1).map(_haar_local),  # keeps a capable basis capable
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_STATE_BASES, _FRONTS, st.integers(0, 2**32 - 1))
+def test_a_front_gate_is_the_basis_of_u_dag_b_j(capsys, tmp_path, spec_basis, front, seed):
+    """A front gate U before measuring {b_j} equals measuring {U^dag b_j}:
+    the analysis equals the former front-gate analysis bit for bit, the
+    circuit equals the former front-gate circuit within 1e-12, and
+    state-teleport --front prints the former report byte for byte."""
+    spec, basis = spec_basis
+    rng = np.random.default_rng(seed)
+    for psi in (tp.bell_resource(), la.random_state(4, rng).reshape(2, 2)):
+        folded = bases.MeasurementBasis(basis.vectors @ front.conj(), basis.name)
+        ms, former = _former_state_teleport(psi, front, basis)
+        assert (psi @ bases.beta_matrices(folded, convention="state_form").mats).tobytes() == ms.tobytes()
+        report = tp.analyze_state_teleport(psi, folded)
+        for name, value in former.items():
+            got = getattr(report, name)
+            if name == "corrections":
+                assert [None if c is None else c.tobytes() for c in got] == [
+                    None if c is None else c.tobytes() for c in value]
+            else:
+                assert got == value, name
+        xi = la.random_state(2, rng)
+        inverses = report.correction_inverses()
+        result = sim.run_state_teleport(xi, psi, folded, inverses)
+        fids, probs = _former_run_state_teleport(xi, psi, front, basis, inverses)
+        assert np.abs(result.fidelities - fids).max() <= 1e-12
+        assert np.abs(result.probabilities - probs).max() <= 1e-12
+    if spec is None:
+        return
+    path = tmp_path / "front.json"
+    cli.write_gate_file(str(path), front)
+    _, former = _former_state_teleport(tp.bell_resource(), cli.resolve_gate(f"@{path}", la.DEFAULT_UNITARY_TOL), basis)
+    code, out, err = run(capsys, "state-teleport", "--basis", spec, "--front", f"@{path}", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = {"basis": spec, "front": f"@{path}", **former}
+    assert out == json.dumps(doc, sort_keys=True, default=cli._json_default) + "\n"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "--gate", "nope", "--basis", "bell")
     assert code == 1
@@ -406,6 +489,19 @@ def _malformed_number_list(draw, counts):
     return ",".join(tokens)
 
 
+# Finite entries whose squares overflow, and infinite ones: m^dag m overflows.
+_HUGE_FINITE = st.floats(1e160, 1e308).flatmap(lambda x: st.sampled_from([x, -x]))
+_HUGE = st.one_of(_HUGE_FINITE, st.sampled_from([np.inf, -np.inf]))
+
+
+@st.composite
+def _huge_number_list(draw, n):
+    """n comma-separated numbers, one of them finite but huge."""
+    tokens = draw(st.lists(_NUMBER, min_size=n, max_size=n))
+    tokens[draw(st.integers(0, n - 1))] = repr(draw(_HUGE_FINITE))
+    return ",".join(tokens)
+
+
 _KNOWN_SPECS = ("cnot", "swap", "q", "r", "cz", "c_pi8", "cnot_sqrt", "swap_sqrt", "exp_yy", "bell", "m1", "m2")
 _UNKNOWN_SPEC = st.text(max_size=12).filter(
     lambda t: t.strip().lower() not in _KNOWN_SPECS and ":" not in t and not t.startswith("@")
@@ -420,6 +516,7 @@ _BASIS_SPECS = st.one_of(
     _malformed_number_list((1, 2)).map(lambda t: "beta_ab:" + t),
     _malformed_number_list((3,)).map(lambda t: "beta_nl:" + t),
     _malformed_number_list((8,)).map(lambda t: "pauli_conj:" + t),
+    _huge_number_list(8).map(lambda t: "pauli_conj:" + t),
     st.floats(0.71, 10).map(lambda a: f"beta_ab:{a!r}"),  # |a| > 1/sqrt(2)
 )
 _PAIR = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(list)
@@ -434,7 +531,7 @@ _JSON = st.recursive(
 @st.composite
 def _malformed_doc(draw, key, n):
     """The text of a JSON file that is no valid `key` document of an n x n matrix."""
-    kind = draw(st.sampled_from(["text", "no key", "shape", "entry", "values"]))
+    kind = draw(st.sampled_from(["text", "no key", "shape", "entry", "values", "huge"]))
     if kind == "text":
         text = draw(st.text(max_size=20))
         try:
@@ -459,6 +556,8 @@ def _malformed_doc(draw, key, n):
             rows[i][j] = bad
         else:
             rows[i][j][part] = bad
+    if kind == "huge":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(_HUGE)
     if kind == "values":
         m = np.array([[complex(*p) for p in row] for row in rows])
         assume(not la.is_unitary(m, 1e-9))
@@ -478,7 +577,12 @@ def test_malformed_specs_and_files_exit_with_one_line(capsys, monkeypatch, tmp_p
             fh.write(data.draw(_malformed_doc(key, n)))
         spec = ("pauli_conj:" if what.startswith("pauli") else "") + spec
     if what.startswith("gate"):
-        commands = [("kak", "--gate", spec), ("analyze", "--gate", spec, "--basis", "bell")]
+        commands = [
+            ("kak", "--gate", spec),
+            ("analyze", "--gate", spec, "--basis", "bell"),
+            ("scan", "--gate", spec, "--family", "beta_ab", "--grid", "2"),
+            ("state-teleport", "--basis", "bell", "--front", spec),
+        ]
     else:
         commands = [("validate-basis", "--basis", spec), ("analyze", "--gate", "cnot", "--basis", spec)]
     argv = data.draw(st.sampled_from(commands))

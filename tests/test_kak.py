@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import astuple
 from unittest import mock
 
@@ -194,6 +195,31 @@ def test_euler_stack_keeps_leading_axes():
     e = kak.euler_zyz(np.stack([[la.I2, la.SX, la.H], [la.SZ, la.S, -la.I2]]))
     assert e.lambda1.shape == e.lambda2.shape == e.lambda3.shape == e.phase.shape == (2, 3)
     assert isinstance(kak.euler_zyz(la.H).lambda1, float)
+
+
+_WRONG_SHAPE_GATES = st.one_of(
+    st.integers(0, 5).filter(lambda n: n != 2).map(lambda n: np.eye(n, dtype=complex)),
+    st.sampled_from([la.H[0], la.H[0, 0], np.zeros((0, 2)), np.eye(2)[:, :1], np.stack([la.H, la.S])[..., :1]]),
+)
+
+
+@st.composite
+def _non_finite_gates(draw):
+    """A 2x2 unitary or a stack of them with one NaN or infinite entry."""
+    u = np.stack([la.haar_random_unitary(2, draw(st.integers(0, 2**32 - 1))) for _ in range(draw(st.integers(1, 3)))])
+    u[draw(st.integers(0, len(u) - 1)), draw(st.integers(0, 1)), draw(st.integers(0, 1))] = draw(
+        st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf)]))
+    return u[0] if len(u) == 1 and draw(st.booleans()) else u
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_WRONG_SHAPE_GATES, _non_finite_gates()))
+def test_euler_zyz_rejects_what_is_not_a_finite_2x2_with_one_line(u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            kak.euler_zyz(u)
+    assert "\n" not in str(info.value)
 
 
 def test_is_clifford():

@@ -280,12 +280,12 @@ def _normalization_sites():
     bell = bases.bell_basis()
     return {
         "analyze_state_teleport": (
-            lambda v: tp.analyze_state_teleport(tp.ResourceState(np.outer(v, [1, 1]) / np.sqrt(2)), None, bell),
+            lambda v: tp.analyze_state_teleport(np.outer(v, [1, 1]) / np.sqrt(2), bell),
             "resource state must be normalized"),
         "analyze_fourway": (lambda v: fw.analyze_fourway(la.CNOT, bell, np.concatenate([v, [0, 0]])),
                             "input state must be normalized"),
         "register_from": (lambda v: sim.register_from([v, [1, 0]]), "assembled register is not normalized"),
-        "run_state_teleport": (lambda v: sim.run_state_teleport(v, tp.bell_resource(), None, bell),
+        "run_state_teleport": (lambda v: sim.run_state_teleport(v, tp.bell_resource(), bell),
                                "input state must be normalized"),
         "run_gate_teleport": (lambda v: sim.run_gate_teleport(np.concatenate([v, [0, 0]]), la.CNOT, bell),
                               "input state must be normalized"),

@@ -203,7 +203,7 @@ def test_oracle_fidelity_deficits_and_probabilities_clear_their_bounds():
 def test_state_teleport_clears_correctable_tol_and_the_probability_floor(front):
     cat, _, named, _ = _catalogue()
     u_front = cli.resolve_gate(front, la.DEFAULT_UNITARY_TOL) if front else None
-    psi = tp.bell_resource().psi
+    psi = tp.bell_resource()
     residuals, probabilities = [], []
     for spec in named:
         # analyze_state_teleport's outcome operators M_j and their Gram residuals.

@@ -16,6 +16,11 @@ def _random_basis(rng):
     return bases.MeasurementBasis(tuple(u[:, i] for i in range(4)), "random")
 
 
+def _front(basis, u):
+    """The basis {U^dag b_j}: measuring it is applying U, then measuring `basis`."""
+    return bases.MeasurementBasis(basis.vectors @ u.conj(), basis.name)
+
+
 def test_register_guards():
     xi = np.array([1, 0], dtype=complex)
     with pytest.raises(ValueError, match="width"):
@@ -110,49 +115,42 @@ def test_bell_measurement_of_00():
 
 
 def test_standard_teleportation_with_pauli_corrections():
-    rep = tp.analyze_state_teleport(tp.bell_resource(), None, bases.bell_basis())
+    rep = tp.analyze_state_teleport(tp.bell_resource(), bases.bell_basis())
     rng = np.random.default_rng(4)
     for _ in range(10):
         xi = la.random_state(2, rng)
-        r = sim.run_state_teleport(xi, tp.bell_resource(), None, bases.bell_basis(), rep.correction_inverses())
+        r = sim.run_state_teleport(xi, tp.bell_resource(), bases.bell_basis(), rep.correction_inverses())
         assert np.allclose(r.fidelities, 1.0, atol=1e-9)
         assert np.allclose(r.probabilities, 0.25, atol=1e-9)
 
 
 def test_omitting_corrections_breaks_some_outcome():
     xi = la.random_state(2, 5)
-    r = sim.run_state_teleport(xi, tp.bell_resource(), None, bases.bell_basis(), None)
+    r = sim.run_state_teleport(xi, tp.bell_resource(), bases.bell_basis(), None)
     assert min(r.fidelities) < 1 - 1e-3
 
 
 def test_shifted_basic_configuration_reaches_unit_fidelity():
     u = la.tensor(la.H, la.I2) @ tp.C_PI8
-    basis = bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j)
-    rep = tp.analyze_state_teleport(tp.bell_resource(), u, basis)
+    basis = _front(bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j), u)
+    rep = tp.analyze_state_teleport(tp.bell_resource(), basis)
     rng = np.random.default_rng(6)
     for _ in range(20):
         xi = la.random_state(2, rng)
-        r = sim.run_state_teleport(xi, tp.bell_resource(), u, basis, rep.correction_inverses())
+        r = sim.run_state_teleport(xi, tp.bell_resource(), basis, rep.correction_inverses())
         assert np.allclose(r.fidelities, 1.0, atol=1e-9)
         assert np.allclose(r.probabilities, rep.probabilities, atol=1e-9)
-
-
-def test_state_teleport_rejects_a_front_gate_that_is_not_a_4x4_unitary():
-    xi = la.random_state(2, 16)
-    for front in (la.SX, np.diag([1, 1, 1, 0.5]).astype(complex), np.eye(8, dtype=complex), np.full((4, 4), np.nan)):
-        with pytest.raises(ValueError, match="front gate must be a 4x4 unitary"):
-            sim.run_state_teleport(xi, tp.bell_resource(), front, bases.bell_basis())
 
 
 def test_state_oracle_agrees_with_analysis_on_random_configs():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        res = tp.ResourceState(la.random_state(4, rng).reshape(2, 2))
+        psi = la.random_state(4, rng).reshape(2, 2)
         u = la.haar_random_unitary(4, rng)
-        basis = _random_basis(rng)
-        rep = tp.analyze_state_teleport(res, u, basis)
+        basis = _front(_random_basis(rng), u)
+        rep = tp.analyze_state_teleport(psi, basis)
         xi = la.random_state(2, rng)
-        r = sim.run_state_teleport(xi, res, u, basis, rep.correction_inverses())
+        r = sim.run_state_teleport(xi, psi, basis, rep.correction_inverses())
         for j in range(4):
             if rep.teleportable[j]:
                 assert r.fidelities[j] > 1 - 1e-9

@@ -15,8 +15,13 @@ def _random_basis(rng):
     return bases.MeasurementBasis(tuple(u[:, i] for i in range(4)), "random")
 
 
+def _front(basis, u):
+    """The basis {U^dag b_j}: measuring it is applying U, then measuring `basis`."""
+    return bases.MeasurementBasis(basis.vectors @ u.conj(), basis.name)
+
+
 def test_bell_state_teleport_gives_pauli_corrections():
-    rep = tp.analyze_state_teleport(tp.bell_resource(), None, bases.bell_basis())
+    rep = tp.analyze_state_teleport(tp.bell_resource(), bases.bell_basis())
     assert np.allclose(rep.probabilities, 0.25, atol=1e-12)
     assert rep.deterministic
     assert abs(rep.entanglement - 0.5) < 1e-12
@@ -26,8 +31,7 @@ def test_bell_state_teleport_gives_pauli_corrections():
 
 
 def test_disentangled_resource_teleports_nothing():
-    res = tp.ResourceState(np.diag([1.0, 0.0]).astype(complex))
-    rep = tp.analyze_state_teleport(res, None, bases.bell_basis())
+    rep = tp.analyze_state_teleport(np.diag([1.0, 0.0]), bases.bell_basis())
     assert not any(rep.teleportable)
     assert rep.entanglement == 0.0
     assert not rep.deterministic
@@ -36,8 +40,8 @@ def test_disentangled_resource_teleports_nothing():
 def test_shifted_basis_correction_inverses():
     # front gate (H x I) C_pi8 with the matching phase-shifted column basis
     u = la.tensor(la.H, la.I2) @ tp.C_PI8
-    basis = bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j)
-    rep = tp.analyze_state_teleport(tp.bell_resource(), u, basis)
+    basis = _front(bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j), u)
+    rep = tp.analyze_state_teleport(tp.bell_resource(), basis)
     assert rep.deterministic
     targets = (tp.PI8 @ la.SZ, tp.PI8, la.SX @ la.S @ la.SZ, la.SX @ la.S)
     for got, want in zip(rep.correction_inverses(), targets):
@@ -47,18 +51,18 @@ def test_shifted_basis_correction_inverses():
 def test_state_probabilities_sum_to_one():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        res = tp.ResourceState(la.random_state(4, rng).reshape(2, 2))
+        psi = la.random_state(4, rng).reshape(2, 2)
         u = la.haar_random_unitary(4, rng)
-        rep = tp.analyze_state_teleport(res, u, _random_basis(rng))
+        rep = tp.analyze_state_teleport(psi, _front(_random_basis(rng), u))
         assert abs(sum(rep.probabilities) - 1.0) < 1e-9
 
 
 def test_uniform_probabilities_for_maximally_entangled_resource():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        res = tp.ResourceState(la.haar_random_unitary(2, rng) / np.sqrt(2))
+        psi = la.haar_random_unitary(2, rng) / np.sqrt(2)
         basis = bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng))
-        rep = tp.analyze_state_teleport(res, la.haar_random_unitary(4, rng), basis)
+        rep = tp.analyze_state_teleport(psi, _front(basis, la.haar_random_unitary(4, rng)))
         assert np.allclose(rep.probabilities, 0.25, atol=1e-9)
 
 
