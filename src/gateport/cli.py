@@ -271,7 +271,9 @@ def _fmt_mat(m: np.ndarray) -> str:
 
 
 def _json_default(obj):
-    """json.dumps hook for the report values JSON has no type for."""
+    """json.dumps hook for the report values JSON has no type for (real arrays as lists)."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind != "c":
+        return obj.tolist()
     if isinstance(obj, (np.ndarray, complex)):
         return _complex_pairs(obj)
     if isinstance(obj, np.bool_):
@@ -334,8 +336,7 @@ def cmd_analyze(args) -> int:
         rng = np.random.default_rng(args.seed)
         fidelities = _oracle_fidelities(g, basis, report, args.inputs, rng).min(axis=0)
     if args.format == "json":
-        # One conversion for every correction pair; (I2, I2) fills the outcomes without one.
-        factors = _complex_pairs([(I2, I2) if c is None else c for c in report.corrections])
+        factors = _complex_pairs(report.corrections)
         doc = {
             "gate": args.gate,
             "basis": args.basis,
@@ -384,11 +385,8 @@ def _table1_oracle_disagreements(cells, inputs: int, seed: int) -> int:
     """Outcome checks, over the Table-1 cells and `inputs` oracle inputs
     each, whose fidelity-one verdict differs from the analysis' separability."""
     rng = np.random.default_rng(seed)
-    bad = 0
-    for g, basis, report in cells:
-        reached = _oracle_fidelities(g, basis, report, inputs, rng) >= _FIDELITY_ONE
-        bad += int((reached != np.array(report.separable)).sum())
-    return bad
+    return sum(int(((_oracle_fidelities(g, basis, report, inputs, rng) >= _FIDELITY_ONE) != report.separable).sum())
+               for g, basis, report in cells)
 
 
 def cmd_tables(args) -> int:
@@ -408,16 +406,14 @@ def cmd_tables(args) -> int:
     print("correction factors of t:pi/8,pi/8 under m2 (phase aligns numeric to symbolic)")
     print(" j k  first       second       phase")
     ok2 = True
-    for idx, (j, k) in enumerate(PAIR_ORDER):
-        corr = report.corrections[idx]
-        sym = symbolic[idx]
-        labels = TABLE2_LABELS[idx]
-        if corr is None:
+    rows = zip(PAIR_ORDER, report.separable, report.corrections, symbolic, TABLE2_LABELS)
+    for (j, k), separable, corr, sym, labels in rows:
+        if not separable:
             ok2 = False
             print(f" {j + 1} {k + 1}  NOT SEPARABLE")
             continue
-        num = tensor(corr[0], corr[1])
-        ref = tensor(sym[0], sym[1])
+        num = tensor(*corr)
+        ref = tensor(*sym)
         idxmax = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
         c = num[idxmax] / ref[idxmax]
         match = np.linalg.norm(num - c * ref) <= FACTOR_MATCH_TOL and abs(abs(c) - 1) <= FACTOR_MATCH_TOL
@@ -464,13 +460,14 @@ def cmd_state_teleport(args) -> int:
         basis = MeasurementBasis(basis.vectors @ resolve_gate(args.front, args.tol).conj(), basis.name)
     report = analyze_state_teleport(bell_resource(), basis)
     if args.format == "json":
-        _emit_json({"basis": args.basis, "front": args.front, **_fields(report)})
+        corrections = [c if ok else None for c, ok in zip(_complex_pairs(report.corrections), report.teleportable)]
+        _emit_json({"basis": args.basis, "front": args.front, **_fields(report), "corrections": corrections})
         return 0
     print(f"basis: {args.basis}   front gate: {args.front or 'none'}")
     print(f"resource entanglement |det psi|: {_num(report.entanglement, '.6f')}")
     for j in range(4):
         print(f" outcome {j + 1}: p = {_num(report.probabilities[j], '.6f')}  teleportable = {report.teleportable[j]}")
-        if report.corrections[j] is not None:
+        if report.teleportable[j]:
             print(_fmt_mat(report.corrections[j]))
     print(f"deterministic: {report.deterministic}")
     return 0
@@ -503,14 +500,8 @@ def cmd_fourway(args) -> int:
     report = analyze_fourway(g, basis, psi)
     if args.format == "json":
         skip = ("branch_xx_pauli", "branch_zz_pauli", "output_states")
-        _emit_json(
-            {
-                "gate": args.gate,
-                "basis": args.basis,
-                **_fields(report, skip),
-                "max_corrected_fidelity": report.max_corrected_fidelity,
-            }
-        )
+        _emit_json({"gate": args.gate, "basis": args.basis, **_fields(report, skip),
+                    "max_corrected_fidelity": report.max_corrected_fidelity})
         return 0
     print(f"gate: {args.gate}   basis: {args.basis}   seed: {args.seed}")
     print(f"clifford case: {report.clifford_case}")

@@ -34,7 +34,6 @@ from .linalg import (
     I4,
     PAULI_PAIR_LABELS,
     PAULI_PAIRS,
-    PROBABILITY_FLOOR,
     SX,
     SZ,
     dag,
@@ -72,22 +71,22 @@ class FourwayReport:
     bases.capable).
     fidelities_corrected picks the best of the raw output and the outputs
     with either separable branch undone by the inverse of its local pair;
-    output states are None for zero-probability outcomes.
+    output states are zero rows for zero-probability outcomes.
     """
 
-    branch_xx_separable: tuple[bool, ...]
-    branch_zz_separable: tuple[bool, ...]
+    branch_xx_separable: np.ndarray  # (16,) bool
+    branch_zz_separable: np.ndarray  # (16,) bool
     branch_xx_pauli: tuple[tuple[str, str] | None, ...]
     branch_zz_pauli: tuple[tuple[str, str] | None, ...]
     clifford_case: bool
-    probabilities: tuple[float, ...]
-    output_states: tuple[np.ndarray | None, ...]
-    fidelities_raw: tuple[float, ...]
-    fidelities_corrected: tuple[float, ...]
+    probabilities: np.ndarray  # (16,)
+    output_states: np.ndarray  # (16, 4)
+    fidelities_raw: np.ndarray  # (16,)
+    fidelities_corrected: np.ndarray  # (16,)
 
     @property
     def max_corrected_fidelity(self) -> float:
-        return max(self.fidelities_corrected)
+        return float(self.fidelities_corrected.max())
 
 
 def _pauli_pair_labels(ms: np.ndarray) -> tuple[tuple[str, str] | None, ...]:
@@ -146,13 +145,13 @@ def analyze_fourway(
     probs, outs, fids = outcome_fidelities(_conditional_states(psi_ab, basis), ops, u_t @ psi_ab)
 
     return FourwayReport(
-        branch_xx_separable=tuple(separable[:16].tolist()),
-        branch_zz_separable=tuple(separable[16:].tolist()),
+        branch_xx_separable=separable[:16],
+        branch_zz_separable=separable[16:],
         branch_xx_pauli=labels[:16],
         branch_zz_pauli=labels[16:],
         clifford_case=bool(is_clifford(u) and pauli_basis),
-        probabilities=tuple(probs.tolist()),
-        output_states=tuple(out if p > PROBABILITY_FLOOR else None for out, p in zip(outs[0], probs)),
-        fidelities_raw=tuple(fids[0].tolist()),
-        fidelities_corrected=tuple(fids.max(axis=0).tolist()),
+        probabilities=probs,
+        output_states=outs[0],
+        fidelities_raw=fids[0],
+        fidelities_corrected=fids.max(axis=0),
     )

@@ -76,21 +76,26 @@ def tensor_factorize(w: np.ndarray) -> TensorFactorization:
     return TensorFactorization(True, a, b, cmath.phase(top_a * top_b), schmidt)
 
 
-def factorize_all(ws: np.ndarray) -> tuple[TensorFactorization, ...]:
-    """tensor_factorize for each unitary of a (k, 4, 4) stack.
+def factorize_all(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Separability mask and factor pairs of a (k, 4, 4) stack of unitaries.
 
     The stack is checked for unitarity once and screened with one batched
-    SVD at tensor_factorize's scale.  A matrix whose second Schmidt
-    coefficient exceeds SEPARABLE_TOL gets a non-separable result
-    carrying its screened coefficients; only the remaining candidates go
-    through tensor_factorize, whose verdict and factors are final.
+    SVD at tensor_factorize's scale; only the candidates that pass go
+    through tensor_factorize, whose verdict is final.  Pair i is
+    (e^{i*phase} factor_a, factor_b), whose kron is w_i, where the mask
+    holds and the identity pair elsewhere.
     """
     ws = require_unitary(ws, what="factorization input")
     schmidt = np.linalg.svd(_realign(ws), compute_uv=False) / 2.0
-    return tuple(
-        tensor_factorize(w) if candidate else TensorFactorization(False, None, None, 0.0, row)
-        for w, row, candidate in zip(ws, schmidt, (schmidt[:, 1] <= SEPARABLE_TOL).tolist())
-    )
+    separable = schmidt[:, 1] <= SEPARABLE_TOL
+    pairs = np.zeros((len(ws), 2, 2, 2), dtype=complex)
+    pairs[..., 0, 0] = pairs[..., 1, 1] = 1.0
+    for i in np.flatnonzero(separable).tolist():
+        f = tensor_factorize(ws[i])
+        separable[i] = f.separable
+        if f.separable:
+            pairs[i, 0], pairs[i, 1] = np.exp(1j * f.phase) * f.factor_a, f.factor_b
+    return separable, pairs
 
 
 def gauge_index(m: np.ndarray) -> int:

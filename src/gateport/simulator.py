@@ -107,15 +107,21 @@ def run_state_teleport(input_xi: np.ndarray, psi: np.ndarray, basis: Measurement
     """Force each outcome of the single-qubit circuit, with the resource of
     2x2 coefficient matrix psi, and score fidelity.
 
-    Corrections are applied verbatim to the carrier qubit; to undo
-    outcome j of an analysis report, pass its correction_inverses().
+    Corrections, a (4, 2, 2) stack, act verbatim on the carrier qubit; to
+    undo a report's outcomes, pass its correction_inverses().
     """
     xi = np.asarray(input_xi, dtype=complex)
     require_normalized(xi.reshape(-1), "input state must be normalized")
+    if np.shape(psi) != (2, 2):
+        raise ValueError(f"resource state must be a 2x2 coefficient matrix, got shape {np.shape(psi)}")
     require_orthonormal(basis)
     state = register_from([np.reshape(psi, -1), xi])
     rests = project_outcomes(state, [(1, 2)], basis)
-    ops = I2 if corrections is None else np.stack([I2 if c is None else c for c in corrections])
+    ops = I2
+    if corrections is not None:
+        ops = np.asarray(corrections, dtype=complex)
+        if ops.shape != (4, 2, 2):
+            raise ValueError(f"corrections must be a (4, 2, 2) stack, got shape {ops.shape}")
     probs, _, fids = outcome_fidelities(rests, ops, xi)
     return SimResult(fids, probs)
 
@@ -130,9 +136,9 @@ def run_gate_teleport(
     of the corrected carrier state against u_t|input>.
 
     `input_ab` is one input (4,) or a stack (k, 4), run together; a stack
-    gives (k, 16) result arrays.  Correction pairs are applied verbatim
-    (first factor on the first carrier); pass a report's
-    correction_inverses() to undo outcomes.
+    gives (k, 16) result arrays.  Correction pairs, a (16, 2, 2, 2) stack,
+    are applied verbatim (first factor on the first carrier); pass a
+    report's correction_inverses() to undo outcomes.
     """
     ab = np.asarray(input_ab, dtype=complex)
     if ab.ndim not in (1, 2) or ab.shape[-1] != 4:
@@ -144,7 +150,10 @@ def run_gate_teleport(
     rests = project_outcomes(register_from([ab, bell, bell]), [(0, 3), (1, 5)], basis)
     ops = u_t
     if corrections is not None:
-        ops = tensor(*np.array([(I2, I2) if c is None else c for c in corrections]).swapaxes(0, 1)) @ u_t
+        c = np.asarray(corrections, dtype=complex)
+        if c.shape != (16, 2, 2, 2):
+            raise ValueError(f"corrections must be a (16, 2, 2, 2) stack of pairs, got shape {c.shape}")
+        ops = tensor(c[:, 0], c[:, 1]) @ u_t
     probs, _, fids = outcome_fidelities(rests, ops, (u_t @ ab[..., None])[..., 0])
     return SimResult(fids, probs)
 

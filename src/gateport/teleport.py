@@ -27,7 +27,6 @@ from .linalg import (
     CZ,
     H,
     I2,
-    S,
     Q_GATE,
     R_GATE,
     SWAP,
@@ -97,32 +96,30 @@ def bell_resource() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateTeleportReport:
-    probabilities: tuple[float, ...]
-    teleportable: tuple[bool, ...]
-    corrections: tuple[np.ndarray | None, ...]
+    probabilities: np.ndarray  # (4,)
+    teleportable: np.ndarray  # (4,) bool
+    corrections: np.ndarray  # (4, 2, 2): V_j where teleportable, the identity elsewhere
     deterministic: bool
     entanglement: float
 
-    def correction_inverses(self) -> tuple[np.ndarray | None, ...]:
+    def correction_inverses(self) -> np.ndarray:
         """The operators the receiver actually applies (V_j^dag)."""
-        return tuple(None if v is None else dag(v) for v in self.corrections)
+        return dag(self.corrections)
 
 
 @dataclass(frozen=True, eq=False)
 class GateTeleportReport:
-    """Per-outcome results in row-major (j, k) order, 0-based indices."""
+    """Per-outcome arrays in row-major (j, k) order, 0-based indices."""
 
     w_matrices: np.ndarray  # (16, 4, 4)
-    separable: tuple[bool, ...]
-    corrections: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    separable: np.ndarray  # (16,) bool
+    corrections: np.ndarray  # (16, 2, 2, 2): pairs (a, b), kron(a, b) = W where separable, else identity
     n_separable: int
     success_probability: float
     deterministic: bool
 
-    def correction_inverses(self):
-        return tuple(
-            None if c is None else (dag(c[0]), dag(c[1])) for c in self.corrections
-        )
+    def correction_inverses(self) -> np.ndarray:
+        return dag(self.corrections)
 
 
 @dataclass(frozen=True)
@@ -140,6 +137,8 @@ def analyze_state_teleport(psi: np.ndarray, basis: MeasurementBasis) -> StateTel
     circuit: a resource with 2x2 coefficient matrix psi (|nm> -> psi[n,m])
     and a measurement in `basis` on the (partner, input) pair."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (2, 2):
+        raise ValueError(f"resource state must be a 2x2 coefficient matrix, got shape {psi.shape}")
     require_normalized(psi.reshape(-1), "resource state must be normalized")
     require_orthonormal(basis)
     ms = psi @ beta_matrices(basis, convention="state_form").mats
@@ -148,9 +147,9 @@ def analyze_state_teleport(psi: np.ndarray, basis: MeasurementBasis) -> StateTel
     residuals = np.linalg.norm(grams - probs[:, None, None] * np.eye(2), axis=(-2, -1))
     flags = (probs > PROBABILITY_FLOOR) & (residuals <= CORRECTABLE_TOL)
     return StateTeleportReport(
-        probabilities=tuple(probs.tolist()),
-        teleportable=tuple(flags.tolist()),
-        corrections=tuple(m / np.sqrt(p) if ok else None for m, p, ok in zip(ms, probs, flags)),
+        probabilities=probs,
+        teleportable=flags,
+        corrections=np.where(flags[:, None, None], ms / np.sqrt(np.where(flags, probs, 1.0))[:, None, None], I2),
         deterministic=bool(np.all(flags | (probs <= PROBABILITY_FLOOR))),
         entanglement=float(abs(np.linalg.det(psi))),
     )
@@ -163,17 +162,10 @@ def analyze_gate_teleport(u_t: np.ndarray, basis: MeasurementBasis) -> GateTelep
     betas = gate_betas(basis)
 
     w_stack = ((u_t @ kron_pairs(betas, betas)).reshape(64, 4) @ dag(u_t)).reshape(16, 4, 4)
-    if capable(betas):
-        corrections = tuple(
-            (np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None
-            for f in factorize_all(w_stack)
-        )
-    else:
-        # A non-unitary beta means a disentangled basis vector: no outcome
-        # admits a unitary local correction.
-        corrections = (None,) * 16
-    separable = tuple(c is not None for c in corrections)
-    n = sum(separable)
+    # A non-unitary beta means a disentangled basis vector: no outcome
+    # admits a unitary local correction.
+    separable, corrections = factorize_all(w_stack) if capable(betas) else (np.zeros(16, bool), np.tile(I2, (16, 2, 1, 1)))
+    n = int(separable.sum())
     return GateTeleportReport(
         w_matrices=w_stack,
         separable=separable,
@@ -253,11 +245,13 @@ def table2_factors(phi: float, xi: float):
 # Axis-moving conjugators for a single quarter-pi angle: h sigma_x h^dag
 # is the axis named by the key.  Each mask names the ZYZ angles (lambda1,
 # lambda2, lambda3) the conjugated basis factors must put on the
-# integer-pi lattice on that representative.
+# integer-pi lattice on that representative.  A y representative (S, with
+# lambda1 and lambda3 masked) would add no case: S^dag Y S = X, so a factor
+# whose S-conjugate is e^{i phi} Z^n Ry(l) Z^m has the H-conjugate
+# e^{i phi} X^n Rz(+-l) X^m, diagonal or antidiagonal, which passes z.
 _AXIS_REPS = (
     ("x", I2, (True, True, True)),  # exp(i(2k+1)pi/4 XX): factors must be Pauli-like
     ("z", H, (False, True, False)),  # exp(.. ZZ): factors diagonal or antidiagonal
-    ("y", S, (True, False, True)),  # exp(.. YY): factors real up to phase
 )
 
 
@@ -297,8 +291,8 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis) -> Theorem1Verdict:
             branch = "local"
         else:
             # With several active axes only the Pauli lattice applies;
-            # a single active axis may be re-expressed along x, y or z,
-            # each with its own (weaker) angle constraint.
+            # a single active axis may be re-expressed along x or z (y
+            # adds no case, see _AXIS_REPS), each with its own constraint.
             reps = _AXIS_REPS if n_active == 1 else _AXIS_REPS[:1]
             hs = np.stack([h for _, h, _ in reps])[:, None, None]
             sides = np.stack((d.c_local, d.d_local))[:, None]

@@ -71,8 +71,8 @@ def test_criterion_3_shifted_basis_example():
     basis = _front(bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j), u)
     rep = tp.analyze_state_teleport(tp.bell_resource(), basis)
     targets = (tp.PI8 @ la.SZ, tp.PI8, la.SX @ la.S @ la.SZ, la.SX @ la.S)
-    for j, (got, want) in enumerate(zip(rep.correction_inverses(), targets)):
-        if got is None or not la.equal_up_to_global_phase(got, want, 1e-8):
+    for j, (ok, got, want) in enumerate(zip(rep.teleportable, rep.correction_inverses(), targets)):
+        if not ok or not la.equal_up_to_global_phase(got, want, 1e-8):
             failures.append(("correction", j + 1))
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -245,7 +245,7 @@ def test_criterion_9_fourway():
         failures.append(("clifford_case", False))
     for idx, (j, k) in enumerate(tp.PAIR_ORDER):
         out = rep.output_states[idx]
-        if out is None:
+        if rep.probabilities[idx] <= la.PROBABILITY_FLOOR:
             continue
         bjk = la.tensor(gf[j], gf[k])
         bxx = big_u @ SXX @ bjk @ big_u.conj().T

@@ -328,12 +328,11 @@ def test_a_front_gate_is_the_basis_of_u_dag_b_j(capsys, tmp_path, spec_basis, fr
         assert (psi @ bases.beta_matrices(folded, convention="state_form").mats).tobytes() == ms.tobytes()
         report = tp.analyze_state_teleport(psi, folded)
         for name, value in former.items():
-            got = getattr(report, name)
-            if name == "corrections":
-                assert [None if c is None else c.tobytes() for c in got] == [
-                    None if c is None else c.tobytes() for c in value]
-            else:
-                assert got == value, name
+            got = np.asarray(getattr(report, name))
+            if name == "corrections":  # the identity where the former tuple held None
+                value = [la.I2 if c is None else c for c in value]
+            value = np.asarray(value)
+            assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape, value.tobytes()), name
         xi = la.random_state(2, rng)
         inverses = report.correction_inverses()
         result = sim.run_state_teleport(xi, psi, folded, inverses)
@@ -456,7 +455,7 @@ def test_a_basis_file_within_tol_keeps_the_exact_bases_verdicts(basis, seed, siz
     second = np.concatenate([sep.operator_schmidt(np.stack(r.w_matrices))[:, 1] for r in reports])
     assume(np.all(np.abs(second - la.SEPARABLE_TOL) > 10 * size))
     for gate, report in zip(gates, reports):
-        assert tp.analyze_gate_teleport(gate, accepted).separable == report.separable
+        assert np.array_equal(tp.analyze_gate_teleport(gate, accepted).separable, report.separable)
 
 
 def test_capability_is_one_verdict_at_pi_over_4_plus_1_6e_9(capsys):
@@ -1096,7 +1095,10 @@ def test_json_key_sets(capsys, argv, keys):
 
 
 def _old_jsonable(obj):
-    """The former report conversion, applied before json.dumps(indent=1)."""
+    """The former report conversion, applied before json.dumps(indent=1).
+    Real and bool arrays become lists, as the former report tuples did."""
+    if isinstance(obj, np.ndarray) and not np.iscomplexobj(obj):
+        return _old_jsonable(obj.tolist())
     if isinstance(obj, (np.ndarray, complex)):
         return cli._complex_pairs(obj)
     if isinstance(obj, (bool, np.bool_)):
@@ -1154,6 +1156,11 @@ def test_emit_json_maps_numpy_and_complex_scalars(capsys):
         "complex": [1 - 2j, np.complex128(-0.0 + 1j), complex(float("nan"), 0.0)],
         "matrix": np.array([[1, 1j], [-1j, -0.0]]),
         "nested": {"none": None, "text": "x", "tuple": (np.float64(0.25), (np.bool_(True),))},
+        # Report arrays: real and bool ones are plain lists, as the former report tuples were.
+        "real_array": np.array([0.25, -0.0, 1.5]),
+        "real_stack": np.array([[1.0, 2.0], [3.0, 4.0]]),
+        "bool_array": np.array([True, False]),
+        "empty": np.zeros(0),
     }
     cli._emit_json(doc)
     out = capsys.readouterr().out
@@ -1161,5 +1168,9 @@ def test_emit_json_maps_numpy_and_complex_scalars(capsys):
     loaded = json.loads(out)
     assert loaded["flags"] == [True, False, True] and loaded["counts"] == [7, -2, 3]
     assert loaded["complex"][0] == [1.0, -2.0]
+    assert repr(loaded["real_array"]) == "[0.25, -0.0, 1.5]"
+    assert loaded["real_stack"] == [[1.0, 2.0], [3.0, 4.0]] and loaded["empty"] == []
+    assert loaded["bool_array"] == [True, False] and all(type(x) is bool for x in loaded["bool_array"])
+    assert '"real_array": [0.25, -0.0, 1.5]' in out and '"bool_array": [true, false]' in out
     with pytest.raises(TypeError):
         cli._emit_json({"set": {1, 2}})

@@ -529,4 +529,4 @@ def test_separability_verdicts_hold_in_the_kak_frame(u, basis):
     direct = [_second_schmidt(w) for w in report.w_matrices]
     # Within rounding of the threshold a verdict may flip on either path.
     assume(all(abs(s - la.SEPARABLE_TOL) > 1e-9 for s in frame + direct))
-    assert report.separable == tuple(s <= la.SEPARABLE_TOL for s in frame)
+    assert report.separable.tolist() == [s <= la.SEPARABLE_TOL for s in frame]

@@ -25,9 +25,10 @@ def test_the_readme_library_tour_states_true_values():
     namespace, values = _run_tour()
     assert np.allclose(namespace["d"].theta, (np.pi / 4, 0, 0), rtol=0, atol=1e-9)
     assert values["rep.success_probability"] == 0.5
+    assert values["rep.separable[:2]"].tolist() == [False, True]
     pair = values["rep.corrections[1]"]
-    assert len(pair) == 2 and all(np.shape(m) == (2, 2) for m in pair)
-    assert namespace["rep"].corrections[0] is None
+    assert np.shape(pair) == (2, 2, 2) and not np.array_equal(pair, [np.eye(2)] * 2)
+    assert np.array_equal(namespace["rep"].corrections[0], [np.eye(2)] * 2)
     assert values["analyze_gate_teleport(t, bell_basis()).deterministic"] is True
     assert abs(values["min(r.fidelities)"] - 1) <= 1e-9
     ones = values["run_gate_teleport(psis, t, bell_basis(), inv).fidelities.min(axis=0)"]

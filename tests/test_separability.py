@@ -102,17 +102,20 @@ def test_factorize_all_matches_tensor_factorize():
     stack = np.stack(products + near + [la.CNOT, la.SWAP] + [la.haar_random_unitary(4, rng) for _ in range(3)])
     screened, leading = sep.leading_products(stack)
     assert screened.tolist() == [True] * 8 + [False] * 7
-    for got, w, screen, term in zip(sep.factorize_all(stack), stack, screened.tolist(), leading):
+    separable, pairs = sep.factorize_all(stack)
+    assert separable.dtype == bool and pairs.shape == (15, 2, 2, 2)
+    for ok, (a, b), w, screen, term in zip(separable.tolist(), pairs, stack, screened.tolist(), leading):
         ref = sep.tensor_factorize(w)
-        assert got.separable == ref.separable == screen
-        assert np.allclose(got.schmidt_values, ref.schmidt_values, atol=1e-12)
+        assert ok == ref.separable == screen
         if ref.separable:
-            assert np.array_equal(got.factor_a, ref.factor_a)
-            assert np.array_equal(got.factor_b, ref.factor_b)
-            assert got.phase == ref.phase
+            assert np.array_equal(a, np.exp(1j * ref.phase) * ref.factor_a)
+            assert np.array_equal(b, ref.factor_b)
+            # The pair misses w by the Schmidt remainder 2 * sqrt(s2^2 + s3^2 + s4^2) <= 2 * sqrt(3) * SEPARABLE_TOL,
+            # plus a term of order SEPARABLE_TOL^2 from the leading coefficient.
+            assert np.linalg.norm(la.tensor(a, b) - w) <= 4 * sep.SEPARABLE_TOL
             assert la.equal_up_to_global_phase(term, la.tensor(ref.factor_a, ref.factor_b))
         else:
-            assert got.factor_a is None and got.factor_b is None
+            assert np.array_equal(a, la.I2) and np.array_equal(b, la.I2)
 
 
 def test_verdict_and_factors_invariant_under_global_phase():

@@ -251,10 +251,10 @@ def test_stacked_gate_teleport_equals_single_runs(seed, k, gate_kind, basis_kind
     if corrections_kind == "report":
         corrections = tp.analyze_gate_teleport(gate, basis).correction_inverses()
     elif corrections_kind == "random":
-        corrections = tuple(
-            None if rng.random() < 0.25 else (la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
+        corrections = np.array([
+            (la.I2, la.I2) if rng.random() < 0.25 else (la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
             for _ in range(16)
-        )
+        ])
     inputs = np.stack([la.random_state(4, rng) for _ in range(k)])
 
     stacked = sim.run_gate_teleport(inputs, gate, basis, corrections)
@@ -263,6 +263,28 @@ def test_stacked_gate_teleport_equals_single_runs(seed, k, gate_kind, basis_kind
     assert all(r.fidelities.shape == r.probabilities.shape == (16,) for r in singles)
     assert np.allclose(stacked.fidelities, [r.fidelities for r in singles], rtol=0, atol=1e-12)
     assert np.allclose(stacked.probabilities, [r.probabilities for r in singles], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (4, 1), (2, 2, 1)])
+def test_a_resource_that_is_not_2x2_is_rejected(shape):
+    """Both the analysis and the oracle reject a resource psi of another
+    shape with one line, before any matmul or register is built."""
+    psi = np.reshape(tp.bell_resource(), shape)
+    for call in (lambda: tp.analyze_state_teleport(psi, bases.bell_basis()),
+                 lambda: sim.run_state_teleport(la.random_state(2, 1), psi, bases.bell_basis())):
+        with pytest.raises(ValueError, match=r"^resource state must be a 2x2 coefficient matrix, got shape") as e:
+            call()
+        assert "\n" not in str(e.value)
+
+
+def test_corrections_of_another_shape_are_rejected():
+    xi, ab = la.random_state(2, 1), la.random_state(4, 2)
+    for bad in (la.I2, np.stack([la.I2] * 3), np.zeros((16, 2, 2)), np.zeros((4, 2, 2, 2))):
+        with pytest.raises(ValueError, match=r"^corrections must be a \(4, 2, 2\) stack"):
+            sim.run_state_teleport(xi, tp.bell_resource(), bases.bell_basis(), bad)
+    for bad in (np.zeros((16, 2, 2)), np.zeros((16, 4, 4)), np.zeros((4, 2, 2, 2)), np.zeros((2, 16, 2, 2))):
+        with pytest.raises(ValueError, match=r"^corrections must be a \(16, 2, 2, 2\) stack"):
+            sim.run_gate_teleport(ab, la.CNOT, bases.bell_basis(), bad)
 
 
 def test_gate_teleport_rejects_bad_input_shapes_and_norms():

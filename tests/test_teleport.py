@@ -3,11 +3,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gateport import linalg as la
-from gateport import bases
+from gateport import bases, cli
 from gateport import fourway as fw
 from gateport import separability as sep
+from gateport import simulator as sim
 from gateport import teleport as tp
-from gateport.kak import is_clifford, nonlocal_gate
+from gateport.kak import euler_zyz, is_clifford, nonlocal_gate, rot
+from perfbench.workloads import catalogue
 
 
 def _random_basis(rng):
@@ -95,12 +97,13 @@ def test_gate_report_shape_and_counts():
     assert rep.n_separable == 8
     assert rep.success_probability == 0.5
     assert not rep.deterministic
+    assert rep.separable.shape == (16,) and rep.corrections.shape == (16, 2, 2, 2)
     for idx in range(16):
+        a, b = rep.corrections[idx]
         if rep.separable[idx]:
-            a, b = rep.corrections[idx]
             assert np.linalg.norm(la.tensor(a, b) - rep.w_matrices[idx]) < 1e-8
         else:
-            assert rep.corrections[idx] is None
+            assert np.array_equal(a, la.I2) and np.array_equal(b, la.I2)
 
 
 def _reference_gate_analysis(u, basis):
@@ -166,12 +169,13 @@ def test_batched_analysis_matches_per_outcome_loop(kind, seed, basis):
     u = _gate(kind, seed)
     rep = tp.analyze_gate_teleport(u, basis)
     separable, corrections = _reference_gate_analysis(u, basis)
-    assert rep.separable == separable
+    assert rep.separable.tolist() == list(separable)
     assert rep.n_separable == sum(separable)
-    for got, ref in zip(rep.corrections, corrections):
-        assert (got is None) == (ref is None)
-        if ref is not None:
+    for ok, got, ref in zip(separable, rep.corrections, corrections):
+        if ok:
             assert la.equal_up_to_global_phase(la.tensor(*got), la.tensor(*ref), 1e-9)
+        else:
+            assert np.array_equal(got, [la.I2, la.I2])
 
 
 # Metamorphic relations of the separable mask W_jk = U (b_j (x) b_k) U^dag.
@@ -201,7 +205,7 @@ def test_a_left_local_pair_keeps_the_mask_and_the_success_probability(kind, seed
     front = la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
     rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(front @ u, basis)
     assume(_far_from_threshold(rep))
-    assert moved.separable == rep.separable
+    assert np.array_equal(moved.separable, rep.separable)
     assert moved.success_probability == rep.success_probability
 
 
@@ -212,9 +216,9 @@ def test_a_global_phase_keeps_the_mask_and_the_corrections(kind, seed, dressed, 
     u = _gate(kind, seed, dressed)
     rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(np.exp(1j * phi) * u, basis)
     assume(_far_from_threshold(rep))
-    assert moved.separable == rep.separable
-    for got, ref in zip(moved.corrections, rep.corrections):
-        if ref is not None:
+    assert np.array_equal(moved.separable, rep.separable)
+    for ok, got, ref in zip(rep.separable, moved.corrections, rep.corrections):
+        if ok:
             assert la.equal_up_to_global_phase(la.tensor(*got), la.tensor(*ref), 1e-9)
 
 
@@ -454,3 +458,161 @@ THEOREM1_BASES = st.one_of(
 def test_theorem1_check_matches_per_matrix_reference(gate, basis):
     v = tp.theorem1_check(gate, basis)
     assert (v.conclusion, v.branch, v.quarter_k, v.pair_witnesses) == _theorem1_reference(gate, basis)
+
+
+def _on_lattice(angles) -> bool:
+    r = np.asarray(angles) % np.pi
+    return bool(np.all((r <= la.LATTICE_TOL) | (r >= np.pi - la.LATTICE_TOL)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_ANGLES, st.integers(0, 1), _ANGLES, st.integers(0, 1))
+@example(0.3, 1, 0.0, 0)
+@example(-2.0, 0, np.pi, 1)
+def test_a_factor_on_the_y_lattice_passes_the_z_mask(phi, n, lam, m):
+    """Why _AXIS_REPS has no y representative (S, with lambda1 and lambda3
+    on the integer-pi lattice): a factor F whose S-conjugate is
+    e^{i phi} Z^n Ry(lam) Z^m passes that mask, and its H-conjugate is
+    diagonal or antidiagonal, so it passes the z mask (lambda2), tried first."""
+    z_n, z_m = np.linalg.matrix_power(la.SZ, n), np.linalg.matrix_power(la.SZ, m)
+    f = la.dag(la.S) @ (np.exp(1j * phi) * z_n @ rot("y", lam) @ z_m) @ la.S
+    y = euler_zyz(la.S @ f @ la.dag(la.S))
+    assert _on_lattice([y.lambda1, y.lambda3])
+    z = euler_zyz(la.H @ f @ la.dag(la.H))
+    assert _on_lattice(z.lambda2)
+    assert [axis for axis, _, _ in tp._AXIS_REPS] == ["x", "z"]
+
+
+# --- The former per-outcome tuples, written out.  Each report field, now an
+# array, equals the former tuple bit for bit, with the identity (a zero state
+# for a four-way output) where the former tuple held None.
+
+def _former_factorize_all(ws):
+    ws = la.require_unitary(ws, what="factorization input")
+    schmidt = np.linalg.svd(sep._realign(ws), compute_uv=False) / 2.0
+    return tuple(
+        sep.tensor_factorize(w) if candidate else sep.TensorFactorization(False, None, None, 0.0, row)
+        for w, row, candidate in zip(ws, schmidt, (schmidt[:, 1] <= la.SEPARABLE_TOL).tolist())
+    )
+
+
+def _former_gate_report(u_t, basis):
+    """The former analyze_gate_teleport's separable and corrections, and
+    its correction_inverses()."""
+    betas = bases.gate_betas(basis)
+    w_stack = ((u_t @ la.kron_pairs(betas, betas)).reshape(64, 4) @ la.dag(u_t)).reshape(16, 4, 4)
+    corrections = (None,) * 16
+    if bases.capable(betas):
+        corrections = tuple(
+            (np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None
+            for f in _former_factorize_all(w_stack)
+        )
+    inverses = tuple(None if c is None else (la.dag(c[0]), la.dag(c[1])) for c in corrections)
+    return tuple(c is not None for c in corrections), corrections, inverses
+
+
+def _former_gate_fidelities(ab, u_t, basis, corrections):
+    """The former run_gate_teleport's fidelities."""
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    rests = sim.project_outcomes(sim.register_from([ab, bell, bell]), [(0, 3), (1, 5)], basis)
+    ops = la.tensor(*np.array([(la.I2, la.I2) if c is None else c for c in corrections]).swapaxes(0, 1)) @ u_t
+    return sim.outcome_fidelities(rests, ops, u_t @ ab)[2]
+
+
+def _former_state_report(psi, basis):
+    """The former analyze_state_teleport's probabilities, teleportable and
+    corrections, and its correction_inverses()."""
+    ms = psi @ bases.beta_matrices(basis, convention="state_form").mats
+    grams = la.dag(ms) @ ms
+    probs = np.trace(grams, axis1=-2, axis2=-1).real / 2.0
+    residuals = np.linalg.norm(grams - probs[:, None, None] * np.eye(2), axis=(-2, -1))
+    flags = (probs > la.PROBABILITY_FLOOR) & (residuals <= la.CORRECTABLE_TOL)
+    corrections = tuple(m / np.sqrt(p) if ok else None for m, p, ok in zip(ms, probs, flags))
+    inverses = tuple(None if v is None else la.dag(v) for v in corrections)
+    return tuple(probs.tolist()), tuple(flags.tolist()), corrections, inverses
+
+
+def _former_state_fidelities(xi, psi, basis, corrections):
+    """The former run_state_teleport's fidelities."""
+    rests = sim.project_outcomes(sim.register_from([np.reshape(psi, -1), xi]), [(1, 2)], basis)
+    return sim.outcome_fidelities(rests, np.stack([la.I2 if c is None else c for c in corrections]), xi)[2]
+
+
+def _former_fourway(u_t, basis, psi_ab):
+    """The former analyze_fourway's per-outcome fields and its
+    max_corrected_fidelity."""
+    u = u_t @ fw.u1_gate()
+    betas = bases.gate_betas(basis)
+    beta_jk = la.kron_pairs(betas, betas)
+    branches = u @ np.concatenate((fw._SXX @ beta_jk, fw._SZZ @ beta_jk)) @ la.dag(u)
+    separable = np.zeros(32, dtype=bool)
+    undo = np.broadcast_to(la.I4, (32, 4, 4))
+    if bases.capable(betas):
+        separable, products = sep.leading_products(la.require_unitary(branches, what="factorization input"))
+        undo = np.where(separable[:, None, None], la.dag(products), la.I4)
+    ops = np.concatenate((np.broadcast_to(la.I4, (16, 4, 4)), undo)).reshape(3, 16, 4, 4) @ u_t
+    probs, outs, fids = sim.outcome_fidelities(fw._conditional_states(psi_ab, basis), ops, u_t @ psi_ab)
+    fields = {
+        "branch_xx_separable": tuple(separable[:16].tolist()),
+        "branch_zz_separable": tuple(separable[16:].tolist()),
+        "probabilities": tuple(probs.tolist()),
+        "output_states": tuple(out if p > la.PROBABILITY_FLOOR else None for out, p in zip(outs[0], probs)),
+        "fidelities_raw": tuple(fids[0].tolist()),
+        "fidelities_corrected": tuple(fids.max(axis=0).tolist()),
+    }
+    return fields, max(fields["fidelities_corrected"])
+
+
+def _assert_filled(got, former, fill=None):
+    """got is the former tuple as one array, bit for bit, with fill where it held None."""
+    want = np.array([fill if x is None else x for x in former])
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+_CATALOGUE_BASES = [cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL) for spec in catalogue()["all_bases"]]
+_ANGLE_OR_QUARTER = st.one_of(_QUARTERS, _ANGLES)
+# The gates of the CLI's spec families: Haar, t:phi,xi and kak:t1,t2,t3.
+_SPEC_GATES = st.one_of(
+    _SEEDS.map(lambda seed: la.haar_random_unitary(4, seed)),
+    st.tuples(_ANGLE_OR_QUARTER, _ANGLE_OR_QUARTER).map(lambda a: tp.t_gate(*a)),
+    st.tuples(_ANGLE_OR_QUARTER, _ANGLE_OR_QUARTER, _ANGLE_OR_QUARTER).map(nonlocal_gate),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SPEC_GATES, st.sampled_from(_CATALOGUE_BASES), _SEEDS)
+@example(la.CNOT, bases.m2_basis(), 0)  # 8 of 16 outcomes separable
+@example(la.CNOT, _CATALOGUE_BASES[catalogue()["all_bases"].index("beta_nl:0.3,0.1,0")], 0)  # the early exit
+def test_report_arrays_equal_the_former_tuples(u, basis, seed):
+    rng = np.random.default_rng(seed)
+    rep = tp.analyze_gate_teleport(u, basis)
+    separable, corrections, inverses = _former_gate_report(u, basis)
+    _assert_filled(rep.separable, separable)
+    assert rep.n_separable == sum(separable)
+    _assert_filled(rep.corrections, corrections, (la.I2, la.I2))
+    # dag of the identity fill: the identity, with imaginary parts -0.0.
+    _assert_filled(rep.correction_inverses(), inverses, (la.dag(la.I2), la.dag(la.I2)))
+    ab = la.random_state(4, rng)
+    got = sim.run_gate_teleport(ab, u, basis, rep.correction_inverses()).fidelities
+    assert got.tobytes() == _former_gate_fidelities(ab, u, basis, inverses).tobytes()
+
+    # A front gate folded into the basis, and a random resource, leave some
+    # outcomes without a correction.
+    folded = bases.MeasurementBasis(basis.vectors @ u.conj(), basis.name)
+    for psi in (tp.bell_resource(), la.random_state(4, rng).reshape(2, 2)):
+        state = tp.analyze_state_teleport(psi, folded)
+        probabilities, teleportable, corrections, inverses = _former_state_report(psi, folded)
+        _assert_filled(state.probabilities, probabilities)
+        _assert_filled(state.teleportable, teleportable)
+        _assert_filled(state.corrections, corrections, la.I2)
+        _assert_filled(state.correction_inverses(), inverses, la.dag(la.I2))
+        xi = la.random_state(2, rng)
+        got = sim.run_state_teleport(xi, psi, folded, state.correction_inverses()).fidelities
+        assert got.tobytes() == _former_state_fidelities(xi, psi, folded, inverses).tobytes()
+
+    psi_ab = la.random_state(4, rng)
+    four = fw.analyze_fourway(u, basis, psi_ab)
+    fields, best = _former_fourway(u, basis, psi_ab)
+    for name, former in fields.items():
+        _assert_filled(getattr(four, name), former, np.zeros(4, dtype=complex))
+    assert four.max_corrected_fidelity == best
