@@ -133,7 +133,7 @@ def _read_matrix(path: str, key: str, shape) -> tuple[str, np.ndarray]:
             doc = json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}")
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested past the decoder's limit
         raise UsageError(f"{path} is not valid JSON: {e}")
     if not isinstance(doc, dict) or key not in doc:
         raise UsageError(f"{path} must hold a JSON object with a {key!r} key")

@@ -7,10 +7,13 @@ leaves the carrier pair, for every outcome (j,k), in
 
 a superposition of two error branches.  A single local correction can
 fix at most one branch, so exact teleportation of U_T|psi_AB> is
-impossible for generic gates.  When U = U_T @ U1 is Clifford and the
-basis matrices are Pauli, both branch operators U sigma b_jk U^dag are
-Pauli pairs and the (normalized) output collapses to a two-term
-superposition of Pauli-rotated inputs.
+impossible for every gate: before the gate, each outcome maps the input
+through U1 (sigma_XX + sigma_ZZ) b_jk / (4 sqrt 2), and sigma_XX +
+sigma_ZZ has eigenvalues (2, 0, 0, -2), so that map has rank 2 at most
+and the outcome never occurs on a two-dimensional set of inputs.  When
+U = U_T @ U1 is Clifford and the basis matrices are Pauli, both branch
+operators U sigma b_jk U^dag are Pauli pairs and the (normalized) output
+collapses to a two-term superposition of Pauli-rotated inputs.
 
 The analysis screens all 32 branch operators with one batched
 operator-Schmidt decomposition, whose leading term is the local pair

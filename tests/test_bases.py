@@ -9,6 +9,7 @@ from gateport import linalg as la
 from gateport import bases
 from gateport import kak
 from gateport import simulator
+import reference as ref
 
 P = np.diag([1, 1j]).astype(complex)
 
@@ -58,7 +59,7 @@ def test_beta_ab_z_like_member():
     assert la.equal_up_to_global_phase(mats[0], la.SZ, 1e-9)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.floats(min_value=0, max_value=2 * np.pi, allow_nan=False))
 def test_beta_ab_unitary_on_constraint_circle(t):
     a, b = np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2)
@@ -184,7 +185,7 @@ def test_conjugated_pauli_round_trip():
             assert np.linalg.norm(m - target) < 1e-10
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_conjugated_pauli_vectors_equal_the_per_entry_loop(seed):
     u_r = la.haar_random_unitary(2, seed)
@@ -230,7 +231,7 @@ def test_phase_paired_basis_orthonormal():
     assert b.is_orthonormal(1e-10)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(0, 2**32 - 1), st.floats(-11, -8).map(lambda e: 10.0**e))
 def test_capable_is_the_unitarity_of_all_sixteen_products(seed, size):
     # Gate-form betas of a capable basis, each moved off unitary by about size.
@@ -281,37 +282,6 @@ def test_the_circle_check_covers_the_whole_beta_ab_grid():
     assert len(bases.beta_ab_bases(a[:5], b[:5])) == 5
 
 
-def _former_columns(vectors):
-    """The column matrix as the former tuple-of-vectors storage stacked it."""
-    return np.column_stack(tuple(np.asarray(v, dtype=complex) for v in vectors))
-
-
-def _former_beta_matrices(vectors, u_front, convention):
-    """The former beta_matrices: bras from the column matrix, one tuple entry per vector."""
-    bras = la.dag(_former_columns(vectors))
-    overlap = (bras if u_front is None else bras @ u_front).reshape(4, 2, 2)
-    if convention == "gate_form":
-        overlap = np.sqrt(2.0) * overlap.transpose(0, 2, 1)
-    return tuple(overlap)
-
-
-def _former_project_outcomes(state, pairs, vectors):
-    """The former simulator.project_outcomes, bras from the column matrix."""
-    n = state.shape[-1].bit_length() - 1
-    measured = [q for pair in pairs for q in pair]
-    bras = _former_columns(vectors).conj().T
-    lead = state.shape[:-1]
-    rest = [q for q in range(n) if q not in measured]
-    t = state.reshape(lead + (2,) * n).transpose(*range(len(lead)), *(len(lead) + q for q in measured + rest))
-    for i in range(len(pairs)):
-        t = bras @ t.reshape(lead + (4**i, 4, -1))
-    return t.reshape(lead + (4 ** len(pairs), 2 ** len(rest)))
-
-
-def _gaussian(rng, shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
 _ROWS = st.one_of(
     st.sampled_from([bases.bell_basis, bases.m1_basis, bases.m2_basis]).map(lambda f: f().vectors.copy()),
     st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
@@ -321,37 +291,41 @@ _ROWS = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_ROWS, st.integers(0, 2**32 - 1))
 def test_a_basis_stores_one_read_only_row_array(rows, seed):
     """A tuple of vectors, a list of rows and a (4, 4) array give the same
-    stored bytes, which later writes to the input never reach; matrix(),
-    beta_matrices and project_outcomes equal the former column-matrix code
-    byte for byte."""
+    stored bytes, which later writes to the input never reach; matrix() is
+    their transpose, and beta_matrices and project_outcomes are the paper's
+    b_j, B_j and projections of the rows."""
     vectors = tuple(np.array(v) for v in rows)
     inputs = {"tuple": tuple(v.copy() for v in vectors), "list": rows.tolist(), "array": rows.copy()}
     built = {form: bases.MeasurementBasis(value, form) for form, value in inputs.items()}
     inputs["tuple"][0][0] = inputs["list"][0][0] = inputs["array"][0, 0] = 7.0
     rng = np.random.default_rng(seed)
     u_front = la.haar_random_unitary(4, rng)
-    state3 = _gaussian(rng, 8)
-    states6 = _gaussian(rng, (2, 64))
+    state3 = la.random_state(8, rng)
+    states6 = np.stack([la.random_state(64, rng) for _ in range(2)])
+    rows = np.array(vectors, dtype=complex)
     for basis in built.values():
         stored = basis.vectors
         assert stored.shape == (4, 4) and stored.dtype == complex and not stored.flags.writeable
-        assert stored.tobytes() == np.array(vectors, dtype=complex).tobytes()
+        assert stored.tobytes() == rows.tobytes()
         with pytest.raises(ValueError):
             stored[0, 0] = 0
         assert not basis.matrix().flags.writeable and np.shares_memory(basis.matrix(), stored)
-        assert basis.matrix().tobytes() == _former_columns(vectors).tobytes()
-        for u in (None, u_front):
-            for convention in ("gate_form", "state_form"):
-                got = bases.beta_matrices(basis, u, convention).mats
-                assert got.shape == (4, 2, 2)
-                assert got.tobytes() == np.stack(_former_beta_matrices(vectors, u, convention)).tobytes()
+        assert basis.matrix().tobytes() == rows.T.tobytes()
+        for convention, want in (("gate_form", ref.gate_betas), ("state_form", ref.state_betas)):
+            got = bases.beta_matrices(basis, None, convention).mats
+            assert got.shape == (4, 2, 2) and got.tobytes() == np.array(want(rows)).tobytes()
+            # With a front gate the reference takes each row's <b_j|U on its own.
+            got = bases.beta_matrices(basis, u_front, convention).mats
+            assert np.allclose(got, want(rows, u_front), rtol=0, atol=1e-12)
+    if built["array"].is_orthonormal():  # the dense projectors need unit vectors
         for state, pairs in ((state3, [(1, 2)]), (states6, [(0, 3), (1, 5)])):
-            got = simulator.project_outcomes(state, pairs, basis)
-            assert got.tobytes() == _former_project_outcomes(state, pairs, vectors).tobytes()
+            want = [ref.measure(one, pairs, rows) for one in np.atleast_2d(state)]
+            got = simulator.project_outcomes(state, pairs, built["array"])
+            assert np.allclose(got.reshape(len(want), *want[0].shape), want, rtol=0, atol=1e-12)
 
 
 _FINITE = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
@@ -370,7 +344,7 @@ def _not_four_finite_vectors(draw):
     return rows
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(_not_four_finite_vectors(), st.sampled_from(["array", "list", "tuple"]))
 def test_a_basis_is_four_finite_4_vectors_or_a_one_line_value_error(rows, form):
     value = {"array": rows, "list": rows.tolist(), "tuple": tuple(rows) if rows.ndim else rows}[form]

@@ -18,7 +18,9 @@ from gateport import bases, cli
 from gateport import separability as sep
 from gateport import simulator as sim
 from gateport import teleport as tp
+from gateport.kak import nonlocal_gate
 from perfbench.workloads import catalogue
+import reference as ref
 
 
 def run(capsys, *argv):
@@ -156,21 +158,15 @@ def test_tables_command_self_checks(capsys):
 
 
 def test_scan_commands(capsys):
-    from gateport.teleport import analyze_gate_teleport
-
     code, out, _ = run(capsys, "scan", "--gate", "cnot", "--family", "beta_ab", "--grid", "8")
     assert code == 0
     rows = out.strip().splitlines()
     assert rows[0] == "t,a,b,success"
     for row in rows[1:]:
         t, a, b, p = (float(x) for x in row.split(","))
-        # every scanned point agrees with a direct analysis; away from the
-        # a*b = 0 points (where the family degenerates to the Bell basis
-        # and cnot teleports deterministically) the success is zero
-        a_exact, b_exact = np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2)
-        direct = analyze_gate_teleport(la.CNOT, bases.beta_ab_basis(a_exact, b_exact)).success_probability
-        assert p == direct
-        assert p == (1.0 if abs(a_exact * b_exact) < 1e-9 else 0.0)
+        # Zero away from a*b = 0, where the family is the Bell basis and cnot teleports (each
+        # point's analysis is checked in test_scan_stdout_equals_the_former_per_point_loop).
+        assert p == (1.0 if abs(np.cos(t) * np.sin(t)) < 1e-9 else 0.0)
     code, out, _ = run(capsys, "scan", "--gate", "exp_yy", "--family", "beta_ab", "--grid", "8")
     rows = out.strip().splitlines()
     assert all(row.endswith(",1.0000") for row in rows[1:])
@@ -182,22 +178,20 @@ def test_scan_commands(capsys):
     assert any(row.endswith(",0.0000") for row in rows[1:])
 
 
-def _former_scan(gate: str, family: str, grid: int) -> str:
-    """The stdout of the former cmd_scan loop: one basis and one analysis per point."""
+def _scan_stdout(gate: str, family: str, grid: int) -> str:
+    """scan's stdout: each grid point, formatted with cli._num, and the success
+    probability of the per-outcome reference's analysis there."""
     g = cli.resolve_gate(gate, la.DEFAULT_UNITARY_TOL)
     ts = 2 * np.pi * np.arange(grid) / grid
     if family == "beta_ab":
-        lines = ["t,a,b,success"]
         points = [(t, np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2)) for t in ts]
-        bases_ = (bases.beta_ab_basis(a, b) for _, a, b in points)
+        header, rows = "t,a,b,success", [bases.beta_ab_basis(a, b).vectors for _, a, b in points]
     else:
-        lines = ["theta1,theta2,success"]
         points = list(itertools.product(ts - np.pi, repeat=2))
-        bases_ = (bases.beta_nl_basis(t1, t2, 0.0) for t1, t2 in points)
-    for point, basis in zip(points, bases_):
-        p = tp.analyze_gate_teleport(g, basis).success_probability
-        lines.append(",".join(cli._num(x, ".9f") for x in point) + "," + cli._num(p, ".4f"))
-    return "\n".join(lines) + "\n"
+        header, rows = "theta1,theta2,success", [nonlocal_gate((*p, 0.0)).T for p in points]  # the columns of N
+    lines = [",".join(cli._num(x, ".9f") for x in point) + "," + cli._num(sum(ref.gate_outcomes(g, r)[1]) / 16, ".4f")
+             for point, r in zip(points, rows)]
+    return "\n".join([header, *lines]) + "\n"
 
 
 # beta_nl has no capable point at grid 4 and 32 of 64 at grid 8 (the next test).
@@ -205,13 +199,13 @@ def _former_scan(gate: str, family: str, grid: int) -> str:
 def test_scan_stdout_equals_the_former_per_point_loop(capsys, family, grid):
     for gate in catalogue()["all_gates"]:
         assert run(capsys, "scan", "--gate", gate, "--family", family, "--grid", str(grid)) == (
-            0, _former_scan(gate, family, grid), "")
+            0, _scan_stdout(gate, family, grid), "")
 
 
 @pytest.mark.parametrize("gate", ["cnot", "swap_sqrt", "t:0.3287,1.6594"])
 def test_scan_stdout_at_capable_beta_nl_points_equals_the_former_loop(capsys, gate):
     assert run(capsys, "scan", "--gate", gate, "--family", "beta_nl", "--grid", "8") == (
-        0, _former_scan(gate, "beta_nl", 8), "")
+        0, _scan_stdout(gate, "beta_nl", 8), "")
 
 
 def test_scan_rejects_tiny_grid(capsys):
@@ -269,33 +263,6 @@ def test_state_teleport_command(capsys):
     assert "deterministic: True" in out
 
 
-def _former_state_teleport(psi, u_front, basis):
-    """The former analyze_state_teleport, which took the front gate: its
-    outcome operators M_j and report fields."""
-    ms = psi @ bases.beta_matrices(basis, u_front, "state_form").mats
-    grams = la.dag(ms) @ ms
-    probs = np.trace(grams, axis1=-2, axis2=-1).real / 2.0
-    residuals = np.linalg.norm(grams - probs[:, None, None] * np.eye(2), axis=(-2, -1))
-    flags = (probs > la.PROBABILITY_FLOOR) & (residuals <= la.CORRECTABLE_TOL)
-    return ms, {
-        "probabilities": tuple(probs.tolist()),
-        "teleportable": tuple(flags.tolist()),
-        "corrections": tuple(m / np.sqrt(p) if ok else None for m, p, ok in zip(ms, probs, flags)),
-        "deterministic": bool(np.all(flags | (probs <= la.PROBABILITY_FLOOR))),
-        "entanglement": float(abs(np.linalg.det(psi))),
-    }
-
-
-def _former_run_state_teleport(xi, psi, u_front, basis, corrections):
-    """The former run_state_teleport's circuit: the front gate on the
-    (partner, input) qubits, then the measurement."""
-    state = la.tensor(la.I2, u_front) @ sim.register_from([psi.reshape(-1), xi])
-    rests = sim.project_outcomes(state, [(1, 2)], basis)
-    ops = np.stack([la.I2 if c is None else c for c in corrections])
-    probs, _, fids = sim.outcome_fidelities(rests, ops, xi)
-    return fids, probs
-
-
 def _haar_local(seed):
     rng = np.random.default_rng(seed)
     return la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
@@ -313,41 +280,44 @@ _FRONTS = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_STATE_BASES, _FRONTS, st.integers(0, 2**32 - 1))
 def test_a_front_gate_is_the_basis_of_u_dag_b_j(capsys, tmp_path, spec_basis, front, seed):
-    """A front gate U before measuring {b_j} equals measuring {U^dag b_j}:
-    the analysis equals the former front-gate analysis bit for bit, the
-    circuit equals the former front-gate circuit within 1e-12, and
-    state-teleport --front prints the former report byte for byte."""
+    """A front gate U before measuring {b_j} equals measuring {U^dag b_j}: the folded basis'
+    report is the reference's with the front gate (the identity where an outcome has none),
+    its oracle the circuit with U on the measured pair, and state-teleport --front prints it."""
     spec, basis = spec_basis
     rng = np.random.default_rng(seed)
+    folded = bases.MeasurementBasis(basis.vectors @ front.conj(), basis.name)
     for psi in (tp.bell_resource(), la.random_state(4, rng).reshape(2, 2)):
-        folded = bases.MeasurementBasis(basis.vectors @ front.conj(), basis.name)
-        ms, former = _former_state_teleport(psi, front, basis)
-        assert (psi @ bases.beta_matrices(folded, convention="state_form").mats).tobytes() == ms.tobytes()
         report = tp.analyze_state_teleport(psi, folded)
-        for name, value in former.items():
-            got = np.asarray(getattr(report, name))
-            if name == "corrections":  # the identity where the former tuple held None
-                value = [la.I2 if c is None else c for c in value]
-            value = np.asarray(value)
-            assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape, value.tobytes()), name
-        xi = la.random_state(2, rng)
+        probabilities, teleportable, corrections = ref.state_outcomes(psi, basis.vectors, front)
+        assert np.allclose(report.probabilities, probabilities, rtol=0, atol=1e-12)
+        assert report.teleportable.tolist() == teleportable
+        assert report.deterministic == all(ok or p <= la.PROBABILITY_FLOOR
+                                           for ok, p in zip(teleportable, probabilities))
+        assert abs(report.entanglement - abs(np.linalg.det(psi))) <= 1e-15
+        for ok, got, want in zip(teleportable, report.corrections, corrections):
+            assert np.allclose(got, want, rtol=0, atol=1e-12) if ok else np.array_equal(got, la.I2)
         inverses = report.correction_inverses()
+        assert np.allclose(inverses @ report.corrections, la.I2, rtol=0, atol=1e-12)
+        xi = la.random_state(2, rng)
         result = sim.run_state_teleport(xi, psi, folded, inverses)
-        fids, probs = _former_run_state_teleport(xi, psi, front, basis, inverses)
-        assert np.abs(result.fidelities - fids).max() <= 1e-12
-        assert np.abs(result.probabilities - probs).max() <= 1e-12
+        want = ref.state_circuit(xi, psi, basis.vectors, inverses, front)
+        assert np.allclose((result.fidelities, result.probabilities), want, rtol=0, atol=1e-12)
     if spec is None:
         return
     path = tmp_path / "front.json"
     cli.write_gate_file(str(path), front)
-    _, former = _former_state_teleport(tp.bell_resource(), cli.resolve_gate(f"@{path}", la.DEFAULT_UNITARY_TOL), basis)
+    u = cli.resolve_gate(f"@{path}", la.DEFAULT_UNITARY_TOL)
+    report = tp.analyze_state_teleport(tp.bell_resource(), bases.MeasurementBasis(basis.vectors @ u.conj(), basis.name))
     code, out, err = run(capsys, "state-teleport", "--basis", spec, "--front", f"@{path}", "--format", "json")
     assert (code, err) == (0, "")
-    doc = {"basis": spec, "front": f"@{path}", **former}
-    assert out == json.dumps(doc, sort_keys=True, default=cli._json_default) + "\n"
+    corrections = [cli._complex_pairs(v) if ok else None for v, ok in zip(report.corrections, report.teleportable)]
+    doc = {"basis": spec, "front": f"@{path}", "deterministic": report.deterministic, "corrections": corrections,
+           "entanglement": report.entanglement, "probabilities": report.probabilities.tolist(),
+           "teleportable": report.teleportable.tolist()}
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -437,7 +407,7 @@ _FILE_BASES = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_FILE_BASES, st.integers(0, 2**32 - 1), st.floats(-12, -7).map(lambda e: 10.0**e))
 # At t = 1e-7 some second Schmidt coefficients of CNOT's W sit at SEPARABLE_TOL itself.
 @example(basis=bases.beta_ab_basis(np.cos(1e-7) / np.sqrt(2), np.sin(1e-7) / np.sqrt(2)), seed=0, size=1e-7)
@@ -530,7 +500,9 @@ _JSON = st.recursive(
 @st.composite
 def _malformed_doc(draw, key, n):
     """The text of a JSON file that is no valid `key` document of an n x n matrix."""
-    kind = draw(st.sampled_from(["text", "no key", "shape", "entry", "values", "huge"]))
+    kind = draw(st.sampled_from(["text", "no key", "shape", "entry", "values", "huge", "deep"]))
+    if kind == "deep":  # nested past the JSON decoder's recursion limit
+        return "[" * 100_000 + "]" * 100_000
     if kind == "text":
         text = draw(st.text(max_size=20))
         try:
@@ -563,7 +535,7 @@ def _malformed_doc(draw, key, n):
     return json.dumps({key: rows})
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_malformed_specs_and_files_exit_with_one_line(capsys, monkeypatch, tmp_path, data):
     monkeypatch.delenv("GATEPORT_TOL", raising=False)
@@ -701,6 +673,7 @@ def test_malformed_numbers_exit_1_with_one_line(capsys, argv):
         ("gate", None, "cannot read"),
         ("basis", '{"name": "no vectors"}', "with a 'vectors' key"),
         ("basis", "not json", "is not valid JSON"),
+        ("basis", "[" * 100_000 + "]" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
         ("pauli_conj", '{"vectors": []}', "with a 'matrix' key"),
         ("pauli_conj", "{", "is not valid JSON"),
     ],
@@ -710,6 +683,7 @@ def test_malformed_numbers_exit_1_with_one_line(capsys, argv):
         "gate-missing-file",
         "basis-missing-key",
         "basis-invalid-json",
+        "basis-nested-too-deep",
         "pauli-conj-missing-key",
         "pauli-conj-invalid-json",
     ],
@@ -996,17 +970,6 @@ def test_no_human_report_prints_a_negative_zero(capsys, template):
         assert not _NEGATIVE_ZERO.search(out), (argv, out)
 
 
-def _per_entry_pairs(a):
-    """The former conversion: each entry on its own, via 17 significant digits."""
-    def pair(z):
-        return [float(f"{z.real:.17g}"), float(f"{z.imag:.17g}")]
-
-    a = np.asarray(a, dtype=complex)
-    if a.ndim == 1:
-        return [pair(z) for z in a]
-    return [[pair(z) for z in row] for row in a]
-
-
 @st.composite
 def _complex_arrays(draw, finite=False, shape=None):
     if shape is None:
@@ -1020,14 +983,22 @@ def _complex_arrays(draw, finite=False, shape=None):
     return a
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_complex_arrays())
 def test_complex_pairs_match_per_entry_conversion(a):
+    """Each entry becomes the [re, im] pair of its two doubles, nested as a is,
+    and JSON carries each double back bit for bit (a NaN as a NaN)."""
+    pairs = cli._complex_pairs(a)
+    flat = pairs if a.ndim == 1 else [p for row in pairs for p in row]
     # repr tells -0.0 from 0.0 and prints NaN, where == would not
-    assert repr(cli._complex_pairs(a)) == repr(_per_entry_pairs(a))
+    assert repr(flat) == repr([cli._complex_pairs(z) for z in a.ravel()])
+    assert repr(flat) == repr([[float(z.real), float(z.imag)] for z in a.ravel()])
+    back, want = np.array(json.loads(json.dumps(pairs)), dtype=float), np.stack([a.real, a.imag], -1)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(back), nan) and back[~nan].tobytes() == want[~nan].tobytes()
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_complex_arrays(finite=True, shape=(4, 4)))
 def test_gate_and_basis_files_round_trip_bit_for_bit(tmp_path, m):
     path = str(tmp_path / "doc.json")
@@ -1094,31 +1065,26 @@ def test_json_key_sets(capsys, argv, keys):
     assert _key_paths(json.loads(out)) == keys
 
 
-def _old_jsonable(obj):
-    """The former report conversion, applied before json.dumps(indent=1).
-    Real and bool arrays become lists, as the former report tuples did."""
-    if isinstance(obj, np.ndarray) and not np.iscomplexobj(obj):
-        return _old_jsonable(obj.tolist())
-    if isinstance(obj, (np.ndarray, complex)):
-        return cli._complex_pairs(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_old_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _old_jsonable(v) for k, v in obj.items()}
-    return obj
+def _assert_encodes(loaded, value):
+    """loaded, read back from the JSON text, is value exactly: a complex array
+    or number as [re, im] pairs, a real or bool array as a plain list, a numpy
+    scalar as the Python one (repr tells -0.0 from 0.0 and prints NaN)."""
+    if isinstance(value, dict):
+        assert sorted(loaded) == sorted(value)
+        loaded, value = [loaded[key] for key in value], list(value.values())
+    if isinstance(value, (list, tuple)):
+        assert isinstance(loaded, list) and len(loaded) == len(value)
+        for got, item in zip(loaded, value):
+            _assert_encodes(got, item)
+    elif np.iscomplexobj(value):
+        assert np.array(loaded, dtype=float).view(complex)[..., 0].tobytes() == np.asarray(value).tobytes()
+    else:
+        assert repr(loaded) == repr(np.asarray(value).tolist())
 
 
-def _assert_one_line_like_old_path(out, doc):
+def _assert_one_line_encoding(out, doc):
     assert out.endswith("\n") and out.count("\n") == 1
-    old = json.dumps(_old_jsonable(doc), sort_keys=True, indent=1)
-    # repr tells -0.0 from 0.0 and prints NaN, where == would not
-    assert repr(json.loads(out)) == repr(json.loads(old))
+    _assert_encodes(json.loads(out), doc)
 
 
 @pytest.mark.parametrize(
@@ -1145,7 +1111,7 @@ def test_json_reports_are_one_line_equal_to_the_indented_documents(capsys, monke
     monkeypatch.setattr(cli, "_emit_json", recording)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0 and len(docs) == 1
-    _assert_one_line_like_old_path(out, docs[0])
+    _assert_one_line_encoding(out, docs[0])
 
 
 def test_emit_json_maps_numpy_and_complex_scalars(capsys):
@@ -1164,7 +1130,7 @@ def test_emit_json_maps_numpy_and_complex_scalars(capsys):
     }
     cli._emit_json(doc)
     out = capsys.readouterr().out
-    _assert_one_line_like_old_path(out, doc)
+    _assert_one_line_encoding(out, doc)
     loaded = json.loads(out)
     assert loaded["flags"] == [True, False, True] and loaded["counts"] == [7, -2, 3]
     assert loaded["complex"][0] == [1.0, -2.0]

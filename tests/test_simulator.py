@@ -1,5 +1,4 @@
 import functools
-import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from gateport import linalg as la
 from gateport import bases
 from gateport import simulator as sim
 from gateport import teleport as tp
+import reference as ref
 
 
 def _random_basis(rng):
@@ -34,7 +34,7 @@ def test_register_guards():
 _FRAGMENT_WIDTHS = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ws: sum(ws) <= sim.MAX_QUBITS)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_FRAGMENT_WIDTHS, st.integers(0, 2**32 - 1), st.sampled_from((None, 1, 3)), st.integers(0, 2))
 def test_register_from_equals_kron_of_the_fragments(widths, seed, k, stacked):
     """The product state is np.kron of the fragments, bit for bit: for one
@@ -52,27 +52,12 @@ def test_register_from_equals_kron_of_the_fragments(widths, seed, k, stacked):
     assert np.array_equal(sim.register_from(parts), expected)
 
 
-def _projection_loop(state, n, pairs, basis):
-    """Per-outcome reference for project_outcomes: contract one bra per
-    pair with tensordot, tracking the axes each contraction removes."""
-    rows = []
-    for outcome in itertools.product(range(4), repeat=len(pairs)):
-        t = state.reshape((2,) * n)
-        axes = list(range(n))
-        for j, (a, b) in zip(outcome, pairs):
-            bra = np.conj(basis.vectors[j]).reshape(2, 2)
-            t = np.tensordot(bra, t, axes=((0, 1), (axes.index(a), axes.index(b))))
-            axes = [q for q in axes if q not in (a, b)]
-        rows.append(t.reshape(-1))
-    return np.array(rows)
-
-
 # (register width, measured pairs) of the state circuit, the gate circuit
 # and the four-way-resource circuit.
 CIRCUIT_PAIRS = ((3, ((1, 2),)), (6, ((0, 3), (1, 5))), (6, ((0, 2), (1, 5))))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(CIRCUIT_PAIRS), st.integers(0, 2**32 - 1), st.booleans())
 def test_project_outcomes_matches_per_outcome_loop(layout, seed, reverse_pairs):
     n, pairs = layout
@@ -83,11 +68,11 @@ def test_project_outcomes_matches_per_outcome_loop(layout, seed, reverse_pairs):
     basis = _random_basis(rng)
     got = sim.project_outcomes(state, pairs, basis)
     assert got.shape == (4 ** len(pairs), 2 ** (n - 2 * len(pairs)))
-    assert np.allclose(got, _projection_loop(state, n, pairs, basis), rtol=0, atol=1e-12)
+    assert np.allclose(got, ref.measure(state, pairs, basis.vectors), rtol=0, atol=1e-12)
     assert abs((np.abs(got) ** 2).sum() - 1) < 1e-12
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.sampled_from(CIRCUIT_PAIRS), st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_project_outcomes_matches_per_outcome_loop_on_a_stack(layout, seed, k):
     n, pairs = layout
@@ -97,7 +82,7 @@ def test_project_outcomes_matches_per_outcome_loop_on_a_stack(layout, seed, k):
     got = sim.project_outcomes(states, pairs, basis)
     assert got.shape == (k, 4 ** len(pairs), 2 ** (n - 2 * len(pairs)))
     for state, rows in zip(states, got):
-        assert np.allclose(rows, _projection_loop(state, n, pairs, basis), rtol=0, atol=1e-12)
+        assert np.allclose(rows, ref.measure(state, pairs, basis.vectors), rtol=0, atol=1e-12)
 
 
 def test_project_outcomes_rejects_overlapping_pairs():
@@ -201,11 +186,6 @@ def test_linearity_of_teleportation():
     basis = bases.bell_basis()
     rep = tp.analyze_gate_teleport(la.CNOT, basis)
     coeffs = la.random_state(4, 12)
-
-    def conditional_output(ab, idx):
-        r = sim.run_gate_teleport(ab, la.CNOT, basis, rep.correction_inverses())
-        return r
-
     # fidelity of the superposed input is 1 on every outcome, which can
     # only happen if the per-outcome map acts linearly on the input
     r = sim.run_gate_teleport(coeffs, la.CNOT, basis, rep.correction_inverses())
@@ -232,7 +212,7 @@ def test_gate_oracle_matches_analysis_on_random_valid_bases():
 _NAMED_GATES = (la.CNOT, la.SWAP, la.CZ, la.Q_GATE, la.R_GATE, tp.C_PI8, tp.EXP_YY, tp.t_gate(np.pi / 8, np.pi / 8))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 6),

@@ -10,6 +10,7 @@ from gateport import simulator as sim
 from gateport import teleport as tp
 from gateport.kak import euler_zyz, is_clifford, nonlocal_gate, rot
 from perfbench.workloads import catalogue
+import reference as ref
 
 
 def _random_basis(rng):
@@ -94,39 +95,24 @@ def test_table1():
 
 def test_gate_report_shape_and_counts():
     rep = tp.analyze_gate_teleport(la.CNOT, bases.m2_basis())
-    assert rep.n_separable == 8
-    assert rep.success_probability == 0.5
-    assert not rep.deterministic
+    assert (rep.n_separable, rep.success_probability, rep.deterministic) == (8, 0.5, False)
     assert rep.separable.shape == (16,) and rep.corrections.shape == (16, 2, 2, 2)
-    for idx in range(16):
-        a, b = rep.corrections[idx]
-        if rep.separable[idx]:
-            assert np.linalg.norm(la.tensor(a, b) - rep.w_matrices[idx]) < 1e-8
-        else:
-            assert np.array_equal(a, la.I2) and np.array_equal(b, la.I2)
+    for ok, (a, b), w in zip(rep.separable, rep.corrections, rep.w_matrices):
+        assert np.linalg.norm(la.tensor(a, b) - w) < 1e-8 if ok else np.array_equal([a, b], [la.I2, la.I2])
 
 
-def _reference_gate_analysis(u, basis):
-    """The per-outcome loop: one tensor_factorize per outcome (j, k)."""
-    betas = bases.beta_matrices(basis, None, "gate_form").mats
-    if not all(la.is_unitary(b, 1e-8) for b in betas):
-        return (False,) * 16, (None,) * 16
-    separable, corrections = [], []
-    for j, k in tp.PAIR_ORDER:
-        f = sep.tensor_factorize(u @ la.tensor(betas[j], betas[k]) @ la.dag(u))
-        separable.append(f.separable)
-        corrections.append((np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None)
-    return tuple(separable), tuple(corrections)
+def _assert_gate_report(rep, u, basis):
+    """rep holds the reference's W_jk and verdicts, and a pair whose kron is the reference's
+    product (phase included) where a verdict holds, the identity pair elsewhere."""
+    ws, teleports, pairs = ref.gate_outcomes(u, basis.vectors)
+    assume(not any(map(ref.near_threshold, ws)))
+    assert np.allclose(rep.w_matrices, ws, rtol=0, atol=1e-12)
+    assert rep.separable.tolist() == teleports and rep.n_separable == sum(teleports)
+    for ok, got, want in zip(teleports, rep.corrections, pairs):
+        assert np.linalg.norm(la.tensor(*got) - la.tensor(*want)) < 1e-9 if ok else np.array_equal(got, [la.I2, la.I2])
 
 
-_NAMED_GATES = {
-    "cnot": la.CNOT,
-    "c_pi8": tp.C_PI8,
-    "cnot_sqrt": la.principal_sqrt(la.CNOT),
-    "swap_sqrt": la.principal_sqrt(la.SWAP),
-    "exp_yy": tp.EXP_YY,
-    "swap": la.SWAP,
-}
+_NAMED_GATES = {name: tp.NAMED_GATES[name]() for name in ("cnot", "c_pi8", "cnot_sqrt", "swap_sqrt", "exp_yy", "swap")}
 
 
 def _gate(kind, seed, dressed=True):
@@ -159,7 +145,7 @@ _BASES = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     st.sampled_from(["haar", "t", "lattice", *_NAMED_GATES]),
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -167,15 +153,7 @@ _BASES = st.one_of(
 )
 def test_batched_analysis_matches_per_outcome_loop(kind, seed, basis):
     u = _gate(kind, seed)
-    rep = tp.analyze_gate_teleport(u, basis)
-    separable, corrections = _reference_gate_analysis(u, basis)
-    assert rep.separable.tolist() == list(separable)
-    assert rep.n_separable == sum(separable)
-    for ok, got, ref in zip(separable, rep.corrections, corrections):
-        if ok:
-            assert la.equal_up_to_global_phase(la.tensor(*got), la.tensor(*ref), 1e-9)
-        else:
-            assert np.array_equal(got, [la.I2, la.I2])
+    _assert_gate_report(tp.analyze_gate_teleport(u, basis), u, basis)
 
 
 # Metamorphic relations of the separable mask W_jk = U (b_j (x) b_k) U^dag.
@@ -196,7 +174,7 @@ _META_BASES = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES, _SEEDS)
 @example("cnot", 0, False, bases.m2_basis(), 1)
 def test_a_left_local_pair_keeps_the_mask_and_the_success_probability(kind, seed, dressed, basis, local_seed):
@@ -209,7 +187,7 @@ def test_a_left_local_pair_keeps_the_mask_and_the_success_probability(kind, seed
     assert moved.success_probability == rep.success_probability
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES, _ANGLES)
 @example("cnot_sqrt", 0, True, bases.bell_basis(), 1.0)
 def test_a_global_phase_keeps_the_mask_and_the_corrections(kind, seed, dressed, basis, phi):
@@ -217,12 +195,12 @@ def test_a_global_phase_keeps_the_mask_and_the_corrections(kind, seed, dressed, 
     rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(np.exp(1j * phi) * u, basis)
     assume(_far_from_threshold(rep))
     assert np.array_equal(moved.separable, rep.separable)
-    for ok, got, ref in zip(rep.separable, moved.corrections, rep.corrections):
+    for ok, got, want in zip(rep.separable, moved.corrections, rep.corrections):
         if ok:
-            assert la.equal_up_to_global_phase(la.tensor(*got), la.tensor(*ref), 1e-9)
+            assert la.equal_up_to_global_phase(la.tensor(*got), la.tensor(*want), 1e-9)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES)
 @example("cnot", 0, True, bases.m2_basis())
 @example("cnot_sqrt", 0, True, bases.bell_basis())
@@ -246,11 +224,10 @@ def test_invalid_basis_gives_zero_capability():
     assert not any(rep.separable)
 
 
-_CATALOGUE_GATES = [la.CNOT, la.SWAP, la.Q_GATE, la.R_GATE, la.CZ, tp.C_PI8, tp.EXP_YY,
-                    la.principal_sqrt(la.CNOT), la.principal_sqrt(la.SWAP)]
+_CATALOGUE_GATES = [make() for make in tp.NAMED_GATES.values()]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.one_of(st.sampled_from(_CATALOGUE_GATES), st.integers(0, 2**32 - 1).map(lambda s: la.haar_random_unitary(4, s))),
     st.floats(-12, -6).map(lambda e: 10.0**e),
@@ -372,54 +349,6 @@ def test_conjugation_group_preserves_basis_matrices():
                 assert hit, (theta, j, k)
 
 
-def _theorem1_reference(u_t, basis):
-    """theorem1_check's condition 1 and witnesses, one euler_zyz call per
-    conjugated basis matrix, trying the axis representatives in order."""
-    from gateport.kak import classify_nonlocal, euler_zyz, kak_decompose
-
-    tol = 1e-8  # the Euler-angle lattice tolerance
-    masks = {"x": (True, True, True), "z": (False, True, False), "y": (True, False, True)}
-    d = kak_decompose(u_t)
-    cls = classify_nonlocal(d.theta)
-    quarter_k = tuple(
-        int(np.rint((t / (np.pi / 4) - 1) / 2)) if q else None for t, q in zip(d.theta, cls.odd_quarter_pi)
-    )
-    gate_betas = bases.beta_matrices(basis, None, "gate_form").mats
-    # Capability: every product b_j (x) b_k of the gate-form betas unitary within 1e-9.
-    valid = all(la.is_unitary(np.kron(a, b), 1e-9) for a in gate_betas for b in gate_betas)
-    condition2 = cls.is_swap_point and valid
-
-    def witness(m, mask):
-        e = euler_zyz(m)
-        out = []
-        for constrained, ang in zip(mask, (e.lambda1, e.lambda2, e.lambda3)):
-            r = ang % np.pi
-            if constrained and not (r <= tol or r >= np.pi - tol):
-                return None
-            out.append(int(np.rint(ang / np.pi)) if constrained else None)
-        return tuple(out)
-
-    branch, pairs = None, None
-    on_lattice = all((not dl) or q for dl, q in zip(cls.delta, cls.odd_quarter_pi))
-    if valid and on_lattice:
-        n_active = sum(cls.delta)
-        if n_active == 0:
-            branch = "local"
-        else:
-            reps = (("x", la.I2), ("z", la.H), ("y", la.S))[: 3 if n_active == 1 else 1]
-            for axis, h in reps:
-                sides = [
-                    [witness(h @ loc @ b @ loc.conj().T @ h.conj().T, masks[axis]) for b in gate_betas]
-                    for loc in (d.c_local, d.d_local)
-                ]
-                if None not in sides[0] + sides[1]:
-                    branch = f"axis_{axis}"
-                    pairs = tuple((sides[0][j], sides[1][k]) for j, k in tp.PAIR_ORDER)
-                    break
-    conclusion = "deterministic" if (branch is not None or condition2) else "not_covered"
-    return conclusion, branch, quarter_k, pairs
-
-
 def _quarter_kak(ks, seed):
     # quarter-pi non-local core between Haar locals
     rng = np.random.default_rng(seed)
@@ -430,8 +359,7 @@ def _quarter_kak(ks, seed):
 
 THEOREM1_GATES = st.one_of(
     st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
-    st.sampled_from([la.CNOT, la.SWAP, la.CZ, la.Q_GATE, la.R_GATE, tp.C_PI8, tp.EXP_YY,
-                     la.principal_sqrt(la.CNOT), la.principal_sqrt(la.SWAP)]),
+    st.sampled_from(_CATALOGUE_GATES),
     st.builds(tp.t_gate, st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
     st.sampled_from([0, np.pi / 8, np.pi / 4, np.pi / 2]).flatmap(
         lambda step: st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda ks: tp.t_gate(ks[0] * step, ks[1] * step))
@@ -453,11 +381,11 @@ THEOREM1_BASES = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(THEOREM1_GATES, THEOREM1_BASES)
 def test_theorem1_check_matches_per_matrix_reference(gate, basis):
     v = tp.theorem1_check(gate, basis)
-    assert (v.conclusion, v.branch, v.quarter_k, v.pair_witnesses) == _theorem1_reference(gate, basis)
+    assert (v.conclusion, v.branch, v.quarter_k, v.pair_witnesses) == ref.theorem1(gate, basis.vectors)
 
 
 def _on_lattice(angles) -> bool:
@@ -465,7 +393,7 @@ def _on_lattice(angles) -> bool:
     return bool(np.all((r <= la.LATTICE_TOL) | (r >= np.pi - la.LATTICE_TOL)))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(_ANGLES, st.integers(0, 1), _ANGLES, st.integers(0, 1))
 @example(0.3, 1, 0.0, 0)
 @example(-2.0, 0, np.pi, 1)
@@ -483,92 +411,6 @@ def test_a_factor_on_the_y_lattice_passes_the_z_mask(phi, n, lam, m):
     assert [axis for axis, _, _ in tp._AXIS_REPS] == ["x", "z"]
 
 
-# --- The former per-outcome tuples, written out.  Each report field, now an
-# array, equals the former tuple bit for bit, with the identity (a zero state
-# for a four-way output) where the former tuple held None.
-
-def _former_factorize_all(ws):
-    ws = la.require_unitary(ws, what="factorization input")
-    schmidt = np.linalg.svd(sep._realign(ws), compute_uv=False) / 2.0
-    return tuple(
-        sep.tensor_factorize(w) if candidate else sep.TensorFactorization(False, None, None, 0.0, row)
-        for w, row, candidate in zip(ws, schmidt, (schmidt[:, 1] <= la.SEPARABLE_TOL).tolist())
-    )
-
-
-def _former_gate_report(u_t, basis):
-    """The former analyze_gate_teleport's separable and corrections, and
-    its correction_inverses()."""
-    betas = bases.gate_betas(basis)
-    w_stack = ((u_t @ la.kron_pairs(betas, betas)).reshape(64, 4) @ la.dag(u_t)).reshape(16, 4, 4)
-    corrections = (None,) * 16
-    if bases.capable(betas):
-        corrections = tuple(
-            (np.exp(1j * f.phase) * f.factor_a, f.factor_b) if f.separable else None
-            for f in _former_factorize_all(w_stack)
-        )
-    inverses = tuple(None if c is None else (la.dag(c[0]), la.dag(c[1])) for c in corrections)
-    return tuple(c is not None for c in corrections), corrections, inverses
-
-
-def _former_gate_fidelities(ab, u_t, basis, corrections):
-    """The former run_gate_teleport's fidelities."""
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    rests = sim.project_outcomes(sim.register_from([ab, bell, bell]), [(0, 3), (1, 5)], basis)
-    ops = la.tensor(*np.array([(la.I2, la.I2) if c is None else c for c in corrections]).swapaxes(0, 1)) @ u_t
-    return sim.outcome_fidelities(rests, ops, u_t @ ab)[2]
-
-
-def _former_state_report(psi, basis):
-    """The former analyze_state_teleport's probabilities, teleportable and
-    corrections, and its correction_inverses()."""
-    ms = psi @ bases.beta_matrices(basis, convention="state_form").mats
-    grams = la.dag(ms) @ ms
-    probs = np.trace(grams, axis1=-2, axis2=-1).real / 2.0
-    residuals = np.linalg.norm(grams - probs[:, None, None] * np.eye(2), axis=(-2, -1))
-    flags = (probs > la.PROBABILITY_FLOOR) & (residuals <= la.CORRECTABLE_TOL)
-    corrections = tuple(m / np.sqrt(p) if ok else None for m, p, ok in zip(ms, probs, flags))
-    inverses = tuple(None if v is None else la.dag(v) for v in corrections)
-    return tuple(probs.tolist()), tuple(flags.tolist()), corrections, inverses
-
-
-def _former_state_fidelities(xi, psi, basis, corrections):
-    """The former run_state_teleport's fidelities."""
-    rests = sim.project_outcomes(sim.register_from([np.reshape(psi, -1), xi]), [(1, 2)], basis)
-    return sim.outcome_fidelities(rests, np.stack([la.I2 if c is None else c for c in corrections]), xi)[2]
-
-
-def _former_fourway(u_t, basis, psi_ab):
-    """The former analyze_fourway's per-outcome fields and its
-    max_corrected_fidelity."""
-    u = u_t @ fw.u1_gate()
-    betas = bases.gate_betas(basis)
-    beta_jk = la.kron_pairs(betas, betas)
-    branches = u @ np.concatenate((fw._SXX @ beta_jk, fw._SZZ @ beta_jk)) @ la.dag(u)
-    separable = np.zeros(32, dtype=bool)
-    undo = np.broadcast_to(la.I4, (32, 4, 4))
-    if bases.capable(betas):
-        separable, products = sep.leading_products(la.require_unitary(branches, what="factorization input"))
-        undo = np.where(separable[:, None, None], la.dag(products), la.I4)
-    ops = np.concatenate((np.broadcast_to(la.I4, (16, 4, 4)), undo)).reshape(3, 16, 4, 4) @ u_t
-    probs, outs, fids = sim.outcome_fidelities(fw._conditional_states(psi_ab, basis), ops, u_t @ psi_ab)
-    fields = {
-        "branch_xx_separable": tuple(separable[:16].tolist()),
-        "branch_zz_separable": tuple(separable[16:].tolist()),
-        "probabilities": tuple(probs.tolist()),
-        "output_states": tuple(out if p > la.PROBABILITY_FLOOR else None for out, p in zip(outs[0], probs)),
-        "fidelities_raw": tuple(fids[0].tolist()),
-        "fidelities_corrected": tuple(fids.max(axis=0).tolist()),
-    }
-    return fields, max(fields["fidelities_corrected"])
-
-
-def _assert_filled(got, former, fill=None):
-    """got is the former tuple as one array, bit for bit, with fill where it held None."""
-    want = np.array([fill if x is None else x for x in former])
-    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-
-
 _CATALOGUE_BASES = [cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL) for spec in catalogue()["all_bases"]]
 _ANGLE_OR_QUARTER = st.one_of(_QUARTERS, _ANGLES)
 # The gates of the CLI's spec families: Haar, t:phi,xi and kak:t1,t2,t3.
@@ -579,40 +421,30 @@ _SPEC_GATES = st.one_of(
 )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(_SPEC_GATES, st.sampled_from(_CATALOGUE_BASES), _SEEDS)
 @example(la.CNOT, bases.m2_basis(), 0)  # 8 of 16 outcomes separable
 @example(la.CNOT, _CATALOGUE_BASES[catalogue()["all_bases"].index("beta_nl:0.3,0.1,0")], 0)  # the early exit
-def test_report_arrays_equal_the_former_tuples(u, basis, seed):
+def test_report_arrays_match_the_per_outcome_reference(u, basis, seed):
+    """The gate and four-way reports' arrays are the reference's answers, with the identity
+    (a zero state for a four-way output) where an outcome has none; correction_inverses()
+    inverts the corrections, which the oracle scores as the dense-projector circuit does."""
     rng = np.random.default_rng(seed)
     rep = tp.analyze_gate_teleport(u, basis)
-    separable, corrections, inverses = _former_gate_report(u, basis)
-    _assert_filled(rep.separable, separable)
-    assert rep.n_separable == sum(separable)
-    _assert_filled(rep.corrections, corrections, (la.I2, la.I2))
-    # dag of the identity fill: the identity, with imaginary parts -0.0.
-    _assert_filled(rep.correction_inverses(), inverses, (la.dag(la.I2), la.dag(la.I2)))
+    _assert_gate_report(rep, u, basis)
+    inverses = rep.correction_inverses()
+    assert np.allclose(inverses @ rep.corrections, la.I2, rtol=0, atol=1e-12)
     ab = la.random_state(4, rng)
-    got = sim.run_gate_teleport(ab, u, basis, rep.correction_inverses()).fidelities
-    assert got.tobytes() == _former_gate_fidelities(ab, u, basis, inverses).tobytes()
-
-    # A front gate folded into the basis, and a random resource, leave some
-    # outcomes without a correction.
-    folded = bases.MeasurementBasis(basis.vectors @ u.conj(), basis.name)
-    for psi in (tp.bell_resource(), la.random_state(4, rng).reshape(2, 2)):
-        state = tp.analyze_state_teleport(psi, folded)
-        probabilities, teleportable, corrections, inverses = _former_state_report(psi, folded)
-        _assert_filled(state.probabilities, probabilities)
-        _assert_filled(state.teleportable, teleportable)
-        _assert_filled(state.corrections, corrections, la.I2)
-        _assert_filled(state.correction_inverses(), inverses, la.dag(la.I2))
-        xi = la.random_state(2, rng)
-        got = sim.run_state_teleport(xi, psi, folded, state.correction_inverses()).fidelities
-        assert got.tobytes() == _former_state_fidelities(xi, psi, folded, inverses).tobytes()
+    got = sim.run_gate_teleport(ab, u, basis, inverses)
+    want = ref.gate_circuit(ab, u, basis.vectors, inverses)
+    assert np.allclose((got.fidelities, got.probabilities), want, rtol=0, atol=1e-12)
 
     psi_ab = la.random_state(4, rng)
     four = fw.analyze_fourway(u, basis, psi_ab)
-    fields, best = _former_fourway(u, basis, psi_ab)
-    for name, former in fields.items():
-        _assert_filled(getattr(four, name), former, np.zeros(4, dtype=complex))
-    assert four.max_corrected_fidelity == best
+    want = ref.fourway_outcomes(u, basis.vectors, psi_ab)
+    assume(not want.pop("near_threshold"))
+    for name, value in want.items():
+        got = getattr(four, name)
+        assert got.tolist() == value if got.dtype == bool else np.allclose(got, value, rtol=0, atol=1e-12), name
+    assert not four.output_states[four.probabilities <= la.PROBABILITY_FLOOR].any()
+    assert four.max_corrected_fidelity == four.fidelities_corrected.max()
