@@ -9,13 +9,11 @@ from the repository root with one BLAS thread, as the end-to-end benchmark does:
 The inputs are those of one `scan` point that factorizes all 16 outcomes:
 t:0.3287,1.6594 under m2.  The grid benchmarks build the bases of
 `scan --family beta_ab --grid 48` and `--family beta_nl --grid 8`, the
-benchmark's sweep grids; the stacked builders are skipped on a tree that
-lacks them, so one file times both sides of a comparison.  The basis
-benchmarks build one named basis, resolve one basis spec as the CLI does
-and build the 48-point beta_ab grid alone.
+benchmark's sweep grids.  The basis benchmarks build one named basis,
+resolve one basis spec as the CLI does and build the 48-point beta_ab grid
+alone.
 """
 import numpy as np
-import pytest
 
 from gateport import bases, cli, linalg, separability, teleport
 
@@ -59,8 +57,6 @@ def test_scan_grid_per_point(benchmark):
 
 
 def test_scan_grid_stacked(benchmark):
-    if not hasattr(bases, "beta_nl_bases"):
-        pytest.skip("this tree builds scan grids point by point")
     benchmark(lambda: (bases.beta_ab_bases(_A, _B), bases.beta_nl_bases(_TRIPLES)))
 
 
@@ -73,6 +69,4 @@ def test_resolve_basis_m2(benchmark):
 
 
 def test_beta_ab_grid_48(benchmark):
-    if not hasattr(bases, "beta_ab_bases"):
-        pytest.skip("this tree builds scan grids point by point")
     benchmark(bases.beta_ab_bases, _A, _B)

@@ -455,7 +455,7 @@ def cmd_scan(args) -> int:
 
 def cmd_state_teleport(args) -> int:
     basis = resolve_basis(args.basis, args.tol)
-    if args.front:
+    if args.front is not None:
         # A front gate U before measuring in {b_j} is the measurement in {U^dag b_j}.
         basis = MeasurementBasis(basis.vectors @ resolve_gate(args.front, args.tol).conj(), basis.name)
     report = analyze_state_teleport(bell_resource(), basis)

@@ -20,7 +20,8 @@ for odd n, sigma_k left of C and D), sort (swaps of axes 12, 23, 12: the
 reflection exchanging the two on the core's side of all four locals) and
 signs (t1, t2 >= 0, each negating t3: the third Pauli right of B and left
 of D).  At the wall t1 = pi/4, t1 -> pi/2 - t1 takes t3 < 0 to -t3: a
-phase i, Y right of B, X left of C and YX left of D.
+phase i, Y right of B, X left of C and YX left of D; then the sort runs
+again, as pi/2 - t1 may land an ulp below t2 = pi/4.
 """
 from __future__ import annotations
 
@@ -166,11 +167,7 @@ def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
             phase *= (-1j) ** n
             if n % 2:
                 c, d = _FLIPPERS[k] @ c, _FLIPPERS[k] @ d
-    for k in (0, 1, 0):  # sort
-        if abs(theta[k]) < abs(theta[k + 1]):
-            h = _AXIS_SWAPPERS[k]
-            theta[k], theta[k + 1] = theta[k + 1], theta[k]
-            a, b, c, d = a @ h, b @ h, h @ c, h @ d
+    a, b, c, d = _sort(theta, a, b, c, d)
     for k in (0, 1):  # signs
         if theta[k] < 0:
             theta[k], theta[2] = -theta[k], -theta[2]
@@ -179,6 +176,7 @@ def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
         theta[0], theta[2] = np.pi / 2 - theta[0], -theta[2]
         phase *= 1j
         b, c, d = b @ SY, SX @ c, SY @ (SX @ d)
+        a, b, c, d = _sort(theta, a, b, c, d)
     return KakDecomposition(
         global_phase=float(np.angle(phase)),
         a_local=a,
@@ -187,6 +185,16 @@ def _canonicalize(phase, a, b, theta, c, d) -> KakDecomposition:
         c_local=c,
         d_local=d,
     )
+
+
+def _sort(theta, a, b, c, d):
+    """Order theta by magnitude in place, paying each swap in the locals."""
+    for k in (0, 1, 0):
+        if abs(theta[k]) < abs(theta[k + 1]):
+            h = _AXIS_SWAPPERS[k]
+            theta[k], theta[k + 1] = theta[k + 1], theta[k]
+            a, b, c, d = a @ h, b @ h, h @ c, h @ d
+    return a, b, c, d
 
 
 def classify_nonlocal(theta) -> NonlocalClass:

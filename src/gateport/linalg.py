@@ -172,6 +172,7 @@ def unitary_eigenbasis(a: np.ndarray, b: np.ndarray):
     p diagonalizes a by eigh, then rotates each block of nearly-degenerate
     eigenvalues of a into an eigenbasis of b.  The grouping width widens
     until m is diagonalized; exact gates hit fourfold-degenerate spectra.
+    Where no width does, p diagonalizes a fixed mix of a and b instead.
     p is real orthogonal when a and b are real.
     """
     a = (a + dag(a)) / 2
@@ -192,14 +193,26 @@ def unitary_eigenbasis(a: np.ndarray, b: np.ndarray):
                 _, q = np.linalg.eigh((sub + dag(sub)) / 2)
                 p[:, start:stop] = block @ q
             start = stop
-        d = dag(p) @ m @ p
-        phases = np.angle(np.diag(d))
-        err = np.linalg.norm(d - np.diag(np.exp(1j * phases)))
-        if best is None or err < best[0]:
-            best = (err, phases, p)
-        if err <= EIGEN_TOL:
+        candidate = _diagonalized(m, p)
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+        if candidate[0] <= EIGEN_TOL:
             break
+    else:
+        # Eigenvalues of a some 1e-8 apart, with b-values far apart, defeat every width:
+        # eigh(a) mixes their vectors by about 1e-16 / 1e-8, which b turns into a residual.
+        # A fixed mix of a and b splits them by their whole distance on the unit circle.
+        candidate = _diagonalized(m, np.linalg.eigh(a + 0.5377 * b)[1])
+        if candidate[0] < best[0]:
+            best = candidate
     return best[1], best[2]
+
+
+def _diagonalized(m: np.ndarray, p: np.ndarray):
+    """(||p^dag m p - diag||_F, the eigenphases on that diagonal, p)."""
+    d = dag(p) @ m @ p
+    phases = np.angle(np.diag(d))
+    return np.linalg.norm(d - np.diag(np.exp(1j * phases))), phases, p
 
 
 def haar_random_unitary(dim: int, seed) -> np.ndarray:

@@ -10,6 +10,7 @@ from gateport import bases
 from gateport import kak
 from gateport import simulator
 import reference as ref
+from strategies import HAAR_GATES, SEEDS, capable_basis
 
 P = np.diag([1, 1j]).astype(complex)
 
@@ -133,7 +134,7 @@ def test_beta_nl_vectors_are_nonlocal_gate_columns():
 def test_state_form_is_scaled_transpose_of_gate_form():
     rng = np.random.default_rng(0)
     u = la.haar_random_unitary(4, rng)
-    basis = bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng))
+    basis = capable_basis(rng)
     sf = bases.beta_matrices(basis, u, "state_form").mats
     gf = bases.beta_matrices(basis, u, "gate_form").mats
     for s, g in zip(sf, gf):
@@ -143,7 +144,7 @@ def test_state_form_is_scaled_transpose_of_gate_form():
 def test_gate_form_completeness():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        basis = bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng))
+        basis = capable_basis(rng)
         mats = bases.beta_matrices(basis, convention="gate_form").mats
         acc = sum(m @ m.conj().T for m in mats)
         assert np.linalg.norm(acc - 4 * np.eye(2)) < 1e-9
@@ -186,7 +187,7 @@ def test_conjugated_pauli_round_trip():
 
 
 @settings(max_examples=100)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
+@given(SEEDS)
 def test_conjugated_pauli_vectors_equal_the_per_entry_loop(seed):
     u_r = la.haar_random_unitary(2, seed)
     expected = []
@@ -232,11 +233,11 @@ def test_phase_paired_basis_orthonormal():
 
 
 @settings(max_examples=100)
-@given(st.integers(0, 2**32 - 1), st.floats(-11, -8).map(lambda e: 10.0**e))
+@given(SEEDS, st.floats(-11, -8).map(lambda e: 10.0**e))
 def test_capable_is_the_unitarity_of_all_sixteen_products(seed, size):
     # Gate-form betas of a capable basis, each moved off unitary by about size.
     rng = np.random.default_rng(seed)
-    betas = bases.gate_betas(bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng)))
+    betas = bases.gate_betas(capable_basis(rng))
     betas = betas + size * (rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
     assert bases.capable(betas) == all(la.is_unitary(np.kron(a, b), 1e-9) for a in betas for b in betas)
 
@@ -284,15 +285,15 @@ def test_the_circle_check_covers_the_whole_beta_ab_grid():
 
 _ROWS = st.one_of(
     st.sampled_from([bases.bell_basis, bases.m1_basis, bases.m2_basis]).map(lambda f: f().vectors.copy()),
-    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
-    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed).T.copy()),  # F-ordered rows
+    HAAR_GATES,
+    HAAR_GATES.map(lambda u: u.T.copy()),  # F-ordered rows
     st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25, 1e-300]), min_size=32, max_size=32).map(
         lambda xs: (np.array(xs[:16]) + 1j * np.array(xs[16:])).reshape(4, 4)),  # signed zeros, not orthonormal
 )
 
 
 @settings(max_examples=100)
-@given(_ROWS, st.integers(0, 2**32 - 1))
+@given(_ROWS, SEEDS)
 def test_a_basis_stores_one_read_only_row_array(rows, seed):
     """A tuple of vectors, a list of rows and a (4, 4) array give the same
     stored bytes, which later writes to the input never reach; matrix() is

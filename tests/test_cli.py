@@ -21,6 +21,7 @@ from gateport import teleport as tp
 from gateport.kak import nonlocal_gate
 from perfbench.workloads import catalogue
 import reference as ref
+from strategies import CAPABLE_BASES, HAAR_GATES, SEEDS, beta_ab, haar_local
 
 
 def run(capsys, *argv):
@@ -261,27 +262,24 @@ def test_state_teleport_command(capsys):
     code, out, _ = run(capsys, "state-teleport", "--basis", "bell")
     assert code == 0
     assert "deterministic: True" in out
-
-
-def _haar_local(seed):
-    rng = np.random.default_rng(seed)
-    return la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
+    # An empty front spec is malformed, not "no front gate".
+    assert run(capsys, "state-teleport", "--basis", "bell", "--front", "") == (1, "", "error: unknown gate spec ''\n")
 
 
 # (spec, basis): the catalogue's bases by spec, and Haar bases, which have no spec.
 _STATE_BASES = st.one_of(
     st.sampled_from(catalogue()["validate_bases"]).map(lambda spec: (spec, cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL))),
-    st.integers(0, 2**32 - 1).map(lambda seed: (None, bases.MeasurementBasis(la.haar_random_unitary(4, seed), "haar"))),
+    SEEDS.map(lambda seed: (None, bases.MeasurementBasis(la.haar_random_unitary(4, seed), "haar"))),
 )
 # Complex fronts only: for a real U the basis {U^T b_j} is {U^dag b_j}.
 _FRONTS = st.one_of(
-    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
-    st.integers(0, 2**32 - 1).map(_haar_local),  # keeps a capable basis capable
+    HAAR_GATES,
+    SEEDS.map(haar_local),  # keeps a capable basis capable
 )
 
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_STATE_BASES, _FRONTS, st.integers(0, 2**32 - 1))
+@given(_STATE_BASES, _FRONTS, SEEDS)
 def test_a_front_gate_is_the_basis_of_u_dag_b_j(capsys, tmp_path, spec_basis, front, seed):
     """A front gate U before measuring {b_j} equals measuring {U^dag b_j}: the folded basis'
     report is the reference's with the front gate (the identity where an outcome has none),
@@ -398,9 +396,7 @@ def test_inputs_within_tol_get_the_exact_inputs_report(capsys, monkeypatch, tmp_
 
 
 _FILE_BASES = st.one_of(
-    st.sampled_from([bases.bell_basis(), bases.m1_basis(), bases.m2_basis()]),
-    st.floats(0, 2 * np.pi).map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
-    st.integers(0, 2**32 - 1).map(lambda seed: bases.conjugated_pauli_basis(la.haar_random_unitary(2, seed))),
+    CAPABLE_BASES,
     # Without capability: the computational basis and beta_nl bases far from pi/4.
     st.just(bases.MeasurementBasis(tuple(np.eye(4, dtype=complex)), "computational")),
     st.builds(bases.beta_nl_basis, st.floats(0.1, np.pi / 4 - 0.1), st.floats(-0.05, 0.05), st.floats(-np.pi, np.pi)),
@@ -408,9 +404,9 @@ _FILE_BASES = st.one_of(
 
 
 @settings(max_examples=60)
-@given(_FILE_BASES, st.integers(0, 2**32 - 1), st.floats(-12, -7).map(lambda e: 10.0**e))
+@given(_FILE_BASES, SEEDS, st.floats(-12, -7).map(lambda e: 10.0**e))
 # At t = 1e-7 some second Schmidt coefficients of CNOT's W sit at SEPARABLE_TOL itself.
-@example(basis=bases.beta_ab_basis(np.cos(1e-7) / np.sqrt(2), np.sin(1e-7) / np.sqrt(2)), seed=0, size=1e-7)
+@example(basis=beta_ab(1e-7), seed=0, size=1e-7)
 def test_a_basis_file_within_tol_keeps_the_exact_bases_verdicts(basis, seed, size):
     rng = np.random.default_rng(seed)
     noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -31,6 +31,7 @@ from gateport import linalg as la
 from gateport import separability as sep
 from gateport import teleport as tp
 from gateport.simulator import run_gate_teleport
+from strategies import beta_ab
 
 MARGIN = 10.0
 
@@ -52,7 +53,7 @@ def _catalogue():
     specs = dict.fromkeys(["bell", "m1", "m2", *cat["all_bases"]])
     named = {spec: cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL) for spec in specs}
     ts = 2 * np.pi * np.arange(48) / 48  # as cmd_scan builds its grids
-    scanned = [bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2)) for t in ts]
+    scanned = [beta_ab(t) for t in ts]
     ts = 2 * np.pi * np.arange(8) / 8 - np.pi
     scanned += [bases.beta_nl_basis(t1, t2, 0.0) for t1 in ts for t2 in ts]
     return cat, gates, named, [*named.values(), *scanned]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gateport import kak
 from gateport import linalg as la
 from gateport import separability as sep
+from strategies import haar_local
 
 
 def test_operator_schmidt_examples():
@@ -93,9 +94,7 @@ def test_factorize_all_matches_tensor_factorize():
     """factorize_all, and leading_products' verdicts and leading terms, agree with tensor_factorize."""
     rng = np.random.default_rng(5)
     products = [
-        np.exp(1j * rng.uniform(-np.pi, np.pi))
-        * la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
-        for _ in range(5)
+        np.exp(1j * rng.uniform(-np.pi, np.pi)) * haar_local(rng) for _ in range(5)
     ]
     # Second Schmidt coefficients on both sides of SEPARABLE_TOL, and between it and twice it.
     near = [kak.nonlocal_gate((np.arcsin(x * sep.SEPARABLE_TOL), 0.0, 0.0)) for x in (0.5, 0.75, 0.99, 1.01, 1.5)]
@@ -125,7 +124,7 @@ def test_verdict_and_factors_invariant_under_global_phase():
     f1 = sep.tensor_factorize(np.exp(0.77j) * u)
     assert f0.separable == f1.separable
     assert np.allclose(f0.schmidt_values, f1.schmidt_values, atol=1e-10)
-    w = la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
+    w = haar_local(rng)
     f0 = sep.tensor_factorize(w)
     f1 = sep.tensor_factorize(np.exp(-1.3j) * w)
     assert np.allclose(f0.factor_a, f1.factor_a, atol=1e-9)
@@ -137,9 +136,7 @@ def test_schmidt_values_invariant_under_local_conjugation():
     for _ in range(50):
         w = la.haar_random_unitary(4, rng)
         s0 = sep.operator_schmidt(w)
-        left = la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
-        right = la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
-        s1 = sep.operator_schmidt(left @ w @ right)
+        s1 = sep.operator_schmidt(haar_local(rng) @ w @ haar_local(rng))
         assert np.allclose(s0, s1, atol=1e-9)
 
 
@@ -178,18 +175,6 @@ def test_eq44_solution_families(k, x):
     assert sep.eq44_separable(k * np.pi / 2, x)
     assert sep.eq44_separable(x, 2 * k * np.pi)
     assert sep.eq44_separable((2 * k + 1) * np.pi / 4, k * np.pi)
-
-
-def test_eq44_matches_numeric_factorization():
-    rng = np.random.default_rng(3)
-    for _ in range(250):
-        theta = rng.uniform(-np.pi, np.pi)
-        lam = rng.uniform(-np.pi, np.pi)
-        expected = sep.eq44_separable(theta, lam)
-        for kind in (1, 2, 3, 4):
-            for pauli in sep._W_PAULI_CHOICES[kind]:
-                got = sep.tensor_factorize(sep.w_witness(kind, theta, lam, pauli)).separable
-                assert got == expected, (kind, pauli, theta, lam)
 
 
 def test_double_pauli_commutators_vanish():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,16 +13,9 @@ from gateport import teleport as tp
 from gateport.kak import euler_zyz, is_clifford, nonlocal_gate, rot
 from perfbench.workloads import catalogue
 import reference as ref
-
-
-def _random_basis(rng):
-    u = la.haar_random_unitary(4, rng)
-    return bases.MeasurementBasis(tuple(u[:, i] for i in range(4)), "random")
-
-
-def _front(basis, u):
-    """The basis {U^dag b_j}: measuring it is applying U, then measuring `basis`."""
-    return bases.MeasurementBasis(basis.vectors @ u.conj(), basis.name)
+from strategies import (ANGLES, BASES, BETA_AB_BASES, CAPABLE_BASES, CLIFFORD_1Q, DRESSED_GATES, HAAR_1Q,
+                        HAAR_GATES, NAMED_BASES, QUARTERS, SEEDS, capable_basis, dressed, front, haar_basis,
+                        haar_local)
 
 
 def test_bell_state_teleport_gives_pauli_corrections():
@@ -43,7 +38,7 @@ def test_disentangled_resource_teleports_nothing():
 def test_shifted_basis_correction_inverses():
     # front gate (H x I) C_pi8 with the matching phase-shifted column basis
     u = la.tensor(la.H, la.I2) @ tp.C_PI8
-    basis = _front(bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j), u)
+    basis = front(bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j), u)
     rep = tp.analyze_state_teleport(tp.bell_resource(), basis)
     assert rep.deterministic
     targets = (tp.PI8 @ la.SZ, tp.PI8, la.SX @ la.S @ la.SZ, la.SX @ la.S)
@@ -56,7 +51,7 @@ def test_state_probabilities_sum_to_one():
     for _ in range(200):
         psi = la.random_state(4, rng).reshape(2, 2)
         u = la.haar_random_unitary(4, rng)
-        rep = tp.analyze_state_teleport(psi, _front(_random_basis(rng), u))
+        rep = tp.analyze_state_teleport(psi, front(haar_basis(rng), u))
         assert abs(sum(rep.probabilities) - 1.0) < 1e-9
 
 
@@ -64,8 +59,8 @@ def test_uniform_probabilities_for_maximally_entangled_resource():
     rng = np.random.default_rng(1)
     for _ in range(50):
         psi = la.haar_random_unitary(2, rng) / np.sqrt(2)
-        basis = bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng))
-        rep = tp.analyze_state_teleport(psi, _front(basis, la.haar_random_unitary(4, rng)))
+        basis = capable_basis(rng)
+        rep = tp.analyze_state_teleport(psi, front(basis, la.haar_random_unitary(4, rng)))
         assert np.allclose(rep.probabilities, 0.25, atol=1e-9)
 
 
@@ -86,9 +81,7 @@ def test_t_gates_non_clifford_but_deterministic(phi, xi):
 
 def test_table1():
     table = tp.reproduce_table1()
-    expected = np.array(
-        [[1, 0, 0.5], [0.5, 0, 0.5], [0.5, 0, 0.25], [0.25, 0.25, 0.25], [1, 1, 0.25]]
-    )
+    expected = np.array([[1, 0, 0.5], [0.5, 0, 0.5], [0.5, 0, 0.25], [0.25, 0.25, 0.25], [1, 1, 0.25]])
     assert np.allclose(table, expected, atol=1e-12)
     assert np.allclose(table * 16, np.round(table * 16))
 
@@ -115,10 +108,10 @@ def _assert_gate_report(rep, u, basis):
 _NAMED_GATES = {name: tp.NAMED_GATES[name]() for name in ("cnot", "c_pi8", "cnot_sqrt", "swap_sqrt", "exp_yy", "swap")}
 
 
-def _gate(kind, seed, dressed=True):
+def _gate(kind, seed, with_locals=True):
     """A Haar gate, or a named, t or quarter-pi lattice gate behind a Haar
     local pair (a left local factor keeps every separability verdict);
-    dressed=False leaves out the local pair."""
+    with_locals=False leaves out the local pair."""
     rng = np.random.default_rng(seed)
     if kind == "haar":
         return la.haar_random_unitary(4, rng)
@@ -128,29 +121,13 @@ def _gate(kind, seed, dressed=True):
         core = nonlocal_gate(tuple(np.pi / 4 * rng.integers(-2, 3, 3)))
     else:
         core = _NAMED_GATES[kind]
-    if not dressed:
+    if not with_locals:
         return core
-    return la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng)) @ core
-
-
-_QUARTERS = st.integers(min_value=-4, max_value=4).map(lambda n: n * np.pi / 4)
-_ANGLES = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
-_BASES = st.one_of(
-    _ANGLES.map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
-    st.tuples(_QUARTERS, _QUARTERS, _ANGLES).map(lambda t: bases.beta_nl_basis(*t)),
-    st.integers(min_value=0, max_value=2**32 - 1).map(
-        lambda seed: bases.conjugated_pauli_basis(la.haar_random_unitary(2, seed))
-    ),
-    st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: _random_basis(np.random.default_rng(seed))),
-)
+    return haar_local(rng) @ core
 
 
 @settings(max_examples=80)
-@given(
-    st.sampled_from(["haar", "t", "lattice", *_NAMED_GATES]),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    _BASES,
-)
+@given(st.sampled_from(["haar", "t", "lattice", *_NAMED_GATES]), SEEDS, BASES)
 def test_batched_analysis_matches_per_outcome_loop(kind, seed, basis):
     u = _gate(kind, seed)
     _assert_gate_report(tp.analyze_gate_teleport(u, basis), u, basis)
@@ -167,31 +144,25 @@ def _far_from_threshold(report) -> bool:
 
 
 _META_KINDS = st.sampled_from(["t", "lattice", *_NAMED_GATES])
-_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
-_META_BASES = st.one_of(
-    st.sampled_from([bases.bell_basis(), bases.m1_basis(), bases.m2_basis()]),
-    _ANGLES.map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
-)
+_META_BASES = st.one_of(NAMED_BASES, BETA_AB_BASES)
 
 
 @settings(max_examples=40)
-@given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES, _SEEDS)
+@given(_META_KINDS, SEEDS, st.booleans(), _META_BASES, SEEDS)
 @example("cnot", 0, False, bases.m2_basis(), 1)
-def test_a_left_local_pair_keeps_the_mask_and_the_success_probability(kind, seed, dressed, basis, local_seed):
-    u = _gate(kind, seed, dressed)
-    rng = np.random.default_rng(local_seed)
-    front = la.tensor(la.haar_random_unitary(2, rng), la.haar_random_unitary(2, rng))
-    rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(front @ u, basis)
+def test_a_left_local_pair_keeps_the_mask_and_the_success_probability(kind, seed, with_locals, basis, local_seed):
+    u = _gate(kind, seed, with_locals)
+    rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(haar_local(local_seed) @ u, basis)
     assume(_far_from_threshold(rep))
     assert np.array_equal(moved.separable, rep.separable)
     assert moved.success_probability == rep.success_probability
 
 
 @settings(max_examples=40)
-@given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES, _ANGLES)
+@given(_META_KINDS, SEEDS, st.booleans(), _META_BASES, ANGLES)
 @example("cnot_sqrt", 0, True, bases.bell_basis(), 1.0)
-def test_a_global_phase_keeps_the_mask_and_the_corrections(kind, seed, dressed, basis, phi):
-    u = _gate(kind, seed, dressed)
+def test_a_global_phase_keeps_the_mask_and_the_corrections(kind, seed, with_locals, basis, phi):
+    u = _gate(kind, seed, with_locals)
     rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(np.exp(1j * phi) * u, basis)
     assume(_far_from_threshold(rep))
     assert np.array_equal(moved.separable, rep.separable)
@@ -201,11 +172,11 @@ def test_a_global_phase_keeps_the_mask_and_the_corrections(kind, seed, dressed, 
 
 
 @settings(max_examples=40)
-@given(_META_KINDS, _SEEDS, st.booleans(), _META_BASES)
+@given(_META_KINDS, SEEDS, st.booleans(), _META_BASES)
 @example("cnot", 0, True, bases.m2_basis())
 @example("cnot_sqrt", 0, True, bases.bell_basis())
-def test_swapping_the_qubits_transposes_the_mask(kind, seed, dressed, basis):
-    u = _gate(kind, seed, dressed)
+def test_swapping_the_qubits_transposes_the_mask(kind, seed, with_locals, basis):
+    u = _gate(kind, seed, with_locals)
     rep, moved = tp.analyze_gate_teleport(u, basis), tp.analyze_gate_teleport(la.SWAP @ u @ la.SWAP, basis)
     assume(_far_from_threshold(rep))
     assert np.array_equal(np.reshape(moved.separable, (4, 4)), np.reshape(rep.separable, (4, 4)).T)
@@ -229,9 +200,9 @@ _CATALOGUE_GATES = [make() for make in tp.NAMED_GATES.values()]
 
 @settings(max_examples=40)
 @given(
-    st.one_of(st.sampled_from(_CATALOGUE_GATES), st.integers(0, 2**32 - 1).map(lambda s: la.haar_random_unitary(4, s))),
+    st.one_of(st.sampled_from(_CATALOGUE_GATES), HAAR_GATES),
     st.floats(-12, -6).map(lambda e: 10.0**e),
-    _ANGLES,
+    ANGLES,
 )
 # 1.6e-9 past pi/4: gate-form betas unitary within 1e-8, their products not within 1e-9.
 @example(la.CNOT, 0.785398165 - np.pi / 4, 0.0)
@@ -254,7 +225,7 @@ def test_swap_family_deterministic_under_any_valid_basis():
             bases.bell_basis(),
             bases.m1_basis(),
             bases.m2_basis(),
-            bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng)),
+            capable_basis(rng),
         ):
             assert tp.analyze_gate_teleport(g, basis).deterministic
 
@@ -264,9 +235,7 @@ def test_table2_matches_numeric_factorization():
         rep = tp.analyze_gate_teleport(tp.t_gate(phi, xi), bases.m2_basis())
         assert rep.deterministic
         for corr, (sa, sb) in zip(rep.corrections, tp.table2_factors(phi, xi)):
-            num = la.tensor(corr[0], corr[1])
-            sym = la.tensor(sa, sb)
-            assert la.equal_up_to_global_phase(num, sym, 1e-8)
+            assert la.equal_up_to_global_phase(la.tensor(corr[0], corr[1]), la.tensor(sa, sb), 1e-8)
 
 
 def test_table2_spot_entries():
@@ -299,20 +268,12 @@ def test_theorem1_cnot():
 def test_theorem1_soundness_reference_configs():
     # deterministic verdict must imply enumerated success 1
     rng = np.random.default_rng(3)
-    configs = [
-        (la.CNOT, bases.bell_basis()),
-        (la.CNOT, bases.m1_basis()),
-        (la.CNOT, bases.m2_basis()),
-        (tp.C_PI8, bases.bell_basis()),
-        (tp.t_gate(np.pi / 8, np.pi / 8), bases.bell_basis()),
-        (tp.t_gate(np.pi / 8, np.pi / 8), bases.m2_basis()),
-        (tp.EXP_YY, bases.m1_basis()),
-        (la.SWAP, bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng))),
-        (la.principal_sqrt(la.SWAP), bases.m1_basis()),
-    ]
+    bell, m1, m2 = bases.bell_basis(), bases.m1_basis(), bases.m2_basis()
+    t8 = tp.t_gate(np.pi / 8, np.pi / 8)
+    configs = [(la.CNOT, bell), (la.CNOT, m1), (la.CNOT, m2), (tp.C_PI8, bell), (t8, bell), (t8, m2),
+               (tp.EXP_YY, m1), (la.SWAP, capable_basis(rng)), (la.principal_sqrt(la.SWAP), m1)]
     for gate, basis in configs:
-        v = tp.theorem1_check(gate, basis)
-        if v.conclusion == "deterministic":
+        if tp.theorem1_check(gate, basis).conclusion == "deterministic":
             assert tp.analyze_gate_teleport(gate, basis).deterministic, basis.name
 
 
@@ -322,7 +283,7 @@ def test_basis_containing_identity_guarantees_one_outcome():
     rng = np.random.default_rng(4)
     for _ in range(20):
         u = la.haar_random_unitary(4, rng)
-        for basis in (bases.bell_basis(), bases.conjugated_pauli_basis(la.haar_random_unitary(2, rng))):
+        for basis in (bases.bell_basis(), capable_basis(rng)):
             rep = tp.analyze_gate_teleport(u, basis)
             assert rep.success_probability >= 1 / 16
 
@@ -349,32 +310,41 @@ def test_conjugation_group_preserves_basis_matrices():
                 assert hit, (theta, j, k)
 
 
-def _quarter_kak(ks, seed):
-    # quarter-pi non-local core between Haar locals
-    rng = np.random.default_rng(seed)
-    locals_ = [la.haar_random_unitary(2, rng) for _ in range(4)]
-    core = nonlocal_gate(tuple(k * np.pi / 4 for k in ks))
-    return la.tensor(locals_[0], locals_[1]) @ core @ la.tensor(locals_[2], locals_[3])
+_STRATIFIED = st.one_of(st.sampled_from([0.0, np.pi / 8, np.pi / 4, np.pi / 2, 3 * np.pi / 4]), ANGLES)
+_CLIFFORDS = st.sampled_from(CLIFFORD_1Q)
+
+
+@settings(max_examples=50)
+@given(st.tuples(_STRATIFIED, _STRATIFIED, _STRATIFIED), HAAR_1Q, HAAR_1Q, _CLIFFORDS, _CLIFFORDS, ANGLES,
+       st.one_of(st.just(bases.bell_basis()), _CLIFFORDS.map(bases.conjugated_pauli_basis)))
+def test_bell_column_is_4_plus_4_choose_2_of_the_angles_on_the_quarter_lattice(theta, a, b, c, d, phi, basis):
+    """N(theta) commutes with each sigma_a (x) sigma_a, and a Pauli pair sigma_j (x) sigma_k anticommutes
+    with none or two of them, the set A_jk; so W_jk = (sigma_j (x) sigma_k) exp(-2i sum_{a in A_jk}
+    theta_a sigma_a (x) sigma_a), a product exactly when each theta_a in A_jk is a multiple of pi/4.
+    Four outcomes have A_jk empty and each pair of axes is A_jk of four: with m angles on that lattice,
+    n_separable = 4 + 4 C(m, 2).  Haar locals on the left conjugate every W_jk by a local; Clifford
+    locals on the right and a Clifford-conjugated Bell basis only permute the Pauli pairs."""
+    r = np.remainder(theta, np.pi / 4)
+    dist = np.minimum(r, np.pi / 4 - r)
+    on = dist <= la.SEPARABLE_TOL / 10
+    assume(np.all(on | (dist >= 10 * la.SEPARABLE_TOL)))  # a W_jk's second Schmidt coefficient is about 2 dist
+    rep = tp.analyze_gate_teleport(dressed(theta, a, b, c, d, phi), basis)
+    assert rep.n_separable == 4 + 4 * math.comb(on.sum(), 2)
 
 
 THEOREM1_GATES = st.one_of(
-    st.integers(0, 2**32 - 1).map(lambda seed: la.haar_random_unitary(4, seed)),
+    HAAR_GATES,
     st.sampled_from(_CATALOGUE_GATES),
     st.builds(tp.t_gate, st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
     st.sampled_from([0, np.pi / 8, np.pi / 4, np.pi / 2]).flatmap(
         lambda step: st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda ks: tp.t_gate(ks[0] * step, ks[1] * step))
     ),
-    st.builds(nonlocal_gate, st.tuples(*[st.integers(-4, 4).map(lambda k: k * np.pi / 4)] * 3)),
-    st.builds(_quarter_kak, st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
-              st.integers(0, 2**32 - 1)),
+    st.builds(nonlocal_gate, st.tuples(QUARTERS, QUARTERS, QUARTERS)),
+    DRESSED_GATES,
 )
-_NL_LATTICE = st.integers(-4, 4).map(lambda k: k * np.pi / 4)
 THEOREM1_BASES = st.one_of(
-    st.sampled_from([bases.bell_basis(), bases.m1_basis(), bases.m2_basis()]),
-    st.floats(0, 2 * np.pi).map(lambda t: bases.beta_ab_basis(np.cos(t) / np.sqrt(2), np.sin(t) / np.sqrt(2))),
-    st.sampled_from([la.I2, la.H, la.S, la.H @ la.S]).map(bases.conjugated_pauli_basis),
-    st.integers(0, 2**32 - 1).map(lambda seed: bases.conjugated_pauli_basis(la.haar_random_unitary(2, seed))),
-    st.builds(bases.beta_nl_basis, _NL_LATTICE, _NL_LATTICE, st.floats(-np.pi, np.pi)),
+    CAPABLE_BASES,
+    st.builds(bases.beta_nl_basis, QUARTERS, QUARTERS, st.floats(-np.pi, np.pi)),
     # Within 1e-6 of maximally entangled, across the capability bound.
     st.builds(lambda e, t3: bases.beta_nl_basis(np.pi / 4 + e, 0.0, t3),
               st.floats(-12, -6).flatmap(lambda x: st.sampled_from([10.0**x, -(10.0**x)])), st.floats(-np.pi, np.pi)),
@@ -394,7 +364,7 @@ def _on_lattice(angles) -> bool:
 
 
 @settings(max_examples=50)
-@given(_ANGLES, st.integers(0, 1), _ANGLES, st.integers(0, 1))
+@given(ANGLES, st.integers(0, 1), ANGLES, st.integers(0, 1))
 @example(0.3, 1, 0.0, 0)
 @example(-2.0, 0, np.pi, 1)
 def test_a_factor_on_the_y_lattice_passes_the_z_mask(phi, n, lam, m):
@@ -412,17 +382,17 @@ def test_a_factor_on_the_y_lattice_passes_the_z_mask(phi, n, lam, m):
 
 
 _CATALOGUE_BASES = [cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL) for spec in catalogue()["all_bases"]]
-_ANGLE_OR_QUARTER = st.one_of(_QUARTERS, _ANGLES)
+_ANGLE_OR_QUARTER = st.one_of(QUARTERS, ANGLES)
 # The gates of the CLI's spec families: Haar, t:phi,xi and kak:t1,t2,t3.
 _SPEC_GATES = st.one_of(
-    _SEEDS.map(lambda seed: la.haar_random_unitary(4, seed)),
+    HAAR_GATES,
     st.tuples(_ANGLE_OR_QUARTER, _ANGLE_OR_QUARTER).map(lambda a: tp.t_gate(*a)),
     st.tuples(_ANGLE_OR_QUARTER, _ANGLE_OR_QUARTER, _ANGLE_OR_QUARTER).map(nonlocal_gate),
 )
 
 
 @settings(max_examples=30)
-@given(_SPEC_GATES, st.sampled_from(_CATALOGUE_BASES), _SEEDS)
+@given(_SPEC_GATES, st.sampled_from(_CATALOGUE_BASES), SEEDS)
 @example(la.CNOT, bases.m2_basis(), 0)  # 8 of 16 outcomes separable
 @example(la.CNOT, _CATALOGUE_BASES[catalogue()["all_bases"].index("beta_nl:0.3,0.1,0")], 0)  # the early exit
 def test_report_arrays_match_the_per_outcome_reference(u, basis, seed):
