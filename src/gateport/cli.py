@@ -355,7 +355,7 @@ def cmd_analyze(args) -> int:
                 }
                 for idx, ((j, k), w_matrix) in enumerate(zip(PAIR_ORDER, _complex_pairs(report.w_matrices)))
             ],
-            "theorem1": _fields(verdict, skip=("quarter_k", "pair_witnesses")),
+            "theorem1": _fields(verdict),
         }
         _emit_json(doc)
         return 0

@@ -127,9 +127,7 @@ class Theorem1Verdict:
     condition1_met: bool
     condition2_met: bool
     conclusion: str  # "deterministic" or "not_covered"
-    quarter_k: tuple[int | None, int | None, int | None]
     branch: str | None
-    pair_witnesses: tuple | None
 
 
 def analyze_state_teleport(psi: np.ndarray, basis: MeasurementBasis) -> StateTeleportReport:
@@ -242,30 +240,28 @@ def table2_factors(phi: float, xi: float):
 
 # --- Theorem-style sufficient conditions for deterministic teleportation ---
 
-# Axis-moving conjugators for a single quarter-pi angle: h sigma_x h^dag
-# is the axis named by the key.  Each mask names the ZYZ angles (lambda1,
-# lambda2, lambda3) the conjugated basis factors must put on the
-# integer-pi lattice on that representative.  A y representative (S, with
-# lambda1 and lambda3 masked) would add no case: S^dag Y S = X, so a factor
-# whose S-conjugate is e^{i phi} Z^n Ry(l) Z^m has the H-conjugate
-# e^{i phi} X^n Rz(+-l) X^m, diagonal or antidiagonal, which passes z.
-_AXIS_REPS = (
-    ("x", I2, (True, True, True)),  # exp(i(2k+1)pi/4 XX): factors must be Pauli-like
-    ("z", H, (False, True, False)),  # exp(.. ZZ): factors diagonal or antidiagonal
-)
-
 
 def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis) -> Theorem1Verdict:
     """Sufficient-condition check for deterministic teleportation.
 
-    Condition 2 (swap-point non-local part) works with any capable basis
-    (bases.capable).  Condition 1 requires every
-    non-local angle on the {0, (2k+1)pi/4} lattice and the basis
-    matrices, conjugated by the right-side locals, to sit on an
-    Euler-angle lattice; which angles are constrained depends on the
-    active axes, so all single-axis representatives are tried.  The
-    conditions are sufficient only: "not_covered" is not a proof of
-    non-teleportability.
+    Condition 2: a swap-point non-local part and a capable basis
+    (bases.capable).  Condition 1: every non-local angle on the
+    {0, (2k+1)pi/4} lattice, and each factor f = c b_j c^dag and
+    d b_k d^dag (c, d the right-side locals) maps each axis of a required
+    set to itself up to sign.  Proof: W_jk is a product iff
+    N (f (x) g) N^dag is, and the lattice core N is Clifford, so it maps
+    Paulis to Pauli products.  A factor fixing axis a is a Pauli times
+    R_a(alpha), whose rotation stays local iff N sends sigma_a (x) I to
+    one qubit: each active axis b != a multiplies it by sigma_b (x)
+    sigma_b, so iff 0 or 2 active axes differ from a.  In the chamber one
+    active axis is x and two are x and y, hence the branches:
+      local       no active axis;
+      axis_x      the factors fix x and z (Paulis up to phase);
+      axis_z      one active axis, and the factors fix x;
+      inactive_z  two active axes, and the factors fix z.
+    f fixes z iff its ZYZ lambda2 is on the integer-pi lattice (f is
+    diagonal or antidiagonal), and x iff H f H fixes z.  "not_covered"
+    is no proof of non-teleportability.
     """
     u_t = require_unitary(u_t, what="teleported gate")
     require_orthonormal(basis)
@@ -273,51 +269,30 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis) -> Theorem1Verdict:
     cls = classify_nonlocal(d.theta)
     betas = gate_betas(basis)
     basis_valid = capable(betas)
-
-    quarter_k = tuple(
-        int(np.rint((t / (np.pi / 4) - 1) / 2)) if q else None
-        for t, q in zip(d.theta, cls.odd_quarter_pi)
-    )
     condition2 = cls.is_swap_point and basis_valid
 
     branch = None
-    pair_witnesses = None
     on_lattice = all((not dl) or q for dl, q in zip(cls.delta, cls.odd_quarter_pi))
     if basis_valid and on_lattice:
         n_active = sum(cls.delta)
         if n_active == 0:
-            # Locally trivial non-local part: the conjugated pair is a
-            # tensor product of unitaries for every outcome.
             branch = "local"
         else:
-            # With several active axes only the Pauli lattice applies;
-            # a single active axis may be re-expressed along x or z (y
-            # adds no case, see _AXIS_REPS), each with its own constraint.
-            reps = _AXIS_REPS if n_active == 1 else _AXIS_REPS[:1]
-            hs = np.stack([h for _, h, _ in reps])[:, None, None]
             sides = np.stack((d.c_local, d.d_local))[:, None]
-            # Axes (rep, side, j): h c b_j c^dag h^dag for the c and d locals.
-            e = euler_zyz(hs @ sides @ betas @ dag(sides) @ dag(hs))
-            angles = np.stack((e.lambda1, e.lambda2, e.lambda3), axis=-1)
-            r = angles % np.pi
-            free = ~np.array([mask for _, _, mask in reps])[:, None, None]
-            passed = ((r <= LATTICE_TOL) | (r >= np.pi - LATTICE_TOL) | free).all(axis=(1, 2, 3))
-            if passed.any():
-                i = int(passed.argmax())
-                axis, _, mask = reps[i]
-                ns = np.rint(angles[i] / np.pi).astype(int).tolist()
-                side_c, side_d = (
-                    [tuple(n if c else None for n, c in zip(row, mask)) for row in side] for side in ns
-                )
-                branch = f"axis_{axis}"
-                pair_witnesses = tuple((side_c[j], side_d[k]) for j, k in PAIR_ORDER)
+            f = sides @ betas @ dag(sides)  # (side, j)
+            lam2 = euler_zyz(np.stack((f, H @ f @ H))).lambda2
+            fixes_z, fixes_x = (np.minimum(lam2, np.pi - lam2) <= LATTICE_TOL).all(axis=(1, 2))
+            if fixes_x and fixes_z:
+                branch = "axis_x"
+            elif n_active == 1 and fixes_x:
+                branch = "axis_z"
+            elif n_active == 2 and fixes_z:
+                branch = "inactive_z"
 
     condition1 = branch is not None
     return Theorem1Verdict(
         condition1_met=condition1,
         condition2_met=condition2,
         conclusion="deterministic" if (condition1 or condition2) else "not_covered",
-        quarter_k=quarter_k,
         branch=branch,
-        pair_witnesses=pair_witnesses,
     )

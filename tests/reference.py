@@ -186,47 +186,36 @@ def gate_circuit(ab, u, rows, corrections):
 
 
 def theorem1(u_t, rows):
-    """theorem1_check's conclusion, branch, quarter_k and pair witnesses, one
-    euler_zyz call per conjugated basis matrix, trying the axis
-    representatives x, z and y in order."""
+    """theorem1_check's conclusion and branch, one euler_zyz call per conjugated basis matrix:
+    each representative h, tried in order, asks every h c b_j c^dag h^dag and h d b_k d^dag h^dag
+    to put its masked ZYZ angles on the integer-pi lattice.  x (all three angles) is tried for
+    every count of active axes, z and y for one active axis, inactive_z (I, lambda2) for two."""
     tol = 1e-8  # the Euler-angle lattice tolerance
-    masks = {"x": (True, True, True), "z": (False, True, False), "y": (True, False, True)}
+    reps = {"axis_x": (I2, (True, True, True)), "axis_z": (H, (False, True, False)),
+            "axis_y": (S, (True, False, True)), "inactive_z": (I2, (False, True, False))}
     d = kak_decompose(u_t)
     cls = classify_nonlocal(d.theta)
-    quarter_k = tuple(
-        int(np.rint((t / (np.pi / 4) - 1) / 2)) if q else None for t, q in zip(d.theta, cls.odd_quarter_pi)
-    )
     betas = gate_betas(rows)
     # Capability: every product b_j (x) b_k of the gate-form betas unitary within 1e-9.
     valid = capable(products(betas))
     condition2 = cls.is_swap_point and valid
 
-    def witness(m, mask):
+    def on_lattice(m, mask):
         e = euler_zyz(m)
-        out = []
-        for constrained, ang in zip(mask, (e.lambda1, e.lambda2, e.lambda3)):
-            r = ang % np.pi
-            if constrained and not (r <= tol or r >= np.pi - tol):
-                return None
-            out.append(int(np.rint(ang / np.pi)) if constrained else None)
-        return tuple(out)
+        r = np.array([e.lambda1, e.lambda2, e.lambda3])[list(mask)] % np.pi
+        return bool(np.all((r <= tol) | (r >= np.pi - tol)))
 
-    branch, pairs = None, None
-    on_lattice = all((not dl) or q for dl, q in zip(cls.delta, cls.odd_quarter_pi))
-    if valid and on_lattice:
+    branch = None
+    if valid and all((not dl) or q for dl, q in zip(cls.delta, cls.odd_quarter_pi)):
         n_active = sum(cls.delta)
         if n_active == 0:
             branch = "local"
         else:
-            reps = (("x", I2), ("z", H), ("y", S))[: 3 if n_active == 1 else 1]
-            for axis, h in reps:
-                sides = [
-                    [witness(h @ loc @ b @ loc.conj().T @ h.conj().T, masks[axis]) for b in betas]
-                    for loc in (d.c_local, d.d_local)
-                ]
-                if None not in sides[0] + sides[1]:
-                    branch = f"axis_{axis}"
-                    pairs = tuple((sides[0][j], sides[1][k]) for j, k in OUTCOMES)
+            tried = {1: ("axis_x", "axis_z", "axis_y"), 2: ("axis_x", "inactive_z")}.get(n_active, ("axis_x",))
+            for name in tried:
+                h, mask = reps[name]
+                if all(on_lattice(h @ loc @ b @ dag(loc) @ dag(h), mask) for loc in (d.c_local, d.d_local) for b in betas):
+                    branch = name
                     break
     conclusion = "deterministic" if (branch is not None or condition2) else "not_covered"
-    return conclusion, branch, quarter_k, pairs
+    return conclusion, branch

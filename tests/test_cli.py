@@ -21,7 +21,7 @@ from gateport import teleport as tp
 from gateport.kak import nonlocal_gate
 from perfbench.workloads import catalogue
 import reference as ref
-from strategies import CAPABLE_BASES, HAAR_GATES, SEEDS, beta_ab, haar_local
+from strategies import CAPABLE_BASES, HAAR_GATES, SEEDS, beta_ab, haar_basis, haar_local
 
 
 def run(capsys, *argv):
@@ -269,7 +269,7 @@ def test_state_teleport_command(capsys):
 # (spec, basis): the catalogue's bases by spec, and Haar bases, which have no spec.
 _STATE_BASES = st.one_of(
     st.sampled_from(catalogue()["validate_bases"]).map(lambda spec: (spec, cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL))),
-    SEEDS.map(lambda seed: (None, bases.MeasurementBasis(la.haar_random_unitary(4, seed), "haar"))),
+    SEEDS.map(lambda seed: (None, haar_basis(seed))),
 )
 # Complex fronts only: for a real U the basis {U^T b_j} is {U^dag b_j}.
 _FRONTS = st.one_of(

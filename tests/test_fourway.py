@@ -81,6 +81,21 @@ def test_every_outcome_maps_the_input_through_a_rank_two_operator():
             assert np.allclose(s[:, :2], 1 / (2 * np.sqrt(2)), rtol=0, atol=1e-12), spec
 
 
+def test_an_outcome_at_the_probability_floor_gets_a_zero_row():
+    """An input 1e-7 from the kernel of outcome (2, 3)'s map U1 (XX + ZZ)(b_2 (x) b_3), that is from
+    (b_2 (x) b_3)^dag Phi-, gives the outcome probability sin(1e-7)^2 / 8, under the floor: it never
+    occurs, so its output row is zero and its raw fidelity 0, not those of the normalized residual.
+    (In the kernel itself the residual can round to exactly zero, and would show nothing.)"""
+    basis = bases.m2_basis()
+    b = bases.gate_betas(basis)
+    phi_minus, phi_plus = np.array([1, 0, 0, -1]) / np.sqrt(2), np.array([1, 0, 0, 1]) / np.sqrt(2)
+    psi = la.dag(la.tensor(b[1], b[2])) @ (np.cos(1e-7) * phi_minus + np.sin(1e-7) * phi_plus)
+    rep = fw.analyze_fourway(tp.C_PI8, basis, psi)
+    assert 0 < rep.probabilities[6] <= la.PROBABILITY_FLOOR
+    assert not rep.output_states[6].any()
+    assert rep.fidelities_raw[6] == 0.0
+
+
 def test_clifford_bell_case_two_term_pauli_superposition():
     u_t = la.CNOT @ fw.u1_gate()
     big_u = u_t @ fw.u1_gate()

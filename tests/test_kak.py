@@ -305,8 +305,10 @@ def test_kak_angles_carry_the_makhlin_invariants():
 @settings(max_examples=60)
 @given(DRESSED_GATES, CAPABLE_BASES)
 def test_theorem1_deterministic_verdicts_hold_on_dressed_lattice_gates(u, basis):
-    if tp.theorem1_check(u, basis).conclusion == "deterministic":
-        assert tp.analyze_gate_teleport(u, basis).n_separable == 16
+    """Every deterministic verdict holds, and on the lattice the converse does
+    too: theorem1_check concludes deterministic exactly when all 16 outcomes
+    teleport."""
+    assert (tp.theorem1_check(u, basis).conclusion == "deterministic") == tp.analyze_gate_teleport(u, basis).deterministic
 
 
 @settings(max_examples=60)

@@ -106,18 +106,6 @@ def test_omitting_corrections_breaks_some_outcome():
     assert min(r.fidelities) < 1 - 1e-3
 
 
-def test_shifted_basic_configuration_reaches_unit_fidelity():
-    u = la.tensor(la.H, la.I2) @ tp.C_PI8
-    basis = front(bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j), u)
-    rep = tp.analyze_state_teleport(tp.bell_resource(), basis)
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        xi = la.random_state(2, rng)
-        r = sim.run_state_teleport(xi, tp.bell_resource(), basis, rep.correction_inverses())
-        assert np.allclose(r.fidelities, 1.0, atol=1e-9)
-        assert np.allclose(r.probabilities, rep.probabilities, atol=1e-9)
-
-
 def test_state_oracle_agrees_with_analysis_on_random_configs():
     rng = np.random.default_rng(7)
     for _ in range(25):

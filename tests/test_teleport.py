@@ -35,17 +35,6 @@ def test_disentangled_resource_teleports_nothing():
     assert not rep.deterministic
 
 
-def test_shifted_basis_correction_inverses():
-    # front gate (H x I) C_pi8 with the matching phase-shifted column basis
-    u = la.tensor(la.H, la.I2) @ tp.C_PI8
-    basis = front(bases.phase_paired_basis(u, np.exp(1j * np.pi / 4), 1j), u)
-    rep = tp.analyze_state_teleport(tp.bell_resource(), basis)
-    assert rep.deterministic
-    targets = (tp.PI8 @ la.SZ, tp.PI8, la.SX @ la.S @ la.SZ, la.SX @ la.S)
-    for got, want in zip(rep.correction_inverses(), targets):
-        assert np.allclose(got, want, atol=1e-10)
-
-
 def test_state_probabilities_sum_to_one():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -218,18 +207,6 @@ def test_near_maximally_entangled_bases_get_one_capability_verdict(gate, eps, t3
         assert verdict.conclusion == "not_covered"
 
 
-def test_swap_family_deterministic_under_any_valid_basis():
-    rng = np.random.default_rng(2)
-    for g in (la.SWAP, la.Q_GATE, la.R_GATE):
-        for basis in (
-            bases.bell_basis(),
-            bases.m1_basis(),
-            bases.m2_basis(),
-            capable_basis(rng),
-        ):
-            assert tp.analyze_gate_teleport(g, basis).deterministic
-
-
 def test_table2_matches_numeric_factorization():
     for phi, xi in ((np.pi / 8, np.pi / 8), (np.pi / 7, np.pi / 13), (0.449, 0.242)):
         rep = tp.analyze_gate_teleport(tp.t_gate(phi, xi), bases.m2_basis())
@@ -259,10 +236,19 @@ def test_theorem1_swap_condition2():
 
 def test_theorem1_cnot():
     v = tp.theorem1_check(la.CNOT, bases.bell_basis())
-    assert v.condition1_met and v.conclusion == "deterministic"
-    assert v.quarter_k == (0, None, None)
+    assert (v.condition1_met, v.conclusion, v.branch) == (True, "deterministic", "axis_x")
     v = tp.theorem1_check(la.CNOT, bases.m1_basis())
     assert v.conclusion == "not_covered"
+
+
+@pytest.mark.parametrize("spec,basis", [("kak:0.7853981633974483,0.7853981633974483,0", "m2"),
+                                        ("kak:0.7853981633974483,0,0.7853981633974483", "m1")])
+def test_theorem1_covers_two_active_axes_by_the_inactive_one(spec, basis):
+    """Two active axes, whose factors fix z but not x: all 16 outcomes teleport."""
+    gate, basis = cli.resolve_gate(spec, la.DEFAULT_UNITARY_TOL), bases.NAMED_BASES[basis]()
+    v = tp.theorem1_check(gate, basis)
+    assert (v.condition1_met, v.conclusion, v.branch) == (True, "deterministic", "inactive_z")
+    assert tp.analyze_gate_teleport(gate, basis).n_separable == 16
 
 
 def test_theorem1_soundness_reference_configs():
@@ -355,7 +341,7 @@ THEOREM1_BASES = st.one_of(
 @given(THEOREM1_GATES, THEOREM1_BASES)
 def test_theorem1_check_matches_per_matrix_reference(gate, basis):
     v = tp.theorem1_check(gate, basis)
-    assert (v.conclusion, v.branch, v.quarter_k, v.pair_witnesses) == ref.theorem1(gate, basis.vectors)
+    assert (v.conclusion, v.branch) == ref.theorem1(gate, basis.vectors)
 
 
 def _on_lattice(angles) -> bool:
@@ -368,17 +354,16 @@ def _on_lattice(angles) -> bool:
 @example(0.3, 1, 0.0, 0)
 @example(-2.0, 0, np.pi, 1)
 def test_a_factor_on_the_y_lattice_passes_the_z_mask(phi, n, lam, m):
-    """Why _AXIS_REPS has no y representative (S, with lambda1 and lambda3
-    on the integer-pi lattice): a factor F whose S-conjugate is
-    e^{i phi} Z^n Ry(lam) Z^m passes that mask, and its H-conjugate is
-    diagonal or antidiagonal, so it passes the z mask (lambda2), tried first."""
+    """Why theorem1_check has no y branch (S, with lambda1 and lambda3 on the
+    integer-pi lattice): a factor F whose S-conjugate is e^{i phi} Z^n Ry(lam) Z^m
+    passes that mask, and its H-conjugate is diagonal or antidiagonal: F fixes x,
+    so it passes axis_z."""
     z_n, z_m = np.linalg.matrix_power(la.SZ, n), np.linalg.matrix_power(la.SZ, m)
     f = la.dag(la.S) @ (np.exp(1j * phi) * z_n @ rot("y", lam) @ z_m) @ la.S
     y = euler_zyz(la.S @ f @ la.dag(la.S))
     assert _on_lattice([y.lambda1, y.lambda3])
     z = euler_zyz(la.H @ f @ la.dag(la.H))
     assert _on_lattice(z.lambda2)
-    assert [axis for axis, _, _ in tp._AXIS_REPS] == ["x", "z"]
 
 
 _CATALOGUE_BASES = [cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL) for spec in catalogue()["all_bases"]]
