@@ -39,9 +39,9 @@ class MeasurementBasis:
     def __post_init__(self):
         object.__setattr__(self, "vectors", np.array(self.vectors, dtype=complex))
         if self.vectors.shape != (4, 4):
-            raise ValueError(f"basis {self.name or '<anonymous>'} is not four 4-vectors: shape {self.vectors.shape}")
+            raise ValueError(f"basis {self.name or '<anonymous>'!r} is not four 4-vectors: shape {self.vectors.shape}")
         if not np.isfinite(self.vectors).all():
-            raise ValueError(f"basis {self.name or '<anonymous>'} has non-finite entries")
+            raise ValueError(f"basis {self.name or '<anonymous>'!r} has non-finite entries")
         self.vectors.flags.writeable = False
 
     def matrix(self) -> np.ndarray:
@@ -69,7 +69,7 @@ class BasisReport:
 
 def require_orthonormal(basis: MeasurementBasis) -> MeasurementBasis:
     if not basis.is_orthonormal():
-        raise ValueError(f"basis {basis.name or '<anonymous>'} is not orthonormal within {DEFAULT_UNITARY_TOL}")
+        raise ValueError(f"basis {basis.name or '<anonymous>'!r} is not orthonormal within {DEFAULT_UNITARY_TOL}")
     return basis
 
 
@@ -143,7 +143,7 @@ def conjugated_pauli_basis(u_r: np.ndarray) -> MeasurementBasis:
     The sigma order (I, X, Z, Y) makes u_r = I reproduce the Bell basis
     up to a phase on the fourth vector.
     """
-    u_r = require_unitary(u_r, what="conjugating unitary")
+    u_r = require_unitary(u_r, what="conjugating unitary", shape=(2, 2))
     # Vector entry 2x + y is conj(m[y, x]) / sqrt(2) (gate_form inverted).
     mats = dag(u_r) @ np.stack([PAULIS[label] for label in ("I", "X", "Z", "Y")]) @ u_r
     return MeasurementBasis(dag(mats).reshape(4, 4) / _SQ2, "pauli_conj")
@@ -156,7 +156,7 @@ def phase_paired_basis(u: np.ndarray, diag_phase: complex, off_phase: complex) -
     (minus combinations first); p1 = p2 = 1 on U = I gives the Bell
     basis up to ordering.
     """
-    u = require_unitary(u, what="front gate")
+    u = require_unitary(u, what="front gate", shape=(4, 4))
     c = u.T
     return MeasurementBasis(
         [

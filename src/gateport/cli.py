@@ -45,6 +45,7 @@ from .linalg import (
     dag,
     is_unitary,
     nearest_unitary,
+    phase_residual,
     random_state,
     tensor,
 )
@@ -132,11 +133,11 @@ def _read_matrix(path: str, key: str, shape) -> tuple[str, np.ndarray]:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as e:
-        raise UsageError(f"cannot read {path}: {e.strerror}")
+        raise UsageError(f"cannot read {path!r}: {e.strerror}")
     except (ValueError, RecursionError) as e:  # RecursionError: nested past the decoder's limit
-        raise UsageError(f"{path} is not valid JSON: {e}")
+        raise UsageError(f"{path!r} is not valid JSON: {e}")
     if not isinstance(doc, dict) or key not in doc:
-        raise UsageError(f"{path} must hold a JSON object with a {key!r} key")
+        raise UsageError(f"{path!r} must hold a JSON object with a {key!r} key")
     return doc.get("name", ""), _doc_to_rows(doc[key], shape)
 
 
@@ -211,7 +212,7 @@ def resolve_gate(spec: str, tol: float) -> np.ndarray:
         return nonlocal_gate((t1, t2, t3))
     if spec.startswith("@"):
         _, m = read_gate_file(spec[1:])
-        return _accept(m, tol, f"gate from {spec[1:]} is not unitary within {tol}")
+        return _accept(m, tol, f"gate from {spec[1:]!r} is not unitary within {tol}")
     raise UsageError(f"unknown gate spec {spec!r}")
 
 
@@ -252,7 +253,7 @@ def resolve_basis(spec: str, tol: float) -> MeasurementBasis:
     if key.startswith("pauli_conj:"):
         return conjugated_pauli_basis(_resolve_single_qubit(spec[len("pauli_conj:"):].strip(), tol))
     if spec.startswith("@"):
-        return _accept_basis(read_basis_file(spec[1:]), tol, f"basis from {spec[1:]} is not orthonormal within {tol}")
+        return _accept_basis(read_basis_file(spec[1:]), tol, f"basis from {spec[1:]!r} is not orthonormal within {tol}")
     raise UsageError(f"unknown basis spec {spec!r}")
 
 
@@ -412,11 +413,8 @@ def cmd_tables(args) -> int:
             ok2 = False
             print(f" {j + 1} {k + 1}  NOT SEPARABLE")
             continue
-        num = tensor(*corr)
-        ref = tensor(*sym)
-        idxmax = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
-        c = num[idxmax] / ref[idxmax]
-        match = np.linalg.norm(num - c * ref) <= FACTOR_MATCH_TOL and abs(abs(c) - 1) <= FACTOR_MATCH_TOL
+        c, residual = phase_residual(tensor(*corr), tensor(*sym))
+        match = residual <= FACTOR_MATCH_TOL
         ok2 = ok2 and match
         print(
             f" {j + 1} {k + 1}  {labels[0]:<11} {labels[1]:<12} {_num(np.angle(c), '+.6f')}"

@@ -36,12 +36,11 @@ from .linalg import (
     FACTOR_MATCH_TOL,
     I4,
     PAULI_PAIR_LABELS,
-    PAULI_PAIRS,
     SX,
     SZ,
     dag,
     kron_pairs,
-    pauli_coefficients,
+    pauli_products,
     require_normalized,
     require_unitary,
     tensor,
@@ -92,21 +91,6 @@ class FourwayReport:
         return float(self.fidelities_corrected.max())
 
 
-def _pauli_pair_labels(ms: np.ndarray) -> tuple[tuple[str, str] | None, ...]:
-    """For each matrix of an (n, 4, 4) stack, the labels of the two-qubit
-    Pauli product it equals up to a global phase within FACTOR_MATCH_TOL
-    (Frobenius norm), or None.
-
-    The candidate is the product with the largest |c_i|; the phase of
-    c_i is the one closest to the matrix, so the residual decides.
-    """
-    coeffs = pauli_coefficients(ms)
-    best = np.abs(coeffs).argmax(axis=-1)
-    phases = np.exp(1j * np.angle(np.take_along_axis(coeffs, best[:, None], axis=-1)))
-    residuals = np.linalg.norm(ms - phases[:, :, None] * PAULI_PAIRS[best], axis=(-2, -1))
-    return tuple(PAULI_PAIR_LABELS[i] if r <= FACTOR_MATCH_TOL else None for i, r in zip(best, residuals))
-
-
 def _conditional_states(psi_ab: np.ndarray, basis: MeasurementBasis) -> np.ndarray:
     """Unnormalized carrier states of the chi-resource circuit, before
     the teleported gate, for all 16 forced outcomes: a (16, 4) array."""
@@ -119,7 +103,7 @@ def analyze_fourway(
     psi_ab: np.ndarray,
 ) -> FourwayReport:
     """Branch separability plus simulated per-outcome outputs."""
-    u_t = require_unitary(u_t, what="teleported gate")
+    u_t = require_unitary(u_t, what="teleported gate", shape=(4, 4))
     require_orthonormal(basis)
     psi_ab = np.asarray(psi_ab, dtype=complex)
     require_normalized(psi_ab.reshape(-1), "input state must be normalized")
@@ -129,7 +113,7 @@ def analyze_fourway(
     valid = capable(betas)
     beta_jk = kron_pairs(betas, betas)
     # Every b_j (x) b_k is a Pauli product iff every b_j is a Pauli matrix.
-    pauli_basis = valid and None not in _pauli_pair_labels(beta_jk)
+    pauli_basis = valid and (pauli_products(beta_jk, FACTOR_MATCH_TOL) >= 0).all()
 
     # Rows 0..15 are the XX-branch operators of the 16 outcomes, rows
     # 16..31 the ZZ-branch ones.
@@ -143,7 +127,7 @@ def analyze_fourway(
     if valid:
         separable, products = leading_products(require_unitary(branches, what="factorization input"))
         undo = np.where(separable[:, None, None], dag(products), I4)
-    labels = _pauli_pair_labels(branches)
+    labels = tuple(PAULI_PAIR_LABELS[i] if i >= 0 else None for i in pauli_products(branches, FACTOR_MATCH_TOL))
     ops = np.concatenate((np.broadcast_to(I4, (16, 4, 4)), undo)).reshape(3, 16, 4, 4) @ u_t
     probs, outs, fids = outcome_fidelities(_conditional_states(psi_ab, basis), ops, u_t @ psi_ab)
 

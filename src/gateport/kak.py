@@ -44,7 +44,8 @@ from .linalg import (
     WRAP_TOL,
     dag,
     kron_split,
-    pauli_coefficients,
+    pauli_products,
+    require_finite,
     require_unitary,
     tensor,
     unitary_eigenbasis,
@@ -107,6 +108,7 @@ class NonlocalClass:
 
 def rot(axis: str, angle: float) -> np.ndarray:
     """Single-qubit rotation exp(-i*(angle/2)*sigma_axis)."""
+    require_finite(angle, "rotation angle")
     sig = PAULIS[axis.upper()]
     return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * sig
 
@@ -114,6 +116,7 @@ def rot(axis: str, angle: float) -> np.ndarray:
 def nonlocal_gate(theta) -> np.ndarray:
     """exp(i(t1 XX + t2 YY + t3 ZZ)) from its angle triple; a (..., 3) stack of
     triples gives the (..., 4, 4) stack of their gates, each bit for bit."""
+    require_finite(theta, "non-local angles")
     theta = np.asarray(theta, dtype=float)[..., None, None]
     out = np.eye(4, dtype=complex)
     for t, sig in zip(np.moveaxis(theta, -3, 0), (SX, SY, SZ), strict=True):
@@ -132,9 +135,7 @@ def kak_reconstruct(d: KakDecomposition) -> np.ndarray:
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
     """Canonical Weyl-chamber KAK decomposition of a 4x4 unitary."""
-    u = require_unitary(u, what="input gate")
-    if u.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
+    u = require_unitary(u, what="input gate", shape=(4, 4))
 
     m = _MAGIC_DAG @ u @ MAGIC
     # m^T m is symmetric unitary, so its real and imaginary parts are
@@ -253,9 +254,7 @@ def _wrap(angle):
 
 
 def is_clifford(u: np.ndarray) -> bool:
-    """True iff u maps every two-qubit Pauli product onto one, up to phase."""
-    u = require_unitary(u, CLIFFORD_TOL, "input gate")
-    # Row j holds the Pauli coefficients of u P_j u^dag: the Pauli
-    # transfer matrix, whose rows are unit vectors.
-    transfer = pauli_coefficients(u @ PAULI_PAIRS @ dag(u))
-    return bool((np.abs(transfer).max(axis=-1) >= 1.0 - CLIFFORD_TOL).all())
+    """True iff u maps every two-qubit Pauli product onto one, up to a phase
+    within CLIFFORD_TOL (phase_residual)."""
+    u = require_unitary(u, CLIFFORD_TOL, "input gate", shape=(4, 4))
+    return bool((pauli_products(u @ PAULI_PAIRS @ dag(u), CLIFFORD_TOL) >= 0).all())

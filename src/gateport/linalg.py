@@ -22,7 +22,7 @@ CORRECTABLE_TOL = 1e-8  # ||M^dag M - p I||_F of a correctable state-teleportati
 SEPARABLE_TOL = 1e-7  # a unitary whose second Schmidt coefficient (half a singular value) is at most this is a product
 GAUGE_TIE_TOL = 1e-9  # magnitudes within this of a factor's largest tie for its gauge entry
 LATTICE_TOL = 1e-8  # an angle within this of a lattice point (Weyl: pi/4 and pi/2; Euler: pi) is on it
-CLIFFORD_TOL = 1e-8  # Pauli transfer row maxima within this of 1 make a Clifford gate; also is_clifford's unitarity
+CLIFFORD_TOL = 1e-8  # each u P u^dag within this phase_residual of a Pauli product: u is Clifford; also is_clifford's unitarity
 WALL_TOL = 1e-10  # t1 within this of pi/4 is on the Weyl chamber's wall
 ROUNDING_EPS = 1e-12  # rounding: an angle this near 0, -pi or a Weyl shift boundary, a 2x2 entry or b^2 this near 0
 WRAP_TOL = 1e-9  # an Euler angle that wrapping to (-pi, pi] moves by more than this wrapped by 2pi
@@ -30,7 +30,7 @@ DEGENERACY_GAPS = (1e-10, 1e-7, 1e-4)  # eigenvalue gaps unitary_eigenbasis grou
 EIGEN_TOL = 1e-10  # unitary_eigenbasis stops at a diagonalization residual ||p^dag m p - diag||_F this small
 EQ44_TOL = 1e-10  # a closed-form witness value of magnitude at most this is zero
 GLOBAL_PHASE_TOL = 1e-9  # equal_up_to_global_phase's default bound on ||a - c b||_F
-FACTOR_MATCH_TOL = 1e-8  # ||m - c ref||_F and ||c| - 1| of a match to a Pauli product or Table-2 pair, phase c
+FACTOR_MATCH_TOL = 1e-8  # phase_residual ||m - c ref||_F of a match to a Pauli product or Table-2 pair
 TABLE1_TOL = 1e-9  # Table-1 probabilities (multiples of 1/16) match the paper's within this
 FIDELITY_TOL = 1e-9  # an oracle fidelity within this of 1 counts as one
 
@@ -85,16 +85,14 @@ _PAULI_STACK = np.stack([PAULIS[label] for label in PAULI_LABELS])
 PAULI_PAIRS = kron_pairs(_PAULI_STACK, _PAULI_STACK)
 
 
-def pauli_coefficients(m: np.ndarray) -> np.ndarray:
-    """Coefficients c_i = tr(P_i^dag m) / 4 of m = sum_i c_i P_i, along the
-    last axis, for a 4x4 matrix or a (..., 4, 4) stack."""
-    return np.einsum("iab,...ab->...i", PAULI_PAIRS.conj(), m) / 4.0
-
-
-def require_finite(m: np.ndarray) -> np.ndarray:
+def require_finite(m, what: str = "matrix", shape=None) -> np.ndarray:
+    """m as a complex array, if it has `shape` (any, when None) and finite entries;
+    else a one-line ValueError naming `what`."""
     m = np.asarray(m, dtype=complex)
+    if shape is not None and m.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
     return m
 
 
@@ -108,7 +106,9 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     residual = (dag(m) @ m).reshape(m.shape[:-2] + (n * n,))
     residual[..., :: n + 1] -= 1  # minus I: a flat matrix's diagonal
     # Ufunc reduces skip ndarray.sum/.max's Python layer; np.maximum keeps a NaN, and NaN (or a bad tol) fails <=.
-    return math.sqrt(np.maximum.reduce(np.add.reduce(np.square(residual.view(float)), axis=-1), axis=None)) <= tol
+    # An empty stack reduces to the initial 0.
+    squares = np.add.reduce(np.square(residual.view(float)), axis=-1)
+    return math.sqrt(np.maximum.reduce(squares, axis=None, initial=0.0)) <= tol
 
 
 def require_normalized(state, message: str) -> np.ndarray:
@@ -120,8 +120,8 @@ def require_normalized(state, message: str) -> np.ndarray:
     return state
 
 
-def require_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, what: str = "matrix") -> np.ndarray:
-    m = require_finite(m)
+def require_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, what: str = "matrix", shape=None) -> np.ndarray:
+    m = require_finite(m, what, shape)
     if not is_unitary(m, tol):
         raise ValueError(f"{what} is not unitary within {tol}")
     return m
@@ -134,20 +134,26 @@ def nearest_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = GLOBAL_PHASE_TOL) -> bool:
-    """True iff a = c*b for some unit-modulus scalar c.
+def phase_residual(a: np.ndarray, b: np.ndarray):
+    """(c, ||a - c b||_F) over the last two axes of two broadcasting stacks, where c is the
+    unit phase of <b, a>_F = tr(b^dag a) (1 where that product is 0): the c of least residual."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    # + 0.0 makes a zero's signed parts +0, whose angle is 0 (that of -0.0 + 0j is pi).
+    c = np.exp(1j * np.angle(np.einsum("...ij,...ij->...", b.conj(), a) + 0.0))
+    return c, np.linalg.norm(a - c[..., None, None] * b, axis=(-2, -1))
 
-    The phase c is chosen to align the entries of a and b at the position
-    of b's largest-magnitude entry.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    ratio = a[idx] * np.conj(b[idx])
-    c = ratio / abs(ratio) if abs(ratio) > 0 else 1.0
-    return np.linalg.norm(a - c * b) <= tol
+
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = GLOBAL_PHASE_TOL) -> bool:
+    """True iff a and b have one shape and ||a - c b||_F <= tol for phase_residual's c."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and bool(phase_residual(a.reshape(1, -1), b.reshape(1, -1))[1] <= tol)
+
+
+def pauli_products(ms: np.ndarray, tol: float) -> np.ndarray:
+    """For each 4x4 matrix of ms, the index i into PAULI_PAIRS of its largest coefficient
+    |tr(P_i^dag m)| / 4 if the matrix equals P_i up to a phase within tol (phase_residual), else -1."""
+    best = np.abs(np.einsum("iab,...ab->...i", PAULI_PAIRS.conj(), ms)).argmax(axis=-1)
+    return np.where(phase_residual(ms, PAULI_PAIRS[best])[1] <= tol, best, -1)
 
 
 def principal_sqrt(m: np.ndarray) -> np.ndarray:
@@ -232,6 +238,8 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
 def random_state(dim: int, seed) -> np.ndarray:
     """Random state haar_random_unitary(dim, seed)[:, 0], to rounding, from the same Gaussian draw g
     (the generator ends in the same place) but without the QR: g[:, 0] / ||g[:, 0]|| (Mezzadri 2007)."""
+    if dim < 1:
+        raise ValueError(f"state dimension must be at least 1, got {dim}")
     g = np.random.default_rng(seed).standard_normal((2, dim, dim))[:, :, 0]
     return (g[0] + 1j * g[1]) / np.linalg.norm(g)
 

@@ -144,7 +144,7 @@ def run_gate_teleport(
     if ab.ndim not in (1, 2) or ab.shape[-1] != 4:
         raise ValueError("input must be a 4-vector or a (k, 4) stack of them")
     require_normalized(ab, "input state must be normalized")
-    u_t = require_unitary(u_t, what="teleported gate")
+    u_t = require_unitary(u_t, what="teleported gate", shape=(4, 4))
     require_orthonormal(basis)
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     rests = project_outcomes(register_from([ab, bell, bell]), [(0, 3), (1, 5)], basis)

@@ -38,6 +38,7 @@ from .linalg import (
     dag,
     kron_pairs,
     principal_sqrt,
+    require_finite,
     require_normalized,
     require_unitary,
 )
@@ -84,6 +85,7 @@ def t_gate(phi: float, xi: float) -> np.ndarray:
     """diag(i, e^{i*phi}, e^{i*xi}, i e^{i(phi+xi)}); non-Clifford for
     generic angles yet deterministically teleportable under Bell-like
     bases."""
+    require_finite((phi, xi), "t_gate angles")
     return np.diag(
         [1j, np.exp(1j * phi), np.exp(1j * xi), 1j * np.exp(1j * (phi + xi))]
     ).astype(complex)
@@ -155,7 +157,7 @@ def analyze_state_teleport(psi: np.ndarray, basis: MeasurementBasis) -> StateTel
 
 def analyze_gate_teleport(u_t: np.ndarray, basis: MeasurementBasis) -> GateTeleportReport:
     """Separability verdict and corrections for each of the 16 outcomes."""
-    u_t = require_unitary(u_t, what="teleported gate")
+    u_t = require_unitary(u_t, what="teleported gate", shape=(4, 4))
     require_orthonormal(basis)
     betas = gate_betas(basis)
 
@@ -263,7 +265,7 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis) -> Theorem1Verdict:
     diagonal or antidiagonal), and x iff H f H fixes z.  "not_covered"
     is no proof of non-teleportability.
     """
-    u_t = require_unitary(u_t, what="teleported gate")
+    u_t = require_unitary(u_t, what="teleported gate", shape=(4, 4))
     require_orthonormal(basis)
     d = kak_decompose(u_t)
     cls = classify_nonlocal(d.theta)

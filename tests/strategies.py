@@ -53,6 +53,13 @@ HAAR_GATES = SEEDS.map(lambda seed: la.haar_random_unitary(4, seed))
 LOCALS = st.one_of(st.sampled_from(CLIFFORD_1Q), HAAR_1Q)
 # Dressed lattice gates: theta on the k pi/4 lattice, each local a Clifford or a Haar draw.
 DRESSED_GATES = st.builds(dressed, LATTICE_THETA, LOCALS, LOCALS, LOCALS, LOCALS, ANGLES)
+# Angles k pi/4, exact half the time, else off by 1e-9 (a Clifford core still, on the lattice) up to
+# 5e-5 either way, and gates with such a core between Clifford locals.
+OFFSETS = st.one_of(st.just(0.0), st.sampled_from([1e-9, -1e-9, 1e-8, -3e-8, 1e-6, -1e-6, 5e-5, -5e-5]))
+NEAR_QUARTERS = st.builds(lambda q, e: q + e, QUARTERS, OFFSETS)
+CLIFFORD_LOCALS = st.sampled_from(CLIFFORD_1Q)
+NEAR_LATTICE_GATES = st.builds(dressed, st.tuples(NEAR_QUARTERS, NEAR_QUARTERS, NEAR_QUARTERS),
+                               CLIFFORD_LOCALS, CLIFFORD_LOCALS, CLIFFORD_LOCALS, CLIFFORD_LOCALS, ANGLES)
 
 NAMED_BASES = st.sampled_from([make() for make in bases.NAMED_BASES.values()])
 BETA_AB_BASES = st.floats(-np.pi, 2 * np.pi).map(beta_ab)

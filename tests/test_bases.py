@@ -353,7 +353,7 @@ def test_a_basis_is_four_finite_4_vectors_or_a_one_line_value_error(rows, form):
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
             bases.MeasurementBasis(value, "bad")
-    assert str(info.value).startswith("basis bad ") and "\n" not in str(info.value)
+    assert str(info.value).startswith("basis 'bad' ") and "\n" not in str(info.value)
 
 
 def test_beta_matrices_without_a_front_gate_equal_those_with_the_identity():

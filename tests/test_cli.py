@@ -700,6 +700,34 @@ def test_bad_gate_and_basis_files_exit_1_with_one_line(capsys, tmp_path, spec, c
     assert str(path) in err and message in err
 
 
+def _pairs(m):
+    return np.stack([np.real(m), np.imag(m)], -1).tolist()
+
+
+# A file path or basis name that holds a newline is quoted in the error, which stays one line.
+@pytest.mark.parametrize(
+    "option, doc, code, quoted",
+    [
+        ("--basis", None, 1, None),
+        ("--gate", "{", 1, None),
+        ("--basis", "[]", 1, None),
+        ("--gate", {"matrix": _pairs(np.diag([1, 1, 1, 0.5]))}, 2, None),
+        ("--basis", {"vectors": _pairs(np.ones((4, 4)))}, 2, None),
+        ("--basis", {"name": "line one\nline two", "vectors": _pairs(np.diag([np.nan, 1, 1, 1]))}, 2, "line one\nline two"),
+    ],
+    ids=["missing-file", "invalid-json", "not-an-object", "gate-not-unitary", "basis-not-orthonormal", "basis-name"],
+)
+def test_user_text_in_an_error_is_quoted_on_one_line(capsys, tmp_path, option, doc, code, quoted):
+    path = tmp_path / "no\nsuch.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))  # json writes NaN as a NaN literal
+    argv = {"--gate": ("analyze", "--gate", f"@{path}", "--basis", "bell"),
+            "--basis": ("analyze", "--gate", "cnot", "--basis", f"@{path}")}[option]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1 and repr(quoted or str(path)) in err, err
+
+
 @pytest.mark.parametrize("spec", ["bell", "m1", "m2", "beta_ab:0.3", "beta_nl:0.1,0.2,0.3", "pauli_conj:h"])
 def test_validate_basis_json_matches_human_format(capsys, spec):
     code, out, _ = run(capsys, "validate-basis", "--basis", spec, "--format", "json")

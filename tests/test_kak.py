@@ -10,7 +10,7 @@ from gateport import kak
 from gateport import teleport as tp
 import reference as ref
 from strategies import (ANGLES, CAPABLE_BASES, DRESSED_GATES, HAAR_1Q, HAAR_GATES, LATTICE_THETA, LOCALS,
-                        QUARTERS, dressed, haar_local)
+                        NEAR_LATTICE_GATES, QUARTERS, dressed, haar_local)
 
 
 def _assert_canonical(theta):
@@ -205,6 +205,21 @@ def test_is_clifford():
     assert kak.is_clifford(la.SWAP)
     t1 = np.diag([1j, np.exp(1j * np.pi / 8), np.exp(1j * np.pi / 8), 1j * np.exp(1j * np.pi / 4)])
     assert not kak.is_clifford(t1)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-6, 5e-5])
+def test_a_core_off_the_clifford_point_is_not_clifford(delta):
+    # u P u^dag lies about 4 delta from a phased Pauli product, while every row of the
+    # Pauli transfer matrix keeps an entry within 2 delta^2 of 1 in magnitude.
+    assert not kak.is_clifford(kak.nonlocal_gate((np.pi / 4 + delta, 0, 0)))
+
+
+@settings(max_examples=150)
+@given(NEAR_LATTICE_GATES)
+def test_a_clifford_gate_has_its_canonical_angles_on_the_lattice(u):
+    if kak.is_clifford(u):
+        cls = kak.classify_nonlocal(kak.kak_decompose(u).theta)
+        assert all(q for dl, q in zip(cls.delta, cls.odd_quarter_pi) if dl), cls
 
 
 def _assert_canonical_and_exact(u):

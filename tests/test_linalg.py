@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gateport import bases
+from gateport import bases, kak
+from gateport import fourway as fw
 from gateport import linalg as la
+from gateport import simulator as sim
+from gateport import teleport as tp
+from strategies import ANGLES, SEEDS
 
 
 def test_tensor_identity():
@@ -123,6 +127,7 @@ def test_is_unitary_rejects_nan_entries_bad_tol_and_non_square_input():
     assert not la.is_unitary(np.stack([la.I4, la.SWAP]), -1.0)
     assert not la.is_unitary(np.ones((4, 2)), 1e-9)
     assert not la.is_unitary(np.ones(4), 1e-9)
+    assert la.is_unitary(np.zeros((0, 2, 2)), 1e-9) is True  # no matrix, so none is off
     # NaN only in the last matrix of a stack: the per-matrix maximum must keep it.
     assert not la.is_unitary(np.stack([la.I4, la.SWAP, la.CNOT, nan]), 1e-9)
     assert not la.is_unitary(np.stack([la.I4, la.SWAP, la.CNOT, nan]).reshape(2, 2, 4, 4), 1e-9)
@@ -137,7 +142,7 @@ def test_require_unitary_names_an_infinite_entry_without_a_numpy_warning(value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (m, np.stack([la.I4, m])):
-            with pytest.raises(ValueError, match="^non-finite entries$"):
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
                 la.require_unitary(bad)
 
 
@@ -152,6 +157,83 @@ def test_equal_up_to_global_phase():
     assert la.equal_up_to_global_phase(la.SX, 1j * la.SX, 1e-12)
     assert not la.equal_up_to_global_phase(la.SX, la.SZ, 1e-9)
     assert la.equal_up_to_global_phase(-1j * la.SY, np.array([[0, -1], [1, 0]]), 1e-12)
+
+
+def _entry_phase_residual(a, b):
+    """||a - c b||_F with c aligning a to b at b's largest entry: the phase rule that
+    phase_residual replaced."""
+    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    ratio = a[idx] * np.conj(b[idx])
+    c = ratio / abs(ratio) if abs(ratio) > 0 else 1.0
+    return np.linalg.norm(a - c * b)
+
+
+def _complex_matrix(rng, n):
+    g = rng.standard_normal((2, n, n))
+    return g[0] + 1j * g[1]
+
+
+@settings(max_examples=100)
+@given(SEEDS, ANGLES, st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0, 10.0]), st.sampled_from([2, 4]))
+def test_phase_residual_is_least_and_recovers_a_global_phase(seed, phi, noise, n):
+    rng = np.random.default_rng(seed)
+    b = _complex_matrix(rng, n)
+    a = np.exp(1j * phi) * b + noise * _complex_matrix(rng, n)
+    _, residual = la.phase_residual(a, b)
+    assert residual <= _entry_phase_residual(a, b) * (1 + 1e-12) + 1e-14
+    c, residual = la.phase_residual(np.exp(1j * phi) * b, b)
+    assert abs(c - np.exp(1j * phi)) <= 1e-12 and residual <= 1e-12 * np.linalg.norm(b)
+
+
+def test_phase_residual_stacks_and_a_zero_overlap():
+    c, residual = la.phase_residual(np.stack([1j * la.SX, -la.SZ]), la.SX)
+    assert np.allclose(c, [1j, 1]) and np.allclose(residual, [0, 2])  # <SX, -SZ> = 0: c = 1
+    c, _ = la.phase_residual(np.array([[-0.0]]), np.array([[1.0]]))
+    assert c[()] == 1  # the angle of -0.0 + 0j is pi
+
+
+def test_pauli_products_find_phased_pauli_products_within_tol():
+    phases = np.exp(1j * np.arange(16))[:, None, None]
+    assert la.pauli_products(phases * la.PAULI_PAIRS, 1e-12).tolist() == list(range(16))
+    near = la.PAULI_PAIRS[5] + 1e-6 * la.PAULI_PAIRS[6]  # residual 2e-6
+    assert la.pauli_products(np.stack([near, la.CNOT]), 1e-5).tolist() == [5, -1]
+    assert la.pauli_products(near, 1e-7) == -1
+
+
+_BELL = bases.bell_basis()
+_PSI = la.random_state(4, 0)
+
+
+# A wrong shape or a non-finite entry where the library receives an input: one line naming
+# that input, and no numpy warning (this module turns them into errors).
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: tp.analyze_gate_teleport(la.I2, _BELL), "teleported gate must have shape (4, 4)"),
+        (lambda: tp.analyze_gate_teleport(np.eye(8), _BELL), "teleported gate must have shape (4, 4)"),
+        (lambda: tp.theorem1_check(la.I2, _BELL), "teleported gate must have shape (4, 4)"),
+        (lambda: sim.run_gate_teleport(_PSI, np.eye(8), _BELL), "teleported gate must have shape (4, 4)"),
+        (lambda: fw.analyze_fourway(la.I2, _BELL, _PSI), "teleported gate must have shape (4, 4)"),
+        (lambda: kak.is_clifford(la.I2), "input gate must have shape (4, 4)"),
+        (lambda: kak.is_clifford(np.eye(8)), "input gate must have shape (4, 4)"),
+        (lambda: kak.kak_decompose(np.eye(8)), "input gate must have shape (4, 4)"),
+        (lambda: bases.conjugated_pauli_basis(la.I4), "conjugating unitary must have shape (2, 2)"),
+        (lambda: bases.phase_paired_basis(la.I2, 1, 1), "front gate must have shape (4, 4)"),
+        (lambda: la.random_state(0, 1), "state dimension must be at least 1"),
+        (lambda: tp.t_gate(np.inf, 0), "t_gate angles has non-finite entries"),
+        (lambda: kak.nonlocal_gate((np.inf, 0, 0)), "non-local angles has non-finite entries"),
+        (lambda: kak.nonlocal_gate([(0, 0, 0), (0, np.nan, 0)]), "non-local angles has non-finite entries"),
+        (lambda: kak.rot("x", np.inf), "rotation angle has non-finite entries"),
+    ],
+    ids=["analyze-2x2", "analyze-8x8", "theorem1-2x2", "oracle-8x8", "fourway-2x2", "clifford-2x2",
+         "clifford-8x8", "kak-8x8", "conjugated-4x4", "phase-paired-2x2", "state-dim-0", "t-gate-inf",
+         "nonlocal-inf", "nonlocal-nan", "rot-inf"],
+)
+def test_library_inputs_of_a_wrong_shape_or_non_finite_raise_one_line_naming_them(call, what):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(what) and "\n" not in str(info.value)
 
 
 def test_principal_sqrt_examples():

@@ -15,7 +15,7 @@ every margin.  Measured extremes (below the threshold, above it):
 second Schmidt coefficient 5.0e-16 and 0.0217 (four-way branches 4.7e-16
 and 0.029), capability residual 1.8e-15 and 3.11, Pauli-label residual
 1.4e-15 and 0.027, KAK lattice distance 1.1e-16 and 0.0217, Euler
-lambda2 lattice distance 0 and 0.277, Clifford row deficit 0 and 1.6e-3,
+lambda2 lattice distance 0 and 0.277, Clifford residual 5.1e-16 and 0.112,
 gauge-tie gap 1.1e-15 and 0.18, oracle fidelity deficit 2.2e-15 and
 3.1e-3 (per input), correctability residual 8.0e-17 and 0.024; no
 probability comes within 10x of the floor (the smallest is 2.2e-3).
@@ -112,13 +112,14 @@ def test_fourway_branches_clear_separable_and_factor_match_tols():
     u = (gates @ np.diag([1.0, 1.0, -1.0, 1.0]))[:, None, None]  # u_t @ fourway.u1_gate()
     branches = (u @ np.concatenate((sxx @ beta_jk, szz @ beta_jk), axis=1)[None] @ la.dag(u)).reshape(-1, 4, 4)
     _sides(_second_schmidt(branches), la.SEPARABLE_TOL)
-    # fourway._pauli_pair_labels: the residual to the closest phased Pauli product.
-    coeffs = la.pauli_coefficients(branches)
-    best = np.abs(coeffs).argmax(axis=-1)
-    phases = np.exp(1j * np.angle(np.take_along_axis(coeffs, best[:, None], axis=-1)))
-    residuals = np.linalg.norm(branches - phases[:, :, None] * la.PAULI_PAIRS[best], axis=(-2, -1))
-    low, high = _sides(residuals, la.FACTOR_MATCH_TOL)
+    low, high = _sides(_pauli_residuals(branches), la.FACTOR_MATCH_TOL)
     assert low is not None and high is not None
+
+
+def _pauli_residuals(ms):
+    """Each matrix's least phase_residual to a Pauli product: that of la.pauli_products,
+    whose product of largest coefficient is the nearest one."""
+    return la.phase_residual(ms[..., None, :, :], la.PAULI_PAIRS)[1].min(axis=-1)
 
 
 def test_gauge_ties_clear_gauge_tie_tol():
@@ -132,12 +133,8 @@ def test_gauge_ties_clear_gauge_tie_tol():
 
 def test_table2_factors_clear_factor_match_tol():
     report = tp.analyze_gate_teleport(tp.t_gate(np.pi / 8, np.pi / 8), bases.m2_basis())
-    misses = []
-    for corr, sym in zip(report.corrections, tp.table2_factors(np.pi / 8, np.pi / 8)):
-        num, ref = la.tensor(*corr), la.tensor(*sym)  # as cmd_tables compares them
-        idx = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
-        c = num[idx] / ref[idx]
-        misses += [np.linalg.norm(num - c * ref), abs(abs(c) - 1)]
+    num, sym = report.corrections, np.array(tp.table2_factors(np.pi / 8, np.pi / 8))
+    misses = la.phase_residual(la.tensor(num[:, 0], num[:, 1]), la.tensor(sym[:, 0], sym[:, 1]))[1]  # as cmd_tables
     assert _sides(misses, la.FACTOR_MATCH_TOL)[1] is None
 
 
@@ -166,12 +163,12 @@ def test_kak_and_euler_lattice_distances_clear_lattice_tol():
     assert low < 1e-14 and high > 0.2
 
 
-def test_clifford_row_deficits_clear_clifford_tol():
+def test_clifford_residuals_clear_clifford_tol():
     _, gates, _, _ = _catalogue()
-    transfer = la.pauli_coefficients(gates[:, None] @ la.PAULI_PAIRS @ la.dag(gates)[:, None])
-    deficits = 1.0 - np.abs(transfer).max(axis=-1).min(axis=-1)  # is_clifford's worst row
-    low, high = _sides(deficits, la.CLIFFORD_TOL)
-    assert low <= 0.0 and high > 1e-3
+    # is_clifford's worst u P u^dag.
+    residuals = _pauli_residuals(gates[:, None] @ la.PAULI_PAIRS @ la.dag(gates)[:, None]).max(axis=-1)
+    low, high = _sides(residuals, la.CLIFFORD_TOL)
+    assert low < 1e-14 and high > 0.1
 
 
 def test_oracle_fidelity_deficits_and_probabilities_clear_their_bounds():

@@ -121,23 +121,6 @@ def test_state_oracle_agrees_with_analysis_on_random_configs():
                 assert abs(r.probabilities[j] - rep.probabilities[j]) < 1e-9
 
 
-def test_cnot_bell_all_outcomes_unit_fidelity():
-    rep = tp.analyze_gate_teleport(la.CNOT, bases.bell_basis())
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        ab = la.random_state(4, rng)
-        r = sim.run_gate_teleport(ab, la.CNOT, bases.bell_basis(), rep.correction_inverses())
-        assert np.allclose(r.fidelities, 1.0, atol=1e-9)
-
-
-def test_cnot_m2_exactly_eight_outcomes():
-    rep = tp.analyze_gate_teleport(la.CNOT, bases.m2_basis())
-    ab = la.random_state(4, np.random.default_rng(9))
-    reached = sim.run_gate_teleport(ab, la.CNOT, bases.m2_basis(), rep.correction_inverses()).fidelities > 1 - 1e-9
-    assert reached.sum() == 8
-    assert reached.tolist() == rep.separable.tolist()
-
-
 def test_t_gate_m2_with_symbolic_corrections():
     phi, xi = np.pi / 7, np.pi / 13
     sym = tp.table2_factors(phi, xi)

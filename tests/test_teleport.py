@@ -68,13 +68,6 @@ def test_t_gates_non_clifford_but_deterministic(phi, xi):
     assert tp.analyze_gate_teleport(t, bases.m1_basis()).success_probability == 0.0
 
 
-def test_table1():
-    table = tp.reproduce_table1()
-    expected = np.array([[1, 0, 0.5], [0.5, 0, 0.5], [0.5, 0, 0.25], [0.25, 0.25, 0.25], [1, 1, 0.25]])
-    assert np.allclose(table, expected, atol=1e-12)
-    assert np.allclose(table * 16, np.round(table * 16))
-
-
 def test_gate_report_shape_and_counts():
     rep = tp.analyze_gate_teleport(la.CNOT, bases.m2_basis())
     assert (rep.n_separable, rep.success_probability, rep.deterministic) == (8, 0.5, False)
@@ -205,14 +198,6 @@ def test_near_maximally_entangled_bases_get_one_capability_verdict(gate, eps, t3
         assert rep.success_probability == 0
         assert not any(four.branch_xx_separable + four.branch_zz_separable)
         assert verdict.conclusion == "not_covered"
-
-
-def test_table2_matches_numeric_factorization():
-    for phi, xi in ((np.pi / 8, np.pi / 8), (np.pi / 7, np.pi / 13), (0.449, 0.242)):
-        rep = tp.analyze_gate_teleport(tp.t_gate(phi, xi), bases.m2_basis())
-        assert rep.deterministic
-        for corr, (sa, sb) in zip(rep.corrections, tp.table2_factors(phi, xi)):
-            assert la.equal_up_to_global_phase(la.tensor(corr[0], corr[1]), la.tensor(sa, sb), 1e-8)
 
 
 def test_table2_spot_entries():
