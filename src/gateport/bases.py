@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_UNITARY_TOL, NORM_TOL, PAULIS, dag, is_unitary, require_unitary
+from .linalg import DEFAULT_UNITARY_TOL, NORM_TOL, PAULIS, dag, is_unitary, require_finite, require_unitary
 from .kak import nonlocal_gate
 
 _SQ2 = np.sqrt(2.0)
@@ -157,6 +157,7 @@ def phase_paired_basis(u: np.ndarray, diag_phase: complex, off_phase: complex) -
     basis up to ordering.
     """
     u = require_unitary(u, what="front gate", shape=(4, 4))
+    require_finite((diag_phase, off_phase), "relative phases")
     c = u.T
     return MeasurementBasis(
         [

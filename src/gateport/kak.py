@@ -109,6 +109,8 @@ class NonlocalClass:
 def rot(axis: str, angle: float) -> np.ndarray:
     """Single-qubit rotation exp(-i*(angle/2)*sigma_axis)."""
     require_finite(angle, "rotation angle")
+    if axis.upper() not in ("X", "Y", "Z"):
+        raise ValueError(f"rotation axis must be x, y or z, got {axis!r}")
     sig = PAULIS[axis.upper()]
     return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * sig
 
@@ -201,7 +203,7 @@ def _sort(theta, a, b, c, d):
 def classify_nonlocal(theta) -> NonlocalClass:
     """Classify canonical non-local angles against the pi/4 and pi/2 lattices,
     within LATTICE_TOL."""
-    theta = np.asarray(theta, dtype=float)
+    theta = require_finite(theta, "non-local angles", shape=(3,)).real
     r = theta % (np.pi / 2)
     delta = ~((r <= LATTICE_TOL) | (r >= np.pi / 2 - LATTICE_TOL))
     odd_quarter = np.abs(r - np.pi / 4) <= LATTICE_TOL

@@ -26,7 +26,6 @@ CLIFFORD_TOL = 1e-8  # each u P u^dag within this phase_residual of a Pauli prod
 WALL_TOL = 1e-10  # t1 within this of pi/4 is on the Weyl chamber's wall
 ROUNDING_EPS = 1e-12  # rounding: an angle this near 0, -pi or a Weyl shift boundary, a 2x2 entry or b^2 this near 0
 WRAP_TOL = 1e-9  # an Euler angle that wrapping to (-pi, pi] moves by more than this wrapped by 2pi
-DEGENERACY_GAPS = (1e-10, 1e-7, 1e-4)  # eigenvalue gaps unitary_eigenbasis groups within, tried in turn
 EIGEN_TOL = 1e-10  # unitary_eigenbasis stops at a diagonalization residual ||p^dag m p - diag||_F this small
 EQ44_TOL = 1e-10  # a closed-form witness value of magnitude at most this is zero
 GLOBAL_PHASE_TOL = 1e-9  # equal_up_to_global_phase's default bound on ||a - c b||_F
@@ -171,54 +170,34 @@ def principal_sqrt(m: np.ndarray) -> np.ndarray:
     return p @ np.diag(np.exp(0.5j * phases)) @ dag(p)
 
 
+# unitary_eigenbasis' real mixes c, in turn: 0 keeps eigh(a)'s basis where it serves, 1e-3 splits a's
+# degenerate blocks by b, and the generic rest split eigenvalues of a some 1e-8 apart (eigh(a) mixes them).
+_EIGEN_MIXES = (0.0, 1e-3, 0.5377, -1.3171, 2.2617, -0.2913, 3.7391)
+
+
 def unitary_eigenbasis(a: np.ndarray, b: np.ndarray):
     """Eigenphases and an orthonormal eigenbasis p of the unitary m = a + i*b,
     given its commuting Hermitian parts a and b: m = p diag(e^{i*phases}) p^dag.
 
-    p diagonalizes a by eigh, then rotates each block of nearly-degenerate
-    eigenvalues of a into an eigenbasis of b.  The grouping width widens
-    until m is diagonalized; exact gates hit fourfold-degenerate spectra.
-    Where no width does, p diagonalizes a fixed mix of a and b instead.
-    p is real orthogonal when a and b are real.
+    Two distinct eigenvalues e^{i*phi} of m meet in a + c*b (as cos(phi) +
+    c*sin(phi)) for at most one real c, so p is eigh's basis of the first
+    mix c in _EIGEN_MIXES whose residual ||p^dag m p - diag||_F is within
+    EIGEN_TOL, else of the least residual.  p is real when a and b are.
     """
     a = (a + dag(a)) / 2
     b = (b + dag(b)) / 2
     m = a + 1j * b
-    n = m.shape[0]
-    wa, pa = np.linalg.eigh(a)
-    best = None
-    for gap in DEGENERACY_GAPS:
-        p = pa.copy()
-        start = 0
-        for stop in range(1, n + 1):
-            if stop < n and wa[stop] - wa[stop - 1] <= gap:
-                continue
-            if stop - start > 1:
-                block = p[:, start:stop]
-                sub = dag(block) @ b @ block
-                _, q = np.linalg.eigh((sub + dag(sub)) / 2)
-                p[:, start:stop] = block @ q
-            start = stop
-        candidate = _diagonalized(m, p)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
-        if candidate[0] <= EIGEN_TOL:
+    best = (np.inf,)
+    for c in _EIGEN_MIXES:
+        p = np.linalg.eigh(a + c * b)[1]
+        d = dag(p) @ m @ p
+        phases = np.angle(np.diag(d))
+        residual = np.linalg.norm(d - np.diag(np.exp(1j * phases)))
+        if residual < best[0]:
+            best = residual, phases, p
+        if residual <= EIGEN_TOL:
             break
-    else:
-        # Eigenvalues of a some 1e-8 apart, with b-values far apart, defeat every width:
-        # eigh(a) mixes their vectors by about 1e-16 / 1e-8, which b turns into a residual.
-        # A fixed mix of a and b splits them by their whole distance on the unit circle.
-        candidate = _diagonalized(m, np.linalg.eigh(a + 0.5377 * b)[1])
-        if candidate[0] < best[0]:
-            best = candidate
     return best[1], best[2]
-
-
-def _diagonalized(m: np.ndarray, p: np.ndarray):
-    """(||p^dag m p - diag||_F, the eigenphases on that diagonal, p)."""
-    d = dag(p) @ m @ p
-    phases = np.angle(np.diag(d))
-    return np.linalg.norm(d - np.diag(np.exp(1j * phases))), phases, p
 
 
 def haar_random_unitary(dim: int, seed) -> np.ndarray:

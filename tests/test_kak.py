@@ -251,13 +251,15 @@ def test_kak_decompose_is_canonical_and_exact_on_dressed_gates(theta, a, b, c, d
 def test_kak_decompose_fixed_cases_are_canonical_and_exact():
     rng = np.random.default_rng(8)
     cores = kak.nonlocal_gate([(np.pi / 4, 0.3, 0.2), (-3 * np.pi / 4, np.pi / 2, 0.1), (0.1, -0.7, 0.4)])
-    for u in [la.CNOT, la.SWAP, la.I4, *cores] + [la.haar_random_unitary(4, rng) for _ in range(4)]:
+    local = la.tensor(la.SZ, la.H)
+    for u in [la.CNOT, la.SWAP, la.I4, local, *cores] + [la.haar_random_unitary(4, rng) for _ in range(4)]:
         _assert_canonical_and_exact(u)
     # The wall: t1 = pi/4 takes t3 < 0 to -t3 (kak:0.7853981633974483,0.3,-0.2).
     wall = _assert_canonical_and_exact(kak.nonlocal_gate((np.pi / 4, 0.3, -0.2)))
     assert np.allclose(wall.theta, (np.pi / 4, 0.3, 0.2), rtol=0, atol=1e-12)
-    # No shift at n = 0: a factor (-i)^0 = 1+0j would flip the sign of the zero part of Z (x) H's phase.
-    assert repr(_assert_canonical_and_exact(la.tensor(la.SZ, la.H)).global_phase) == "-0.0"
+    # No shift at n = 0: a factor (-i)^0 = 1+0j would flip the sign of a phase's zero imaginary part.
+    d = kak._canonicalize(complex(1, -0.0), la.I2, la.I2, [0.0, 0.0, 0.0], la.I2, la.I2)
+    assert repr(d.global_phase) == "-0.0"
 
 
 NEAR_LATTICE = st.builds(

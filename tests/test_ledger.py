@@ -43,7 +43,7 @@ def test_no_small_float_literal_outside_the_ledger():
 
 def test_each_ledger_name_is_assigned_once_and_reexported_unchanged():
     names = _ledger_names()
-    assert len(names) == len(set(names)) == 18
+    assert len(names) == len(set(names)) == 17
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             targets = node.targets if isinstance(node, ast.Assign) else []

@@ -2,14 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gateport import bases, kak
 from gateport import fourway as fw
 from gateport import linalg as la
 from gateport import simulator as sim
 from gateport import teleport as tp
-from strategies import ANGLES, SEEDS
+from strategies import ANGLES, QUARTERS, SEEDS
 
 
 def test_tensor_identity():
@@ -225,15 +225,43 @@ _PSI = la.random_state(4, 0)
         (lambda: kak.nonlocal_gate((np.inf, 0, 0)), "non-local angles has non-finite entries"),
         (lambda: kak.nonlocal_gate([(0, 0, 0), (0, np.nan, 0)]), "non-local angles has non-finite entries"),
         (lambda: kak.rot("x", np.inf), "rotation angle has non-finite entries"),
+        (lambda: kak.rot("w", 0.1), "rotation axis must be x, y or z"),
+        (lambda: bases.phase_paired_basis(la.I4, np.inf, 1), "relative phases has non-finite entries"),
+        (lambda: kak.classify_nonlocal((np.nan, 0, 0)), "non-local angles has non-finite entries"),
     ],
     ids=["analyze-2x2", "analyze-8x8", "theorem1-2x2", "oracle-8x8", "fourway-2x2", "clifford-2x2",
          "clifford-8x8", "kak-8x8", "conjugated-4x4", "phase-paired-2x2", "state-dim-0", "t-gate-inf",
-         "nonlocal-inf", "nonlocal-nan", "rot-inf"],
+         "nonlocal-inf", "nonlocal-nan", "rot-inf", "rot-axis-w", "phase-paired-inf", "classify-nan"],
 )
 def test_library_inputs_of_a_wrong_shape_or_non_finite_raise_one_line_naming_them(call, what):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(what) and "\n" not in str(info.value)
+
+
+# Eigenphase pairs that one eigh of the real part a alone mixes: exact repeats, 2e-8 and 1e-4
+# apart, and either side of -1 (pi - gap/2 and gap/2 - pi).  QUARTERS makes fourfold repeats.
+_PHASE_PAIRS = st.builds(
+    lambda phi, gap, straddle: (np.pi - gap / 2, gap / 2 - np.pi) if straddle else (phi, phi + gap),
+    st.one_of(QUARTERS, ANGLES), st.sampled_from([0.0, 2e-8, 1e-4]), st.booleans(),
+)
+
+
+@given(_PHASE_PAIRS, _PHASE_PAIRS, st.booleans(), SEEDS)
+# Phases phi and psi meet in the mix c = tan((phi + psi) / 2): 0.3 meets a partner in each of the
+# mixes 0, 1e-3 and 0.5377, so only a later mix serves.
+@example((0.3, -0.3), (2 * np.arctan(1e-3) - 0.3, 2 * np.arctan(0.5377) - 0.3), True, 0)
+def test_unitary_eigenbasis_diagonalizes_clustered_spectra(pair, other, real, seed):
+    gaussian = np.random.default_rng(seed).standard_normal((4, 4))
+    q = np.linalg.qr(gaussian)[0] if real else la.haar_random_unitary(4, seed)
+    m = q @ np.diag(np.exp(1j * np.array(pair + other))) @ la.dag(q)
+    a, b = (m + la.dag(m)) / 2, (m - la.dag(m)) / 2j
+    if real:  # m is symmetric, as kak_decompose's m^T m: a and b are real
+        a, b = a.real, b.real
+    phases, p = la.unitary_eigenbasis(a, b)
+    assert np.linalg.norm(la.dag(p) @ m @ p - np.diag(np.exp(1j * phases))) <= la.EIGEN_TOL
+    assert la.is_unitary(p, 1e-12)
+    assert np.isrealobj(p) or not real
 
 
 def test_principal_sqrt_examples():

@@ -1,8 +1,8 @@
 """Margin audit of the tolerance ledger (linalg's first block).
 
 Every verdict a ledger threshold that judges data decides (all but the
-rounding guards WALL_TOL, ROUNDING_EPS, WRAP_TOL, DEGENERACY_GAPS,
-EIGEN_TOL and EQ44_TOL, and GLOBAL_PHASE_TOL, which no analysis uses), over the benchmark catalogue's
+rounding guards WALL_TOL, ROUNDING_EPS, WRAP_TOL, EIGEN_TOL and
+EQ44_TOL, and GLOBAL_PHASE_TOL, which no analysis uses), over the benchmark catalogue's
 33 gates and its bases, the named bases, beta_ab at scan grid 48 and
 beta_nl at scan grid 8, is measured here the way the library measures it
 and must sit at least MARGIN times from its threshold, on its own side.
