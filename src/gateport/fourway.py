@@ -125,7 +125,7 @@ def analyze_fourway(
     separable = np.zeros(32, dtype=bool)
     undo = np.broadcast_to(I4, (32, 4, 4))
     if valid:
-        separable, products = leading_products(require_unitary(branches, what="factorization input"))
+        separable, products = leading_products(branches)
         undo = np.where(separable[:, None, None], dag(products), I4)
     labels = tuple(PAULI_PAIR_LABELS[i] if i >= 0 else None for i in pauli_products(branches, FACTOR_MATCH_TOL))
     ops = np.concatenate((np.broadcast_to(I4, (16, 4, 4)), undo)).reshape(3, 16, 4, 4) @ u_t

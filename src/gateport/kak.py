@@ -119,9 +119,11 @@ def nonlocal_gate(theta) -> np.ndarray:
     """exp(i(t1 XX + t2 YY + t3 ZZ)) from its angle triple; a (..., 3) stack of
     triples gives the (..., 4, 4) stack of their gates, each bit for bit."""
     require_finite(theta, "non-local angles")
-    theta = np.asarray(theta, dtype=float)[..., None, None]
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (3,):
+        raise ValueError(f"non-local angles must have shape (..., 3), got {theta.shape}")
     out = np.eye(4, dtype=complex)
-    for t, sig in zip(np.moveaxis(theta, -3, 0), (SX, SY, SZ), strict=True):
+    for t, sig in zip(np.moveaxis(theta, -1, 0)[..., None, None], (SX, SY, SZ)):
         out = out @ (np.cos(t) * np.eye(4) + 1j * np.sin(t) * tensor(sig, sig))
     return out
 

@@ -207,6 +207,8 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
     merely unitary.  Deterministic for a fixed seed; `seed` may also be a
     numpy Generator owned by the caller.
     """
+    if dim < 1:
+        raise ValueError(f"unitary dimension must be at least 1, got {dim}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

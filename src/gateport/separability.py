@@ -64,7 +64,7 @@ def tensor_factorize(w: np.ndarray) -> TensorFactorization:
     Realignment keeps the Frobenius inner product, so that phase is the
     argument of the product of the two entries before gauging.
     """
-    w = require_unitary(w, what="factorization input")
+    w = require_unitary(w, what="factorization input", shape=(4, 4))
     u, s, vh = np.linalg.svd(_realign(w))
     schmidt = s / 2.0
     if schmidt[1] > SEPARABLE_TOL:
@@ -123,6 +123,7 @@ def w_witness(kind: int, theta: float, lam: float, pauli: str = "X") -> np.ndarr
     sigma_pp) with p in {X, Y}; kind 3/4 does the same for Y rotations
     with p in {X, Z}.
     """
+    require_finite((theta, lam), "witness angles")
     if kind not in _W_AXES:
         raise ValueError("kind must be 1..4")
     pauli = pauli.upper()
@@ -142,6 +143,7 @@ def eq44_separable(theta: float, lam: float) -> bool:
     (theta = k*pi/2, any lam), (any theta, lam = 2*k*pi) and
     (theta = (2k+1)*pi/4, lam = n*pi).
     """
+    require_finite((theta, lam), "witness angles")
     bracket = np.exp(0.5j * lam) * np.sin(theta) ** 2 + np.exp(-0.5j * lam) * np.cos(theta) ** 2
     value = np.sin(lam / 2.0) * np.sin(2.0 * theta) * bracket
     return bool(abs(value) <= EQ44_TOL)

@@ -53,8 +53,9 @@ def register_from(parts) -> np.ndarray:
     Leading axes of a fragment's amplitudes index a stack of inputs; they
     broadcast against the other fragments' and lead the state.
     """
+    amps = [np.asarray(a, dtype=complex)[..., None] for a in parts]
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite product fails require_normalized
-        state = reduce(tensor, (np.asarray(amps, dtype=complex)[..., None] for amps in parts))[..., 0]
+        state = reduce(tensor, amps)[..., 0] if amps else np.ones(1)  # no parts: no qubits, rejected below
     if state.shape[-1] not in (2**n for n in range(1, MAX_QUBITS + 1)):
         raise ValueError(f"register width must be 1..{MAX_QUBITS} qubits")
     return require_normalized(state, "assembled register is not normalized")

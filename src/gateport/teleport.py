@@ -220,6 +220,7 @@ def table2_factors(phi: float, xi: float):
     order, named by TABLE2_LABELS; each pair equals the numerically
     extracted factorization of T (b_j (x) b_k) T^dag up to a global phase.
     """
+    require_finite((phi, xi), "t_gate angles")
     P = np.diag([1, 1j]).astype(complex)
     PZ = P @ SZ
     PYX = P @ SY @ SX

@@ -20,17 +20,6 @@ def _assert_canonical(theta):
         assert t3 >= -1e-9
 
 
-def test_round_trip_haar():
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        u = la.haar_random_unitary(4, rng)
-        d = kak.kak_decompose(u)
-        _assert_canonical(d.theta)
-        for loc in (d.a_local, d.b_local, d.c_local, d.d_local):
-            assert la.is_unitary(loc, 1e-10)
-        assert la.equal_up_to_global_phase(kak.kak_reconstruct(d), u, 1e-9)
-
-
 def test_separable_gate_has_zero_angles():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -364,12 +353,6 @@ def test_a_stacked_nonlocal_gate_is_each_triples_gate_bit_for_bit(triples):
         assert np.array_equal(gate, ones[0] @ ones[1] @ ones[2])
     # Extra leading axes broadcast.
     assert _same_bits(kak.nonlocal_gate(np.array([triples, triples])), np.stack([stacked, stacked]))
-
-
-def test_nonlocal_gate_rejects_a_triple_of_the_wrong_length():
-    for bad in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4), np.zeros((5, 2))):
-        with pytest.raises(ValueError):
-            kak.nonlocal_gate(bad)
 
 
 @settings(max_examples=60)

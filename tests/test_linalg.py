@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from gateport import bases, kak
 from gateport import fourway as fw
 from gateport import linalg as la
+from gateport import separability as sep
 from gateport import simulator as sim
 from gateport import teleport as tp
 from strategies import ANGLES, QUARTERS, SEEDS
@@ -228,10 +229,21 @@ _PSI = la.random_state(4, 0)
         (lambda: kak.rot("w", 0.1), "rotation axis must be x, y or z"),
         (lambda: bases.phase_paired_basis(la.I4, np.inf, 1), "relative phases has non-finite entries"),
         (lambda: kak.classify_nonlocal((np.nan, 0, 0)), "non-local angles has non-finite entries"),
+        (lambda: sep.tensor_factorize(la.I2), "factorization input must have shape (4, 4)"),
+        (lambda: kak.nonlocal_gate((0.1, 0.2)), "non-local angles must have shape (..., 3), got (2,)"),
+        (lambda: kak.nonlocal_gate((0.1, 0.2, 0.3, 0.4)), "non-local angles must have shape (..., 3), got (4,)"),
+        (lambda: kak.nonlocal_gate(np.zeros((5, 2))), "non-local angles must have shape (..., 3), got (5, 2)"),
+        (lambda: la.haar_random_unitary(0, 1), "unitary dimension must be at least 1"),
+        (lambda: sim.register_from([]), f"register width must be 1..{sim.MAX_QUBITS} qubits"),
+        (lambda: sep.eq44_separable(np.nan, 0), "witness angles has non-finite entries"),
+        (lambda: sep.w_witness(1, np.nan, 0), "witness angles has non-finite entries"),
+        (lambda: tp.table2_factors(np.nan, 0), "t_gate angles has non-finite entries"),
     ],
     ids=["analyze-2x2", "analyze-8x8", "theorem1-2x2", "oracle-8x8", "fourway-2x2", "clifford-2x2",
          "clifford-8x8", "kak-8x8", "conjugated-4x4", "phase-paired-2x2", "state-dim-0", "t-gate-inf",
-         "nonlocal-inf", "nonlocal-nan", "rot-inf", "rot-axis-w", "phase-paired-inf", "classify-nan"],
+         "nonlocal-inf", "nonlocal-nan", "rot-inf", "rot-axis-w", "phase-paired-inf", "classify-nan",
+         "factorize-2x2", "nonlocal-pair", "nonlocal-four", "nonlocal-5x2", "unitary-dim-0", "register-empty",
+         "eq44-nan", "witness-nan", "table2-nan"],
 )
 def test_library_inputs_of_a_wrong_shape_or_non_finite_raise_one_line_naming_them(call, what):
     with pytest.raises(ValueError) as info:

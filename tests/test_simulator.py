@@ -9,7 +9,7 @@ from gateport import bases
 from gateport import simulator as sim
 from gateport import teleport as tp
 import reference as ref
-from strategies import SEEDS, capable_basis, front, haar_basis
+from strategies import HAAR_GATES, NAMED_BASES, SEEDS, front, haar_basis
 
 
 def test_register_guards():
@@ -46,17 +46,19 @@ def test_register_from_equals_kron_of_the_fragments(widths, seed, k, stacked):
 # (register width, measured pairs) of the state circuit, the gate circuit
 # and the four-way-resource circuit.
 CIRCUIT_PAIRS = ((3, ((1, 2),)), (6, ((0, 3), (1, 5))), (6, ((0, 2), (1, 5))))
+# Both layouts of a basis' stored row array: F-ordered (a Haar unitary's columns), and
+# C-ordered (a Haar unitary's rows, and the named bases).
+_BASES = st.one_of(SEEDS.map(haar_basis), HAAR_GATES.map(lambda u: bases.MeasurementBasis(u, "rows")), NAMED_BASES)
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(CIRCUIT_PAIRS), SEEDS, st.booleans())
-def test_project_outcomes_matches_per_outcome_loop(layout, seed, reverse_pairs):
+@given(st.sampled_from(CIRCUIT_PAIRS), _BASES, SEEDS, st.booleans())
+def test_project_outcomes_matches_per_outcome_loop(layout, basis, seed, reverse_pairs):
     n, pairs = layout
     if reverse_pairs:
         pairs = tuple(pair[::-1] for pair in reversed(pairs))
     rng = np.random.default_rng(seed)
     state = la.random_state(2**n, rng)
-    basis = haar_basis(rng)
     got = sim.project_outcomes(state, pairs, basis)
     assert got.shape == (4 ** len(pairs), 2 ** (n - 2 * len(pairs)))
     assert np.allclose(got, ref.measure(state, pairs, basis.vectors), rtol=0, atol=1e-12)
@@ -64,12 +66,11 @@ def test_project_outcomes_matches_per_outcome_loop(layout, seed, reverse_pairs):
 
 
 @settings(max_examples=40)
-@given(st.sampled_from(CIRCUIT_PAIRS), SEEDS, st.integers(1, 3))
-def test_project_outcomes_matches_per_outcome_loop_on_a_stack(layout, seed, k):
+@given(st.sampled_from(CIRCUIT_PAIRS), _BASES, SEEDS, st.integers(1, 3))
+def test_project_outcomes_matches_per_outcome_loop_on_a_stack(layout, basis, seed, k):
     n, pairs = layout
     rng = np.random.default_rng(seed)
     states = np.stack([la.random_state(2**n, rng) for _ in range(k)])
-    basis = haar_basis(rng)
     got = sim.project_outcomes(states, pairs, basis)
     assert got.shape == (k, 4 ** len(pairs), 2 ** (n - 2 * len(pairs)))
     for state, rows in zip(states, got):
@@ -132,14 +133,6 @@ def test_t_gate_m2_with_symbolic_corrections():
         assert np.allclose(r.fidelities, 1.0, atol=1e-9)
 
 
-def test_outcome_distribution_uniform_and_normalized():
-    ab = la.random_state(4, np.random.default_rng(11))
-    for basis in (bases.bell_basis(), bases.m1_basis(), bases.m2_basis()):
-        d = sim.outcome_distribution(ab, la.CNOT, basis)
-        assert abs(d.sum() - 1) < 1e-9
-        assert np.allclose(d, 1 / 16, atol=1e-9)
-
-
 def test_linearity_of_teleportation():
     # teleporting the superposition equals superposing teleported basis states
     basis = bases.bell_basis()
@@ -154,16 +147,6 @@ def test_linearity_of_teleportation():
         unit[e] = 1.0
         r = sim.run_gate_teleport(unit, la.CNOT, basis, rep.correction_inverses())
         assert np.allclose(r.fidelities, 1.0, atol=1e-9)
-
-
-def test_gate_oracle_matches_analysis_on_random_valid_bases():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        basis = capable_basis(rng)
-        gate = la.haar_random_unitary(4, rng)
-        rep = tp.analyze_gate_teleport(gate, basis)
-        r = sim.run_gate_teleport(la.random_state(4, rng), gate, basis, rep.correction_inverses())
-        assert ((r.fidelities >= 1 - 1e-9) == rep.separable).all()
 
 
 _NAMED_GATES = (la.CNOT, la.SWAP, la.CZ, la.Q_GATE, la.R_GATE, tp.C_PI8, tp.EXP_YY, tp.t_gate(np.pi / 8, np.pi / 8))
