@@ -248,23 +248,27 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis) -> Theorem1Verdict:
     """Sufficient-condition check for deterministic teleportation.
 
     Condition 2: a swap-point non-local part and a capable basis
-    (bases.capable).  Condition 1: every non-local angle on the
-    {0, (2k+1)pi/4} lattice, and each factor f = c b_j c^dag and
-    d b_k d^dag (c, d the right-side locals) maps each axis of a required
-    set to itself up to sign.  Proof: W_jk is a product iff
-    N (f (x) g) N^dag is, and the lattice core N is Clifford, so it maps
-    Paulis to Pauli products.  A factor fixing axis a is a Pauli times
-    R_a(alpha), whose rotation stays local iff N sends sigma_a (x) I to
-    one qubit: each active axis b != a multiplies it by sigma_b (x)
+    (bases.capable).  Condition 1: a capable basis, every non-local angle
+    on the {0, (2k+1)pi/4} lattice, and each factor f = c b_j c^dag and
+    d b_k d^dag (c, d the right-side locals) fixing, up to sign, the axis
+    that the number n of active axes requires.  Proof: W_jk is a product
+    iff N (f (x) g) N^dag is, and the lattice core N is Clifford, so it
+    maps Paulis to Pauli products.  A factor fixing axis a is a Pauli
+    times R_a(alpha), whose rotation stays local iff N sends sigma_a (x) I
+    to one qubit: each active axis b != a multiplies it by sigma_b (x)
     sigma_b, so iff 0 or 2 active axes differ from a.  In the chamber one
-    active axis is x and two are x and y, hence the branches:
-      local       no active axis;
-      axis_x      the factors fix x and z (Paulis up to phase);
-      axis_z      one active axis, and the factors fix x;
-      inactive_z  two active axes, and the factors fix z.
+    active axis is x and two are x and y, hence:
+      n  axis  branch
+      0  none  local
+      1  x     axis_z
+      2  z     inactive_z
+      3  none  swap (N is e^{i pi/4} SWAP up to a Pauli product)
+    The local rotations that commute with N (the gauge of c and d) keep
+    that axis fixed, so the verdict depends on the gate and basis alone.
     f fixes z iff its ZYZ lambda2 is on the integer-pi lattice (f is
-    diagonal or antidiagonal), and x iff H f H fixes z.  "not_covered"
-    is no proof of non-teleportability.
+    diagonal or antidiagonal), and x iff H f H fixes z.  Condition 2
+    implies condition 1.  "not_covered" is no proof of
+    non-teleportability.
     """
     u_t = require_unitary(u_t, what="teleported gate", shape=(4, 4))
     require_orthonormal(basis)
@@ -272,30 +276,23 @@ def theorem1_check(u_t: np.ndarray, basis: MeasurementBasis) -> Theorem1Verdict:
     cls = classify_nonlocal(d.theta)
     betas = gate_betas(basis)
     basis_valid = capable(betas)
-    condition2 = cls.is_swap_point and basis_valid
 
     branch = None
     on_lattice = all((not dl) or q for dl, q in zip(cls.delta, cls.odd_quarter_pi))
     if basis_valid and on_lattice:
         n_active = sum(cls.delta)
-        if n_active == 0:
-            branch = "local"
-        else:
+        branch = ("local", "axis_z", "inactive_z", "swap")[n_active]
+        if n_active in (1, 2):
             sides = np.stack((d.c_local, d.d_local))[:, None]
             f = sides @ betas @ dag(sides)  # (side, j)
-            lam2 = euler_zyz(np.stack((f, H @ f @ H))).lambda2
-            fixes_z, fixes_x = (np.minimum(lam2, np.pi - lam2) <= LATTICE_TOL).all(axis=(1, 2))
-            if fixes_x and fixes_z:
-                branch = "axis_x"
-            elif n_active == 1 and fixes_x:
-                branch = "axis_z"
-            elif n_active == 2 and fixes_z:
-                branch = "inactive_z"
+            lam2 = euler_zyz(H @ f @ H if n_active == 1 else f).lambda2
+            if (np.minimum(lam2, np.pi - lam2) > LATTICE_TOL).any():
+                branch = None
 
     condition1 = branch is not None
     return Theorem1Verdict(
         condition1_met=condition1,
-        condition2_met=condition2,
-        conclusion="deterministic" if (condition1 or condition2) else "not_covered",
+        condition2_met=cls.is_swap_point and basis_valid,
+        conclusion="deterministic" if condition1 else "not_covered",
         branch=branch,
     )

@@ -8,7 +8,7 @@ from functools import cache, reduce
 import numpy as np
 
 from gateport.kak import classify_nonlocal, euler_zyz, kak_decompose
-from gateport.linalg import (CORRECTABLE_TOL, DEFAULT_UNITARY_TOL, H, I2, I4, PROBABILITY_FLOOR, S,
+from gateport.linalg import (CORRECTABLE_TOL, DEFAULT_UNITARY_TOL, H, I2, I4, PROBABILITY_FLOOR,
                              SEPARABLE_TOL, SX, SZ)
 
 OUTCOMES = tuple(itertools.product(range(4), repeat=2))  # (j, k), row-major
@@ -187,12 +187,10 @@ def gate_circuit(ab, u, rows, corrections):
 
 def theorem1(u_t, rows):
     """theorem1_check's conclusion and branch, one euler_zyz call per conjugated basis matrix:
-    each representative h, tried in order, asks every h c b_j c^dag h^dag and h d b_k d^dag h^dag
-    to put its masked ZYZ angles on the integer-pi lattice.  x (all three angles) is tried for
-    every count of active axes, z and y for one active axis, inactive_z (I, lambda2) for two."""
+    on the lattice and under a capable basis, n active axes name the branch (local, axis_z,
+    inactive_z, swap), and for n = 1 (n = 2) every h c b_j c^dag h^dag and h d b_k d^dag h^dag,
+    with h = H (h = I), must have its ZYZ lambda2 on the integer-pi lattice."""
     tol = 1e-8  # the Euler-angle lattice tolerance
-    reps = {"axis_x": (I2, (True, True, True)), "axis_z": (H, (False, True, False)),
-            "axis_y": (S, (True, False, True)), "inactive_z": (I2, (False, True, False))}
     d = kak_decompose(u_t)
     cls = classify_nonlocal(d.theta)
     betas = gate_betas(rows)
@@ -200,22 +198,16 @@ def theorem1(u_t, rows):
     valid = capable(products(betas))
     condition2 = cls.is_swap_point and valid
 
-    def on_lattice(m, mask):
-        e = euler_zyz(m)
-        r = np.array([e.lambda1, e.lambda2, e.lambda3])[list(mask)] % np.pi
-        return bool(np.all((r <= tol) | (r >= np.pi - tol)))
+    def on_lattice(m):
+        r = euler_zyz(m).lambda2 % np.pi
+        return bool(r <= tol or r >= np.pi - tol)
 
     branch = None
     if valid and all((not dl) or q for dl, q in zip(cls.delta, cls.odd_quarter_pi)):
         n_active = sum(cls.delta)
-        if n_active == 0:
-            branch = "local"
-        else:
-            tried = {1: ("axis_x", "axis_z", "axis_y"), 2: ("axis_x", "inactive_z")}.get(n_active, ("axis_x",))
-            for name in tried:
-                h, mask = reps[name]
-                if all(on_lattice(h @ loc @ b @ dag(loc) @ dag(h), mask) for loc in (d.c_local, d.d_local) for b in betas):
-                    branch = name
-                    break
+        h = {1: H, 2: I2}.get(n_active)
+        if h is None or all(on_lattice(h @ loc @ b @ dag(loc) @ dag(h))
+                            for loc in (d.c_local, d.d_local) for b in betas):
+            branch = ("local", "axis_z", "inactive_z", "swap")[n_active]
     conclusion = "deterministic" if (branch is not None or condition2) else "not_covered"
     return conclusion, branch

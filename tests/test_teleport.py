@@ -10,7 +10,7 @@ from gateport import fourway as fw
 from gateport import separability as sep
 from gateport import simulator as sim
 from gateport import teleport as tp
-from gateport.kak import euler_zyz, nonlocal_gate, rot
+from gateport.kak import nonlocal_gate
 from perfbench.workloads import catalogue
 import reference as ref
 from strategies import (ANGLES, BASES, BETA_AB_BASES, CAPABLE_BASES, CLIFFORD_1Q, DRESSED_GATES, HAAR_1Q,
@@ -185,17 +185,14 @@ def test_table2_spot_entries():
 
 
 def test_theorem1_swap_condition2():
+    """Condition 2 implies condition 1: the swap core maps every product to a product."""
     for basis in (bases.bell_basis(), bases.m1_basis(), bases.m2_basis()):
-        v = tp.theorem1_check(la.SWAP, basis)
-        assert v.condition2_met
-        assert v.conclusion == "deterministic"
+        assert tp.theorem1_check(la.SWAP, basis) == tp.Theorem1Verdict(True, True, "deterministic", "swap")
 
 
 def test_theorem1_cnot():
-    v = tp.theorem1_check(la.CNOT, bases.bell_basis())
-    assert (v.condition1_met, v.conclusion, v.branch) == (True, "deterministic", "axis_x")
-    v = tp.theorem1_check(la.CNOT, bases.m1_basis())
-    assert v.conclusion == "not_covered"
+    assert tp.theorem1_check(la.CNOT, bases.bell_basis()) == tp.Theorem1Verdict(True, False, "deterministic", "axis_z")
+    assert tp.theorem1_check(la.CNOT, bases.m1_basis()) == tp.Theorem1Verdict(False, False, "not_covered", None)
 
 
 @pytest.mark.parametrize("spec,basis", [("kak:0.7853981633974483,0.7853981633974483,0", "m2"),
@@ -284,31 +281,20 @@ THEOREM1_BASES = st.one_of(
 
 @settings(max_examples=150)
 @given(THEOREM1_GATES, THEOREM1_BASES)
+@example(nonlocal_gate((0.0, 3 * np.pi / 4, 0.0)), bases.beta_ab_basis(1 / np.sqrt(2), 1e-12))
 def test_theorem1_check_matches_per_matrix_reference(gate, basis):
     v = tp.theorem1_check(gate, basis)
     assert (v.conclusion, v.branch) == ref.theorem1(gate, basis.vectors)
 
 
-def _on_lattice(angles) -> bool:
-    r = np.asarray(angles) % np.pi
-    return bool(np.all((r <= la.LATTICE_TOL) | (r >= np.pi - la.LATTICE_TOL)))
-
-
-@settings(max_examples=50)
-@given(ANGLES, st.integers(0, 1), ANGLES, st.integers(0, 1))
-@example(0.3, 1, 0.0, 0)
-@example(-2.0, 0, np.pi, 1)
-def test_a_factor_on_the_y_lattice_passes_the_z_mask(phi, n, lam, m):
-    """Why theorem1_check has no y branch (S, with lambda1 and lambda3 on the
-    integer-pi lattice): a factor F whose S-conjugate is e^{i phi} Z^n Ry(lam) Z^m
-    passes that mask, and its H-conjugate is diagonal or antidiagonal: F fixes x,
-    so it passes axis_z."""
-    z_n, z_m = np.linalg.matrix_power(la.SZ, n), np.linalg.matrix_power(la.SZ, m)
-    f = la.dag(la.S) @ (np.exp(1j * phi) * z_n @ rot("y", lam) @ z_m) @ la.S
-    y = euler_zyz(la.S @ f @ la.dag(la.S))
-    assert _on_lattice([y.lambda1, y.lambda3])
-    z = euler_zyz(la.H @ f @ la.dag(la.H))
-    assert _on_lattice(z.lambda2)
+@settings(max_examples=100)
+@given(DRESSED_GATES, CAPABLE_BASES, ANGLES)
+@example(la.SWAP, bases.bell_basis(), -3 * np.pi / 4)
+@example(tp.EXP_YY, bases.bell_basis(), -np.pi / 12)
+def test_theorem1_verdict_is_unchanged_by_a_global_phase(gate, basis, phi):
+    """The verdict is a fact about the gate and the basis: a global phase moves the KAK right
+    locals within the gauge that commutes with the core, which keeps the required axis fixed."""
+    assert tp.theorem1_check(np.exp(1j * phi) * gate, basis) == tp.theorem1_check(gate, basis)
 
 
 _CATALOGUE_BASES = [cli.resolve_basis(spec, la.DEFAULT_UNITARY_TOL) for spec in catalogue()["all_bases"]]
