@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_UNITARY_TOL, NORM_TOL, PAULIS, dag, is_unitary, require_finite, require_unitary
+from .linalg import DEFAULT_UNITARY_TOL, NORM_TOL, PAULIS, dag, is_unitary, require_finite, require_real, require_unitary
 from .kak import nonlocal_gate
 
 _SQ2 = np.sqrt(2.0)
@@ -114,7 +114,7 @@ def beta_ab_basis(a: float, b: float) -> MeasurementBasis:
 
 def beta_ab_bases(a, b) -> list[MeasurementBasis]:
     """beta_ab_basis(a[i], b[i]) for each point of two 1-D arrays, as one stack."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = require_real((a, b), "beta_ab parameters")
     if (np.abs(a * a + b * b - 0.5) > NORM_TOL).any():
         raise ValueError("beta_ab parameters must satisfy a^2 + b^2 = 1/2")
     rows = np.array([[-a, b, b, a], [-b, a, -a, -b], [-a, -b, b, -a], [b, a, a, -b]], dtype=complex)
@@ -133,7 +133,7 @@ def beta_nl_basis(theta1: float, theta2: float, theta3: float) -> MeasurementBas
 
 def beta_nl_bases(thetas) -> list[MeasurementBasis]:
     """beta_nl_basis of each triple of an (n, 3) array, from one stacked nonlocal_gate."""
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = require_real(thetas, "non-local angles")
     return [MeasurementBasis(u.T, "beta_nl({:g},{:g},{:g})".format(*t)) for u, t in zip(nonlocal_gate(thetas), thetas.tolist())]
 
 

@@ -172,9 +172,6 @@ def _parse_floats(text: str, n: int, what: str):
     return values
 
 
-# An entry so large that m^dag m overflows (inf, or finite such as 1e308) fails the
-# unitarity check quietly: a numpy warning would put lines before the one-line error.
-@np.errstate(over="ignore", invalid="ignore")
 def _accept(m: np.ndarray, tol: float, message: str) -> np.ndarray:
     """The nearest unitary to m, a matrix the user gave, if m is unitary within tol."""
     if not is_unitary(m, tol):
@@ -182,7 +179,6 @@ def _accept(m: np.ndarray, tol: float, message: str) -> np.ndarray:
     return nearest_unitary(m)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as for _accept
 def _accept_basis(basis: MeasurementBasis, tol: float, message: str) -> MeasurementBasis:
     """The nearest orthonormal basis to basis, a basis the user gave, if it
     is orthonormal within tol.  When its gate-form betas are also unitary
@@ -308,14 +304,13 @@ def _oracle_fidelities(g, basis, report, inputs: int, rng) -> np.ndarray:
     return run_gate_teleport(psis, g, basis, report.correction_inverses()).fidelities
 
 
-def cmd_kak(args) -> int:
+def cmd_kak(args) -> None:
     g = resolve_gate(args.gate, args.tol)
     d = kak_decompose(g)
     cls = classify_nonlocal(d.theta)
     clifford = is_clifford(g)
     if args.format == "json":
-        _emit_json({"gate": args.gate, **_fields(d), **_fields(cls), "is_clifford": clifford})
-        return 0
+        return _emit_json({"gate": args.gate, **_fields(d), **_fields(cls), "is_clifford": clifford})
     print(f"gate: {args.gate}")
     print(f"theta: ({', '.join(_num(t, '.6f') for t in d.theta)})")
     print(f"global phase: {_num(d.global_phase, '.6f')}")
@@ -324,10 +319,9 @@ def cmd_kak(args) -> int:
         print(_fmt_mat(m))
     print(f"delta: {cls.delta}  odd_quarter_pi: {cls.odd_quarter_pi}  swap_point: {cls.is_swap_point}")
     print(f"clifford: {clifford}")
-    return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     g = resolve_gate(args.gate, args.tol)
     basis = resolve_basis(args.basis, args.tol)
     report = analyze_gate_teleport(g, basis)
@@ -358,8 +352,7 @@ def cmd_analyze(args) -> int:
             ],
             "theorem1": _fields(verdict),
         }
-        _emit_json(doc)
-        return 0
+        return _emit_json(doc)
     print(f"gate: {args.gate}   basis: {args.basis}")
     header = " j k separable"
     if fidelities is not None:
@@ -379,7 +372,6 @@ def cmd_analyze(args) -> int:
         + (f", branch: {verdict.branch}" if verdict.branch else "")
         + ")"
     )
-    return 0
 
 
 def _table1_oracle_disagreements(cells, inputs: int, seed: int) -> int:
@@ -390,7 +382,7 @@ def _table1_oracle_disagreements(cells, inputs: int, seed: int) -> int:
                for g, basis, report in cells)
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> None:
     cells = table1_cells()
     table1 = table1_probabilities(cells)
     ok = np.allclose(table1, TABLE1_EXPECTED, rtol=0, atol=TABLE1_TOL)
@@ -431,10 +423,9 @@ def cmd_tables(args) -> int:
         raise SelfCheckError("table reproduction mismatch")
     if bad:
         raise SelfCheckError(f"{bad} oracle fidelities disagree with the table-1 verdicts")
-    return 0
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> None:
     g = resolve_gate(args.gate, args.tol)
     ts = 2 * np.pi * np.arange(args.grid) / args.grid
     if args.family == "beta_ab":
@@ -448,10 +439,9 @@ def cmd_scan(args) -> int:
     for point, basis in zip(points.tolist(), bases_):
         p = analyze_gate_teleport(g, basis).success_probability
         print(",".join(_num(x, ".9f") for x in point) + "," + _num(p, ".4f"))
-    return 0
 
 
-def cmd_state_teleport(args) -> int:
+def cmd_state_teleport(args) -> None:
     basis = resolve_basis(args.basis, args.tol)
     if args.front is not None:
         # A front gate U before measuring in {b_j} is the measurement in {U^dag b_j}.
@@ -459,8 +449,7 @@ def cmd_state_teleport(args) -> int:
     report = analyze_state_teleport(bell_resource(), basis)
     if args.format == "json":
         corrections = [c if ok else None for c, ok in zip(_complex_pairs(report.corrections), report.teleportable)]
-        _emit_json({"basis": args.basis, "front": args.front, **_fields(report), "corrections": corrections})
-        return 0
+        return _emit_json({"basis": args.basis, "front": args.front, **_fields(report), "corrections": corrections})
     print(f"basis: {args.basis}   front gate: {args.front or 'none'}")
     print(f"resource entanglement |det psi|: {_num(report.entanglement, '.6f')}")
     for j in range(4):
@@ -468,10 +457,9 @@ def cmd_state_teleport(args) -> int:
         if report.teleportable[j]:
             print(_fmt_mat(report.corrections[j]))
     print(f"deterministic: {report.deterministic}")
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     g = resolve_gate(args.gate, args.tol)
     basis = resolve_basis(args.basis, args.tol)
     report = analyze_gate_teleport(g, basis)
@@ -488,19 +476,17 @@ def cmd_simulate(args) -> int:
             continue
         print(f" {j + 1} {k + 1}  {n:>4}  {_num(f, '.6f')}      {_num(f, '.6f')}")
     print(f"overall min fidelity: {_num(min(f for n, f in zip(hits, fidelities) if n), '.6f')}")
-    return 0
 
 
-def cmd_fourway(args) -> int:
+def cmd_fourway(args) -> None:
     g = resolve_gate(args.gate, args.tol)
     basis = resolve_basis(args.basis, args.tol)
     psi = random_state(4, args.seed)
     report = analyze_fourway(g, basis, psi)
     if args.format == "json":
         skip = ("branch_xx_pauli", "branch_zz_pauli", "output_states")
-        _emit_json({"gate": args.gate, "basis": args.basis, **_fields(report, skip),
-                    "max_corrected_fidelity": report.max_corrected_fidelity})
-        return 0
+        return _emit_json({"gate": args.gate, "basis": args.basis, **_fields(report, skip),
+                           "max_corrected_fidelity": report.max_corrected_fidelity})
     print(f"gate: {args.gate}   basis: {args.basis}   seed: {args.seed}")
     print(f"clifford case: {report.clifford_case}")
     print(" j k  p        xx_sep  zz_sep  fidelity  corrected")
@@ -511,16 +497,14 @@ def cmd_fourway(args) -> int:
             f"{_num(report.fidelities_raw[idx], '.6f')}  {_num(report.fidelities_corrected[idx], '.6f')}"
         )
     print(f"max corrected fidelity: {_num(report.max_corrected_fidelity, '.6f')}")
-    return 0
 
 
-def cmd_validate_basis(args) -> int:
+def cmd_validate_basis(args) -> None:
     basis = resolve_basis(args.basis, args.tol)
     report = validate_basis(basis)
     capability_zero = not report.all_beta_unitary
     if args.format == "json":
-        _emit_json({"basis": args.basis, **_fields(report), "capability_zero": capability_zero})
-        return 0
+        return _emit_json({"basis": args.basis, **_fields(report), "capability_zero": capability_zero})
     print(f"basis: {args.basis}")
     print(f"orthonormal: {report.orthonormal}")
     print(f"all beta unitary: {report.all_beta_unitary}")
@@ -528,7 +512,6 @@ def cmd_validate_basis(args) -> int:
         print(f" vector {j + 1} entanglement |det|: {_num(e, '.6f')}")
     if capability_zero:
         print("teleportation capability: zero")
-    return 0
 
 
 # --- driver -----------------------------------------------------------------
@@ -630,9 +613,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return code
+        return 0
     except BrokenPipeError:
         _silence_stdout()
         return 1

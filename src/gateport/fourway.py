@@ -105,8 +105,9 @@ def analyze_fourway(
     """Branch separability plus simulated per-outcome outputs."""
     u_t = require_unitary(u_t, what="teleported gate", shape=(4, 4))
     require_orthonormal(basis)
-    psi_ab = np.asarray(psi_ab, dtype=complex)
-    require_normalized(psi_ab.reshape(-1), "input state must be normalized")
+    psi_ab = require_normalized(psi_ab, "input state must be normalized")
+    if psi_ab.shape != (4,):
+        raise ValueError(f"input state must be a 4-vector, got shape {psi_ab.shape}")
 
     u = u_t @ u1_gate()
     betas = gate_betas(basis)

@@ -45,7 +45,7 @@ from .linalg import (
     dag,
     kron_split,
     pauli_products,
-    require_finite,
+    require_real,
     require_unitary,
     tensor,
     unitary_eigenbasis,
@@ -108,7 +108,7 @@ class NonlocalClass:
 
 def rot(axis: str, angle: float) -> np.ndarray:
     """Single-qubit rotation exp(-i*(angle/2)*sigma_axis)."""
-    require_finite(angle, "rotation angle")
+    angle = require_real(angle, "rotation angle", shape=())
     if axis.upper() not in ("X", "Y", "Z"):
         raise ValueError(f"rotation axis must be x, y or z, got {axis!r}")
     sig = PAULIS[axis.upper()]
@@ -118,8 +118,7 @@ def rot(axis: str, angle: float) -> np.ndarray:
 def nonlocal_gate(theta) -> np.ndarray:
     """exp(i(t1 XX + t2 YY + t3 ZZ)) from its angle triple; a (..., 3) stack of
     triples gives the (..., 4, 4) stack of their gates, each bit for bit."""
-    require_finite(theta, "non-local angles")
-    theta = np.asarray(theta, dtype=float)
+    theta = require_real(theta, "non-local angles")
     if theta.shape[-1:] != (3,):
         raise ValueError(f"non-local angles must have shape (..., 3), got {theta.shape}")
     out = np.eye(4, dtype=complex)
@@ -205,7 +204,7 @@ def _sort(theta, a, b, c, d):
 def classify_nonlocal(theta) -> NonlocalClass:
     """Classify canonical non-local angles against the pi/4 and pi/2 lattices,
     within LATTICE_TOL."""
-    theta = require_finite(theta, "non-local angles", shape=(3,)).real
+    theta = require_real(theta, "non-local angles", shape=(3,))
     r = theta % (np.pi / 2)
     delta = ~((r <= LATTICE_TOL) | (r >= np.pi / 2 - LATTICE_TOL))
     odd_quarter = np.abs(r - np.pi / 4) <= LATTICE_TOL

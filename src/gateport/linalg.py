@@ -95,6 +95,19 @@ def require_finite(m, what: str = "matrix", shape=None) -> np.ndarray:
     return m
 
 
+def require_real(x, what: str = "angle", shape=None) -> np.ndarray:
+    """x as a float array, if it has `shape` (any, when None) and finite real
+    entries; else a one-line ValueError naming `what`."""
+    x = require_finite(x, what, shape)
+    if x.imag.any():
+        raise ValueError(f"{what} has non-real entries")
+    return x.real
+
+
+# Both predicates are quiet on any entries: an inf, NaN or overflowing one makes the residual or the
+# norm inf or NaN, which fails, and no numpy warning comes before the caller's one-line error.  (A
+# decorator costs each call about half what a with statement does.)
+@np.errstate(over="ignore", invalid="ignore")
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     """True iff ||m^dag m - I||_F <= tol, for m or for every matrix of
     a (..., n, n) stack."""
@@ -110,6 +123,7 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     return math.sqrt(np.maximum.reduce(squares, axis=None, initial=0.0)) <= tol
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def require_normalized(state, message: str) -> np.ndarray:
     """state as a complex array, if it is finite and each vector along its last
     axis has unit norm within NORM_TOL; else ValueError(message)."""

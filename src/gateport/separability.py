@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EQ44_TOL, GAUGE_TIE_TOL, I2, PAULIS, SEPARABLE_TOL, require_finite, require_unitary, tensor
+from .linalg import EQ44_TOL, GAUGE_TIE_TOL, I2, PAULIS, SEPARABLE_TOL, require_finite, require_real, require_unitary, tensor
 from .kak import rot
 
 _SQRT2 = np.sqrt(2.0)
@@ -123,7 +123,7 @@ def w_witness(kind: int, theta: float, lam: float, pauli: str = "X") -> np.ndarr
     sigma_pp) with p in {X, Y}; kind 3/4 does the same for Y rotations
     with p in {X, Z}.
     """
-    require_finite((theta, lam), "witness angles")
+    theta, lam = require_real((theta, lam), "witness angles", shape=(2,))
     if kind not in _W_AXES:
         raise ValueError("kind must be 1..4")
     pauli = pauli.upper()
@@ -143,7 +143,7 @@ def eq44_separable(theta: float, lam: float) -> bool:
     (theta = k*pi/2, any lam), (any theta, lam = 2*k*pi) and
     (theta = (2k+1)*pi/4, lam = n*pi).
     """
-    require_finite((theta, lam), "witness angles")
+    theta, lam = require_real((theta, lam), "witness angles", shape=(2,))
     bracket = np.exp(0.5j * lam) * np.sin(theta) ** 2 + np.exp(-0.5j * lam) * np.cos(theta) ** 2
     value = np.sin(lam / 2.0) * np.sin(2.0 * theta) * bracket
     return bool(abs(value) <= EQ44_TOL)

@@ -111,8 +111,9 @@ def run_state_teleport(input_xi: np.ndarray, psi: np.ndarray, basis: Measurement
     Corrections, a (4, 2, 2) stack, act verbatim on the carrier qubit; to
     undo a report's outcomes, pass its correction_inverses().
     """
-    xi = np.asarray(input_xi, dtype=complex)
-    require_normalized(xi.reshape(-1), "input state must be normalized")
+    xi = require_normalized(input_xi, "input state must be normalized")
+    if xi.shape != (2,):
+        raise ValueError(f"input state must be a 2-vector, got shape {xi.shape}")
     if np.shape(psi) != (2, 2):
         raise ValueError(f"resource state must be a 2x2 coefficient matrix, got shape {np.shape(psi)}")
     require_orthonormal(basis)

@@ -38,8 +38,8 @@ from .linalg import (
     dag,
     kron_pairs,
     principal_sqrt,
-    require_finite,
     require_normalized,
+    require_real,
     require_unitary,
 )
 from .kak import (
@@ -85,7 +85,7 @@ def t_gate(phi: float, xi: float) -> np.ndarray:
     """diag(i, e^{i*phi}, e^{i*xi}, i e^{i(phi+xi)}); non-Clifford for
     generic angles yet deterministically teleportable under Bell-like
     bases."""
-    require_finite((phi, xi), "t_gate angles")
+    phi, xi = require_real((phi, xi), "t_gate angles", shape=(2,))
     return np.diag(
         [1j, np.exp(1j * phi), np.exp(1j * xi), 1j * np.exp(1j * (phi + xi))]
     ).astype(complex)
@@ -220,7 +220,7 @@ def table2_factors(phi: float, xi: float):
     order, named by TABLE2_LABELS; each pair equals the numerically
     extracted factorization of T (b_j (x) b_k) T^dag up to a global phase.
     """
-    require_finite((phi, xi), "t_gate angles")
+    phi, xi = require_real((phi, xi), "t_gate angles", shape=(2,))
     P = np.diag([1, 1j]).astype(complex)
     PZ = P @ SZ
     PYX = P @ SY @ SX

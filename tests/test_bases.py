@@ -46,11 +46,6 @@ def test_m1_is_beta_ab_half_half():
         assert np.allclose(u, v)
 
 
-def test_beta_ab_constraint_enforced():
-    with pytest.raises(ValueError):
-        bases.beta_ab_basis(0.5, 0.2)
-
-
 def test_beta_ab_z_like_member():
     b = bases.beta_ab_basis(1 / np.sqrt(2), 0.0)
     rep = bases.validate_basis(b)

@@ -703,6 +703,15 @@ def test_top_level_help_keeps_the_docstring_paragraphs(capsys):
     assert cli.__doc__.strip() in out  # line breaks and blank lines as written
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_subcommand_help_exits_0(capsys, command):
+    # argparse formats help strings only when asked, so each --help is run once here.
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: gateport {command} [-h]")
+
+
 def test_parser_reuse_leaks_no_options(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("GATEPORT_TOL", raising=False)
     assert cli._build_parser() is cli._build_parser()

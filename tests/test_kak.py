@@ -65,11 +65,6 @@ def test_canonical_triples_are_fixed_points():
         assert np.allclose(d.theta, tri, atol=1e-8)
 
 
-def test_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        kak.kak_decompose(np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
-
-
 def test_classify_nonlocal():
     cls = kak.classify_nonlocal((np.pi / 4, np.pi / 4, np.pi / 4))
     assert cls.is_swap_point and all(cls.odd_quarter_pi)

@@ -1,7 +1,6 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from gateport import kak
@@ -82,14 +81,6 @@ def test_closed_form_phase_and_gauge(seed, phi, eps):
     assert np.linalg.norm(np.exp(1j * f.phase) * product - w) <= 1e-9 + 2 * eps
 
 
-def test_factorize_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sep.tensor_factorize(np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
-    stack = np.stack([la.SWAP, la.CNOT, np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)])
-    with pytest.raises(ValueError):
-        sep.factorize_all(stack)
-
-
 def test_factorize_all_matches_tensor_factorize():
     """factorize_all, and leading_products' verdicts and leading terms, agree with tensor_factorize."""
     rng = np.random.default_rng(5)
@@ -149,15 +140,6 @@ def test_witness_examples():
     assert sep.tensor_factorize(sep.w_witness(1, np.pi / 4, np.pi)).separable
     for kind in (1, 2, 3, 4):
         assert la.is_unitary(sep.w_witness(kind, 0.4, 1.1), 1e-12)
-
-
-def test_witness_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        sep.w_witness(1, 0.1, 0.2, pauli="Z")
-    with pytest.raises(ValueError):
-        sep.w_witness(3, 0.1, 0.2, pauli="Y")
-    with pytest.raises(ValueError):
-        sep.w_witness(5, 0.1, 0.2)
 
 
 def test_eq44_examples():

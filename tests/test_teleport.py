@@ -136,11 +136,6 @@ def test_swapping_the_qubits_transposes_the_mask(kind, seed, with_locals, basis)
     assert np.array_equal(np.reshape(moved.separable, (4, 4)), np.reshape(rep.separable, (4, 4)).T)
 
 
-def test_gate_report_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        tp.analyze_gate_teleport(np.diag([1, 1, 1, 0.5]).astype(complex), bases.bell_basis())
-
-
 def test_invalid_basis_gives_zero_capability():
     vecs = tuple(np.eye(4, dtype=complex)[:, i] for i in range(4))
     basis = bases.MeasurementBasis(vecs, "computational")
